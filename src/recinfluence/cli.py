@@ -47,7 +47,6 @@ DEFAULTS = {
     "nmf.masked": True,
     "seed": 0,
     "list.length": 10,
-    "influence.workers": 1,
     "influence.warm_start": False,
     "influence.warm_iters": 20,
     "influence.top_k": "10",
@@ -84,7 +83,6 @@ FLAG_KEYS = {
     "masked": "nmf.masked",
     "seed": "seed",
     "l": "list.length",
-    "workers": "influence.workers",
     "warm_start": "influence.warm_start",
     "warm_iters": "influence.warm_iters",
     "top_k": "influence.top_k",
@@ -252,10 +250,8 @@ def cmd_influence(args) -> int:
     cfg = resolve_config(args)
     out = _out_dir(cfg)
     ds = _load(cfg, args.dataset)
-    mc = model_config(cfg)
-    l = cfg["list.length"]
     report = influence.influence_all(
-        ds, mc, l, workers=cfg["influence.workers"],
+        ds, model_config(cfg), cfg["list.length"],
         warm_start=cfg["influence.warm_start"],
         warm_iters=cfg["influence.warm_iters"])
     ds_hash = artifacts.dataset_hash(ds)
@@ -265,10 +261,7 @@ def cmd_influence(args) -> int:
     # top sets larger than the dataset clamp to "everyone"
     top_ks = sorted({min(t, ds.n_users) for t in
                      _ints(cfg["influence.top_k"])})
-    curves = [influence.group_influence(
-                  ds, mc, report, top_k, thresholds=thetas, l=l,
-                  warm_start=cfg["influence.warm_start"],
-                  warm_iters=cfg["influence.warm_iters"])
+    curves = [influence.group_influence(report, top_k, thresholds=thetas)
               for top_k in top_ks]
     gpath = artifacts.write_group_curves_csv(curves,
                                              out / "group_influence.csv")
@@ -349,10 +342,8 @@ def cmd_mds(args) -> int:
                                    max_points=cfg["mds.max_points"],
                                    seed=cfg["seed"],
                                    refine_iters=cfg["mds.refine_iters"])
-    key = np.where(np.isnan(infl), -np.inf, infl)
-    ranking = np.lexsort((np.arange(len(infl)), -key))
     loaded = influence.InfluenceReport(model_config(cfg), cfg["list.length"],
-                                       infl, ranking, ())
+                                       infl, influence._rank_users(infl), ())
     labels = analysis.segment_by_influence(loaded, cfg["mds.segments"])
     embedding = replace(embedding,
                         segments=labels[embedding.user_indices])
@@ -404,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--seed", type=int)
     common.add_argument("--out-dir")
-    common.add_argument("--workers", type=int)
+    common.add_argument("--workers", type=int,
+                        help="accepted for compatibility; has no effect")
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--algo", choices=("knn", "nmf"))

@@ -3,15 +3,16 @@
 A user's influence is the summed Jaccard distance between every other
 user's top-l list with and without that user's ratings in the training
 data. The module ships two routes to the same number: a naive oracle that
-retrains everything from scratch per removal, and a parallel engine that
-reuses whatever survives a removal unchanged (pairwise similarities for the
+retrains everything from scratch per removal, and an engine that reuses
+whatever survives a removal unchanged (pairwise similarities for the
 neighborhood model) while retraining deterministically where nothing does
-(the factorization model). The two routes agree bit for bit.
+(the factorization model). The two routes agree bit for bit. Each removal
+runs once: its per-user distance row is kept, and group curves read those
+rows instead of retraining.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class InfluenceReport:
     influence: np.ndarray          # (n,), NaN where the removal job failed
     ranking: np.ndarray            # all users, influence desc, index asc
     failures: tuple[int, ...]
+    # (n, n): row u holds each user's list distance after removing u, NaN
+    # where that removal failed; None for reports rebuilt from a CSV
+    distances: np.ndarray | None = None
 
     @property
     def n_users(self) -> int:
@@ -70,7 +74,8 @@ class LeaveOneOutEngine:
 
     The full-data model, its recommendation lists, and (for the
     neighborhood model) the pairwise similarity matrix are computed once and
-    shared read-only across jobs; each job owns its private reduced model.
+    shared read-only across removals; each removal trains its own reduced
+    model.
     Removal keeps the item axis, so reduced-model lists come back in the
     original item index space.
     """
@@ -120,9 +125,6 @@ class LeaveOneOutEngine:
             dists[v] = jaccard_distance(self.full_lists[v], after)
         return dists
 
-    def influence_of(self, u: int) -> float:
-        return float(np.sum(self.distances_without(u)))
-
 
 def influence_oracle(ds: RatingsDataset, config: ModelConfig, u: int,
                      l: int) -> float:
@@ -149,60 +151,57 @@ def influence_oracle(ds: RatingsDataset, config: ModelConfig, u: int,
 
 
 def influence_all(ds: RatingsDataset, config: ModelConfig, l: int,
-                  workers: int = 1, warm_start: bool = False,
+                  warm_start: bool = False,
                   warm_iters: int = 20) -> InfluenceReport:
-    """Influence of every user, with up to ``workers`` removals in flight.
+    """Influence of every user, one removal after another.
 
-    A failed removal (diverging retrain) marks that user's influence NaN
-    instead of aborting the batch. Output is independent of the worker
-    count and of scheduling order.
+    Each removal's distance row is kept in the report, so group curves need
+    no further retraining. A failed removal (diverging retrain) marks that
+    user's influence and row NaN instead of aborting the batch.
     """
     engine = LeaveOneOutEngine(ds, config, l, warm_start=warm_start,
                                warm_iters=warm_iters)
     n = ds.n_users
     influence = np.full(n, np.nan)
+    distances = np.full((n, n), np.nan)
     failures = []
-    if workers <= 1:
-        for u in range(n):
-            try:
-                influence[u] = engine.influence_of(u)
-            except TrainingError:
-                failures.append(u)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {u: pool.submit(engine.influence_of, u)
-                       for u in range(n)}
-        for u in range(n):
-            try:
-                influence[u] = futures[u].result()
-            except TrainingError:
-                failures.append(u)
+    for u in range(n):
+        try:
+            row = engine.distances_without(u)
+        except TrainingError:
+            failures.append(u)
+            continue
+        distances[u] = row
+        influence[u] = float(np.sum(row))
     influence.flags.writeable = False
+    distances.flags.writeable = False
     return InfluenceReport(config, l, influence, _rank_users(influence),
-                           tuple(failures))
+                           tuple(failures), distances)
 
 
-def group_influence(ds: RatingsDataset, config: ModelConfig,
-                    report: InfluenceReport, top_k: int,
-                    thresholds=DEFAULT_THETA_GRID, l: int | None = None,
-                    warm_start: bool = False,
-                    warm_iters: int = 20) -> GroupInfluenceCurve:
+def group_influence(report: InfluenceReport, top_k: int,
+                    thresholds=DEFAULT_THETA_GRID) -> GroupInfluenceCurve:
     """Fraction of users influenced by the top-``top_k`` set, per threshold.
 
     A user v counts (once) when at least one top user's removal moves v's
-    list by Jaccard distance >= theta; the fraction is over all users.
+    list by Jaccard distance >= theta; the fraction is over all users. The
+    distances are the rows ``influence_all`` stored in the report.
     """
-    if not 1 <= top_k <= ds.n_users:
-        raise ValueError(f"top_k {top_k} out of range [1, {ds.n_users}]")
-    l = report.l if l is None else l
-    engine = LeaveOneOutEngine(ds, config, l, warm_start=warm_start,
-                               warm_iters=warm_iters)
+    n = report.n_users
+    if report.distances is None:
+        raise ValueError("report holds no distance rows; group curves need "
+                         "the report influence_all returns")
+    if not 1 <= top_k <= n:
+        raise ValueError(f"top_k {top_k} out of range [1, {n}]")
     top = report.ranking[:top_k]
-    best = np.zeros(ds.n_users)
+    failed = sorted(set(top.tolist()) & set(report.failures))
+    if failed:
+        raise TrainingError(f"top-{top_k} set holds failed removals of "
+                            f"users {failed}")
+    best = np.zeros(n)
     for u in top:
-        dists = engine.distances_without(int(u))
-        np.maximum(best, dists, out=best)
-    fractions = tuple(float(np.count_nonzero(best >= theta) / ds.n_users)
+        np.maximum(best, report.distances[u], out=best)
+    fractions = tuple(float(np.count_nonzero(best >= theta) / n)
                       for theta in thresholds)
     return GroupInfluenceCurve(top_k, tuple(float(t) for t in thresholds),
                                fractions)

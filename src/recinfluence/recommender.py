@@ -156,20 +156,22 @@ def predict_knn(model: KnnModel, u: int, i: int) -> float:
 _EPS = 1e-12
 
 
-def _nmf_objective(m, w, p, q) -> float:
-    resid = w * (m - p @ q.T)
+def _nmf_objective(m, w, pq) -> float:
+    resid = w * (m - pq)
     return float(np.sum(resid * resid))
 
 
 def _nmf_iterate(m, w, p, q, n_iters, rel_tol, history):
     """Alternating multiplicative updates; appends objectives to history."""
     wm = w * m
+    pq = p @ q.T
     for _ in range(n_iters):
-        pq = p @ q.T
         p = p * ((wm @ q) / ((w * pq) @ q + _EPS))
         pq = p @ q.T
         q = q * ((wm.T @ p) / ((w * pq).T @ p + _EPS))
-        obj = _nmf_objective(m, w, p, q)
+        # serves both this objective and the next iteration's p update
+        pq = p @ q.T
+        obj = _nmf_objective(m, w, pq)
         prev = history[-1]
         if obj > prev + 1e-9:
             raise TrainingError(
@@ -201,7 +203,7 @@ def train_nmf(ds: RatingsDataset, factors: int, seed: int,
     scale = np.sqrt(ds.global_mean / factors)
     p = rng.random((ds.n_users, factors)) * scale
     q = rng.random((ds.n_items, factors)) * scale
-    history = [_nmf_objective(ratings, w, p, q)]
+    history = [_nmf_objective(ratings, w, p @ q.T)]
     p, q = _nmf_iterate(ratings, w, p, q, n_iters, rel_tol, history)
     p.flags.writeable = False
     q.flags.writeable = False
@@ -224,7 +226,7 @@ def continue_nmf(ds: RatingsDataset, p0: np.ndarray, q0: np.ndarray,
     w = mask.astype(np.float64) if masked else np.ones_like(ratings)
     p = np.array(p0, dtype=np.float64)
     q = np.array(q0, dtype=np.float64)
-    history = [_nmf_objective(ratings, w, p, q)]
+    history = [_nmf_objective(ratings, w, p @ q.T)]
     p, q = _nmf_iterate(ratings, w, p, q, n_iters, 0.0, history)
     p.flags.writeable = False
     q.flags.writeable = False

@@ -63,7 +63,7 @@ def test_criterion_1_oracle_equivalence(criterion):
         cases += [(ds, cfg, 10) for ds in suite_datasets()
                   for cfg in (KNN_CFG, NMF_CFG)]
         for ds, cfg, l in cases:
-            report = influence_all(ds, cfg, l, workers=4)
+            report = influence_all(ds, cfg, l)
             assert not report.failures
             for u in range(ds.n_users):
                 assert float(report.influence[u]) == \
@@ -124,8 +124,7 @@ def test_criterion_4_group_influence_properties(criterion):
             report = influence_all(ds, cfg, l)
             prev = None
             for top_k in (1, 2, 3):
-                curve = group_influence(ds, cfg, report, top_k,
-                                        thresholds=THETA_GRID, l=l)
+                curve = group_influence(report, top_k, thresholds=THETA_GRID)
                 fr = np.array(curve.influenced_fraction)
                 assert np.all((fr >= 0.0) & (fr <= 1.0))
                 assert np.all(np.diff(fr) <= 0)
@@ -136,7 +135,7 @@ def test_criterion_4_group_influence_properties(criterion):
         ds = mutual_disruption_dataset()
         cfg = ModelConfig("knn", k=1)
         report = influence_all(ds, cfg, 4)
-        curve = group_influence(ds, cfg, report, 2, thresholds=(0.5,), l=4)
+        curve = group_influence(report, 2, thresholds=(0.5,))
         assert curve.influenced_fraction == (1.0,)
 
 
@@ -145,7 +144,7 @@ def test_criterion_5_long_tail_hub(criterion):
                       "influence at least fivefold"):
         ds = hub_dataset(seed=0)
         cfg = ModelConfig("knn", k=10, similarity="pearson")
-        report = influence_all(ds, cfg, 10, workers=4)
+        report = influence_all(ds, cfg, 10)
         hub = list(ds.user_ids).index("u00")
         # verified against the naive oracle before asserting the ratio
         assert float(report.influence[hub]) == \

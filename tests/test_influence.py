@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,15 @@ from conftest import (build_dataset, clone_users_dataset,
                       mutual_disruption_dataset, random_dataset)
 
 KNN2 = ModelConfig("knn", k=2, similarity="pearson")
+FLAKY_NMF = ModelConfig("nmf", factors=2, seed=1, n_iters=20)
+_real_train = ModelConfig.train
+
+
+def flaky_train(self, ds, sim_matrix=None):
+    """Stands in for ModelConfig.train: the toy's removal of u3 diverges."""
+    if ds.n_users == 4 and "u3" not in ds.user_ids:
+        raise TrainingError("synthetic divergence")
+    return _real_train(self, ds, sim_matrix=sim_matrix)
 
 
 def isolated_user_dataset():
@@ -124,31 +135,15 @@ class TestInfluenceAll:
         ranked = report.influence[report.ranking]
         assert np.all(np.diff(ranked) <= 0)
 
-    @pytest.mark.parametrize("workers", [2, 4, 8])
-    def test_parallel_equals_sequential(self, workers):
-        ds = random_dataset(14, 20, 0.2, seed=6)
-        cfg = ModelConfig("nmf", factors=2, seed=3, n_iters=30)
-        seq = influence_all(ds, cfg, 4, workers=1)
-        par = influence_all(ds, cfg, 4, workers=workers)
-        assert np.array_equal(seq.influence, par.influence)
-        assert np.array_equal(seq.ranking, par.ranking)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_per_user_failure_isolation(self, toy, monkeypatch, workers):
-        cfg = ModelConfig("nmf", factors=2, seed=1, n_iters=20)
-        real_train = ModelConfig.train
-
-        def flaky_train(self, ds, sim_matrix=None):
-            if ds.n_users == 4 and "u3" not in ds.user_ids:
-                raise TrainingError("synthetic divergence")
-            return real_train(self, ds, sim_matrix=sim_matrix)
-
+    def test_per_user_failure_isolation(self, toy, monkeypatch):
         monkeypatch.setattr(ModelConfig, "train", flaky_train)
-        report = influence_all(toy, cfg, 2, workers=workers)
+        report = influence_all(toy, FLAKY_NMF, 2)
         assert report.failures == (2,)
         assert np.isnan(report.influence[2])
         assert np.isfinite(np.delete(report.influence, 2)).all()
         assert report.ranking[-1] == 2
+        assert np.isnan(report.distances[2]).all()
+        assert np.isfinite(np.delete(report.distances, 2, axis=0)).all()
 
     def test_warm_start_mode_runs(self, toy):
         cfg = ModelConfig("nmf", factors=2, seed=4, n_iters=60)
@@ -163,8 +158,7 @@ class TestGroupInfluence:
         prev = None
         report = influence_all(toy, KNN2, 2)
         for top_k in (1, 2, 3):
-            curve = group_influence(toy, KNN2, report, top_k,
-                                    thresholds=thetas)
+            curve = group_influence(report, top_k, thresholds=thetas)
             fr = np.array(curve.influenced_fraction)
             assert np.all(np.diff(fr) <= 0)
             assert np.all((fr >= 0) & (fr <= 1))
@@ -186,7 +180,7 @@ class TestGroupInfluence:
                 oracles.knn_top_l(oracles.drop_user_keep_items(toy, top),
                                   v if v < top else v - 1, 2, 2))
             assert dists[v] == pytest.approx(expected, abs=1e-12)
-        curve = group_influence(toy, KNN2, report, 1, thresholds=(0.5,))
+        curve = group_influence(report, 1, thresholds=(0.5,))
         expected_count = sum(1 for v in range(5) if dists[v] >= 0.5)
         assert curve.influenced_fraction[0] == expected_count / 5
 
@@ -195,21 +189,59 @@ class TestGroupInfluence:
         cfg = ModelConfig("knn", k=1)
         report = influence_all(ds, cfg, 4)
         assert np.allclose(report.influence, 4 / 3)
-        curve = group_influence(ds, cfg, report, 2,
-                                thresholds=(0.1, 0.3, 0.5, 0.9))
+        curve = group_influence(report, 2, thresholds=(0.1, 0.3, 0.5, 0.9))
         assert curve.influenced_fraction == (1.0, 1.0, 1.0, 0.0)
 
     def test_theta_zero_is_maximal(self, toy):
         report = influence_all(toy, KNN2, 2)
-        curve = group_influence(toy, KNN2, report, 2,
-                                thresholds=(0.0, 0.2, 0.5))
+        curve = group_influence(report, 2, thresholds=(0.0, 0.2, 0.5))
         assert curve.influenced_fraction[0] == \
             max(curve.influenced_fraction)
 
     def test_top_k_out_of_range(self, toy):
         report = influence_all(toy, KNN2, 2)
         with pytest.raises(ValueError):
-            group_influence(toy, KNN2, report, 6)
+            group_influence(report, 6)
+
+    def test_report_without_rows_refused(self, toy):
+        report = replace(influence_all(toy, KNN2, 2), distances=None)
+        with pytest.raises(ValueError):
+            group_influence(report, 1)
+
+    @pytest.mark.parametrize("data,cfg,l,warm", [
+        ("toy", KNN2, 2, False),
+        ("toy", ModelConfig("nmf", factors=2, seed=4, n_iters=60), 2, False),
+        ("toy", ModelConfig("nmf", factors=2, seed=4, n_iters=60), 2, True),
+        (100, ModelConfig("knn", k=5), 10, False),
+        (101, ModelConfig("knn", k=5), 10, False),
+        (102, ModelConfig("nmf", factors=3, seed=11, n_iters=30), 10, False),
+    ], ids=["toy-knn", "toy-nmf", "toy-nmf-warm", "suite100-knn",
+            "suite101-knn", "suite102-nmf"])
+    def test_stored_rows_equal_fresh_removals(self, toy, data, cfg, l, warm):
+        # the random-suite datasets of the acceptance tests
+        ds = toy if data == "toy" else random_dataset(50, 100, 0.10,
+                                                      seed=data)
+        report = influence_all(ds, cfg, l, warm_start=warm, warm_iters=10)
+        engine = LeaveOneOutEngine(ds, cfg, l, warm_start=warm,
+                                   warm_iters=10)
+        fresh = np.array([engine.distances_without(u)
+                          for u in range(ds.n_users)])
+        for u in range(ds.n_users):
+            assert np.array_equal(report.distances[u], fresh[u])
+        thetas = (0.0, 0.1, 0.5, 0.9, 1.0)
+        for top_k in (1, 2, 3, ds.n_users):
+            best = fresh[report.ranking[:top_k]].max(axis=0)
+            expected = tuple(np.count_nonzero(best >= t) / ds.n_users
+                             for t in thetas)
+            curve = group_influence(report, top_k, thresholds=thetas)
+            assert curve.influenced_fraction == expected
+
+    def test_failed_removal_in_top_set_raises(self, toy, monkeypatch):
+        monkeypatch.setattr(ModelConfig, "train", flaky_train)
+        report = influence_all(toy, FLAKY_NMF, 2)
+        group_influence(report, toy.n_users - 1)   # failure ranks last
+        with pytest.raises(TrainingError):
+            group_influence(report, toy.n_users)
 
 
 class TestPredictionShift:

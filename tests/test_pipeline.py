@@ -35,7 +35,7 @@ def test_neighborhood_membership_tracks_knn_influence_best():
     # feature for the neighborhood model.
     ds = heterogeneous_dataset()
     cfg = ModelConfig("knn", k=5)
-    report = influence_all(ds, cfg, 10, workers=8)
+    report = influence_all(ds, cfg, 10)
     model = train_knn(ds, 5)
     lists = [frozenset(top_items(model, v, 10).tolist())
              for v in range(ds.n_users)]
@@ -49,7 +49,7 @@ def test_neighborhood_membership_tracks_knn_influence_best():
 def test_full_stage_chain_is_consistent():
     ds = random_dataset(25, 40, 0.2, seed=31)
     cfg = ModelConfig("knn", k=4)
-    report = influence_all(ds, cfg, 5, workers=4)
+    report = influence_all(ds, cfg, 5)
     model = train_knn(ds, 4)
     lists = [frozenset(top_items(model, v, 5).tolist())
              for v in range(ds.n_users)]
