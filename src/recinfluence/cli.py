@@ -266,8 +266,9 @@ def cmd_influence(args) -> int:
     gpath = artifacts.write_group_curves_csv(curves,
                                              out / "group_influence.csv")
     artifacts.write_sidecar(gpath, cfg, ds_hash, report.to_meta())
-    print(f"influence computed for {ds.n_users} users "
-          f"({len(report.failures)} failures)")
+    n = ds.n_users
+    print(f"influence computed for {n} users ({len(report.failures)} "
+          f"failures; {report.lists_rebuilt} of {n * (n - 1)} lists rebuilt)")
     return 0
 
 

@@ -4,11 +4,13 @@ A user's influence is the summed Jaccard distance between every other
 user's top-l list with and without that user's ratings in the training
 data. The module ships two routes to the same number: a naive oracle that
 retrains everything from scratch per removal, and an engine that reuses
-whatever survives a removal unchanged (pairwise similarities for the
-neighborhood model) while retraining deterministically where nothing does
-(the factorization model). The two routes agree bit for bit. Each removal
-runs once: its per-user distance row is kept, and group curves read those
-rows instead of retraining.
+whatever survives a removal unchanged while retraining deterministically
+where nothing does (the factorization model). For the neighborhood model
+the engine reuses the pairwise similarities and rebuilds only the lists a
+removal can change; every other list keeps distance 0, which is exact
+because its reduced list equals its full list. The two routes agree bit
+for bit. Each removal runs once: its per-user distance row is kept, and
+group curves read those rows instead of retraining.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ class InfluenceReport:
     # (n, n): row u holds each user's list distance after removing u, NaN
     # where that removal failed; None for reports rebuilt from a CSV
     distances: np.ndarray | None = None
+    # top-l lists the removals rebuilt; kept out of to_meta so artifacts
+    # stay free of run statistics
+    lists_rebuilt: int = 0
 
     @property
     def n_users(self) -> int:
@@ -78,6 +83,27 @@ class LeaveOneOutEngine:
     model.
     Removal keeps the item axis, so reduced-model lists come back in the
     original item index space.
+
+    A factorization removal rebuilds every other user's list. A
+    neighborhood removal of u rebuilds only the lists of the users v != u
+    that it flags:
+
+    (a) u is one of v's full-model neighbors (when k >= n - 1 everyone
+        else is, so the narrower reduced neighbor lists are all rebuilt);
+    (b) an item v has not rated changes value (its mean moves, or u was its
+        only rater so it leaves the candidates), v's score for it falls
+        back to the item mean because no listed neighbor of v with non-zero
+        similarity rated it, and the larger of its old and new value
+        reaches the score of v's l-th full-list item (any value does when v
+        has fewer than l candidates).
+
+    An unflagged v keeps its neighbors in the same order (removal preserves
+    the relative order of user indices, so tie-breaks hold) with the same
+    similarities and rating rows, so every blended score is bit-identical;
+    only fallback means of u's items can move, and (b) catches each one
+    that could cross v's l-th score. Its reduced list is its full list and
+    its distance is exactly 0. ``lists_rebuilt`` counts the lists rebuilt
+    so far.
     """
 
     def __init__(self, ds: RatingsDataset, config: ModelConfig, l: int,
@@ -87,16 +113,23 @@ class LeaveOneOutEngine:
         self.l = l
         self.warm_start = warm_start
         self.warm_iters = warm_iters
-        if config.algorithm == "knn":
+        self.lists_rebuilt = 0
+        knn = config.algorithm == "knn"
+        if knn:
             self.sim = user_similarity_matrix(ds, kind=config.similarity)
             self.full_model = train_knn(ds, config.k, config.similarity,
                                         sim_matrix=self.sim)
         else:
             self.sim = None
             self.full_model = config.train(ds)
-        self.full_lists = [frozenset(int(i) for i in
-                                     top_items(self.full_model, u, l))
-                           for u in range(ds.n_users)]
+        self.full_lists = []
+        # score of each user's l-th full-list item, -inf below l candidates
+        self._thr = np.full(ds.n_users, -np.inf)
+        for u in range(ds.n_users):
+            items = top_items(self.full_model, u, l)
+            self.full_lists.append(frozenset(int(i) for i in items))
+            if knn and len(items) == l:
+                self._thr[u] = self.full_model.scores_for(u)[items[-1]]
 
     def _reduced_model(self, u: int, reduced: RatingsDataset):
         if self.config.algorithm == "knn":
@@ -111,18 +144,45 @@ class LeaveOneOutEngine:
                                 masked=self.config.masked)
         return self.config.train(reduced)
 
+    def _flagged(self, u: int, model) -> np.ndarray:
+        """Bool mask of the users whose list removing u may change; u is
+        never flagged."""
+        if self.config.algorithm != "knn":
+            flags = np.ones(self.ds.n_users, dtype=bool)
+        else:
+            full = self.full_model
+            flags = np.any(full.neighbors == u, axis=1)
+            new_counts = model.dataset.item_counts
+            changed = (self.ds.item_counts > 0) & (
+                (new_counts == 0) | (model.item_means != full.item_means))
+            items = np.flatnonzero(changed)
+            new = np.where(new_counts[items] > 0, model.item_means[items],
+                           -np.inf)
+            reach = np.maximum(full.item_means[items], new)
+            _, mask = self.ds.dense
+            rated = mask[:, items]
+            covered = np.any(rated[full.neighbors]
+                             & (full.neighbor_sims != 0)[:, :, None], axis=1)
+            flags |= np.any(~rated & ~covered
+                            & (reach >= self._thr[:, None]), axis=1)
+        flags[u] = False
+        return flags
+
     def distances_without(self, u: int) -> np.ndarray:
         """Jaccard distance of each other user's list after removing u.
 
-        Entry v is the distance for original user v; entry u is 0.
+        Entry v is the distance for original user v; entry u is 0, as is
+        every entry of a user whose list the removal cannot change.
         """
         reduced = drop_user(self.ds, u)
         model = self._reduced_model(u, reduced)
         dists = np.zeros(self.ds.n_users)
-        for v_red in range(reduced.n_users):
-            v = v_red if v_red < u else v_red + 1
+        flagged = np.flatnonzero(self._flagged(u, model))
+        for v in flagged:
+            v_red = v if v < u else v - 1
             after = frozenset(int(i) for i in top_items(model, v_red, self.l))
             dists[v] = jaccard_distance(self.full_lists[v], after)
+        self.lists_rebuilt += len(flagged)
         return dists
 
 
@@ -176,7 +236,7 @@ def influence_all(ds: RatingsDataset, config: ModelConfig, l: int,
     influence.flags.writeable = False
     distances.flags.writeable = False
     return InfluenceReport(config, l, influence, _rank_users(influence),
-                           tuple(failures), distances)
+                           tuple(failures), distances, engine.lists_rebuilt)
 
 
 def group_influence(report: InfluenceReport, top_k: int,

@@ -119,14 +119,12 @@ def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
     k_eff = min(k, n - 1)
     if sim_matrix is None:
         sim_matrix = user_similarity_matrix(ds, kind=similarity)
-    neighbors = np.empty((n, k_eff), dtype=np.int64)
-    neighbor_sims = np.empty((n, k_eff))
     idx = np.arange(n)
-    for u in range(n):
-        order = np.lexsort((idx, -sim_matrix[u]))
-        order = order[order != u][:k_eff]
-        neighbors[u] = order
-        neighbor_sims[u] = sim_matrix[u, order]
+    order = np.lexsort((np.broadcast_to(idx, (n, n)), -sim_matrix), axis=-1)
+    # each row holds its own index exactly once
+    neighbors = np.ascontiguousarray(
+        order[order != idx[:, None]].reshape(n, n - 1)[:, :k_eff])
+    neighbor_sims = np.take_along_axis(sim_matrix, neighbors, axis=1)
 
     counts = ds.item_counts
     global_mean = ds.global_mean

@@ -6,7 +6,7 @@ import pytest
 from recinfluence import artifacts
 from recinfluence.cli import main, parse_config_file, resolve_config
 from recinfluence.data import load_dataset
-from recinfluence.influence import influence_oracle
+from recinfluence.influence import influence_all, influence_oracle
 from recinfluence.recommender import ModelConfig
 
 from conftest import TOY_ROWS
@@ -117,6 +117,18 @@ class TestInfluenceCommand:
         for user_id, value, _rank in rows:
             u = list(ds.user_ids).index(user_id)
             assert float(value) == influence_oracle(ds, cfg, u, 2)
+
+    def test_closing_line_counts_rebuilt_lists(self, tmp_path, capsys):
+        out = ingest_toy(tmp_path)
+        capsys.readouterr()
+        assert main(["influence", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "knn", "--k", "1", "--l", "2",
+                     "--top-k", "1", "--out-dir", str(out)]) == 0
+        ds = load_dataset(out / "dataset.tsv")
+        rebuilt = influence_all(ds, ModelConfig("knn", k=1), 2).lists_rebuilt
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"influence computed for 5 users (0 failures; {rebuilt} of 20 "
+            "lists rebuilt)")
 
     def test_group_curve_schema_and_monotonicity(self, tmp_path):
         out = ingest_toy(tmp_path)

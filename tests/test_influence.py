@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recinfluence import influence
 from recinfluence.data import drop_user
 from recinfluence.influence import (LeaveOneOutEngine, group_influence,
                                     influence_all, influence_oracle,
@@ -13,8 +15,8 @@ from recinfluence.influence import (LeaveOneOutEngine, group_influence,
 from recinfluence.recommender import ModelConfig, TrainingError, top_items
 
 import oracles
-from conftest import (build_dataset, clone_users_dataset,
-                      mutual_disruption_dataset, random_dataset)
+from conftest import (build_dataset, clone_users_dataset, hub_dataset,
+                      mutual_disruption_dataset, random_dataset, toy_dataset)
 
 KNN2 = ModelConfig("knn", k=2, similarity="pearson")
 FLAKY_NMF = ModelConfig("nmf", factors=2, seed=1, n_iters=20)
@@ -298,3 +300,136 @@ class TestEngineInternals:
         only = list(ds.item_ids).index("only")
         for v_red in range(2):
             assert only not in top_items(model, v_red, 3)
+
+
+def single_rater_dataset():
+    """u is the only rater of "solo"; a's only neighbor (k=1) is b, and a's
+    fallback mean for "solo" tops a's list."""
+    rows = [("a", "x1", 5.0), ("a", "x2", 4.0), ("a", "x3", 1.0),
+            ("b", "x1", 5.0), ("b", "x2", 4.0), ("b", "x3", 2.0),
+            ("b", "y", 3.0),
+            ("c", "x1", 1.0), ("c", "x2", 2.0), ("c", "x3", 5.0),
+            ("c", "z", 2.0),
+            ("u", "x1", 1.0), ("u", "x2", 1.0), ("u", "x3", 5.0),
+            ("u", "solo", 5.0)]
+    return build_dataset(rows)
+
+
+def sparse_dataset(seed, n_users=12, n_items=30):
+    """Profiles of one to five items, so many items have a single rater."""
+    rng = np.random.default_rng(seed)
+    rows = [(f"u{u:02d}", f"i{i:02d}", float(rng.integers(1, 6)))
+            for u in range(n_users)
+            for i in rng.choice(n_items, size=rng.integers(1, 6),
+                                replace=False)]
+    return build_dataset(rows)
+
+
+def rebuilt_row(engine, u):
+    """Reference row: every other user's list rebuilt from the reduced
+    model, plus the users whose list changed."""
+    model = engine._reduced_model(u, drop_user(engine.ds, u))
+    row = np.zeros(engine.ds.n_users)
+    changed = set()
+    for v_red in range(engine.ds.n_users - 1):
+        v = v_red if v_red < u else v_red + 1
+        after = frozenset(int(i) for i in top_items(model, v_red, engine.l))
+        row[v] = jaccard_distance(engine.full_lists[v], after)
+        if after != engine.full_lists[v]:
+            changed.add(v)
+    return row, changed, model
+
+
+def check_delta_rows(ds, cfg, l):
+    engine = LeaveOneOutEngine(ds, cfg, l)
+    n = ds.n_users
+    for u in range(n):
+        expected, changed, model = rebuilt_row(engine, u)
+        row = engine.distances_without(u)
+        assert np.array_equal(row, expected)
+        flagged = engine._flagged(u, model)
+        assert not flagged[u]
+        assert changed <= set(np.flatnonzero(flagged).tolist())
+        if cfg.k >= n - 1:
+            assert row[u] == 0.0
+
+
+DELTA_DATASETS = {
+    "toy": toy_dataset,
+    "clones": lambda: clone_users_dataset(n_users=6, n_items=8, seed=3),
+    "mutual": mutual_disruption_dataset,
+    "hub": lambda: hub_dataset(20, 40, seed=1),
+    "single-rater": single_rater_dataset,
+    "random3": lambda: random_dataset(15, 30, 0.15, seed=3),
+    "random7": lambda: random_dataset(15, 30, 0.15, seed=7),
+    "sparse0": lambda: sparse_dataset(0),
+    "sparse1": lambda: sparse_dataset(1),
+}
+
+
+class TestDeltaEngine:
+    @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
+    @pytest.mark.parametrize("similarity", ["pearson", "cosine"])
+    def test_rows_equal_full_rebuild(self, name, similarity):
+        ds = DELTA_DATASETS[name]()
+        n = ds.n_users
+        for k in (1, 3, 20, n - 1, n + 5):
+            for l in (1, 4, 10):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    check_delta_rows(ds, ModelConfig(
+                        "knn", k=k, similarity=similarity), l)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_users=st.integers(3, 9), n_items=st.integers(2, 12),
+           density=st.floats(0.05, 0.6), seed=st.integers(0, 10_000),
+           k=st.integers(1, 10), l=st.integers(1, 6),
+           similarity=st.sampled_from(["pearson", "cosine"]))
+    def test_rows_equal_full_rebuild_on_random_data(self, n_users, n_items,
+                                                    density, seed, k, l,
+                                                    similarity):
+        ds = random_dataset(n_users, n_items, density, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            check_delta_rows(ds, ModelConfig("knn", k=k,
+                                             similarity=similarity), l)
+
+    def test_only_rater_item_in_list_flags_user(self):
+        ds = single_rater_dataset()
+        a, u = list(ds.user_ids).index("a"), list(ds.user_ids).index("u")
+        solo = list(ds.item_ids).index("solo")
+        engine = LeaveOneOutEngine(ds, ModelConfig("knn", k=1), 1)
+        assert u not in engine.full_model.neighbors[a]
+        assert engine.full_lists[a] == {solo}
+        model = engine._reduced_model(u, drop_user(ds, u))
+        assert engine._flagged(u, model)[a]
+        assert engine.distances_without(u)[a] == 1.0
+
+    def test_rebuilds_fewer_lists_than_full_pass(self, monkeypatch):
+        ds = random_dataset(60, 200, 0.03, seed=0)
+        n = ds.n_users
+        calls = []
+
+        def counting_top_items(model, u, l):
+            calls.append(u)
+            return top_items(model, u, l)
+
+        knn = LeaveOneOutEngine(ds, ModelConfig("knn", k=5), 10)
+        nmf = LeaveOneOutEngine(ds, ModelConfig("nmf", factors=3, seed=1,
+                                                n_iters=10), 10)
+        monkeypatch.setattr(influence, "top_items", counting_top_items)
+        for u in range(n):
+            knn.distances_without(u)
+        assert len(calls) < n * (n - 1)
+        assert knn.lists_rebuilt == len(calls)
+        calls.clear()
+        for u in range(3):
+            nmf.distances_without(u)
+        assert len(calls) == nmf.lists_rebuilt == 3 * (n - 1)
+
+    def test_report_counts_rebuilt_lists_outside_meta(self, toy):
+        report = influence_all(toy, ModelConfig("knn", k=1), 2)
+        assert 0 < report.lists_rebuilt <= 5 * 4
+        assert "lists_rebuilt" not in report.to_meta()
+        nmf = influence_all(toy, FLAKY_NMF, 2)
+        assert nmf.lists_rebuilt == 5 * 4

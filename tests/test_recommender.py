@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,23 @@ class TestTrainKnn:
             sims = model.neighbor_sims[u]
             assert np.all(np.diff(sims) <= 0)
             assert np.all(np.abs(sims) <= 1.0)
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    @pytest.mark.parametrize("k", [1, 5, 39, 60])
+    def test_neighbor_sort_equals_per_user_loop(self, k, decimals):
+        # rounding the similarities forces many ties
+        ds = random_dataset(40, 60, 0.15, seed=4)
+        sims = user_similarity_matrix(ds, kind="pearson")
+        if decimals is not None:
+            sims = np.round(sims, decimals)
+        with pytest.warns(UserWarning) if k >= 40 else nullcontext():
+            model = train_knn(ds, k, "pearson", sim_matrix=sims)
+        idx = np.arange(40)
+        for u in range(40):
+            order = np.lexsort((idx, -sims[u]))
+            order = order[order != u][:min(k, 39)]
+            assert np.array_equal(model.neighbors[u], order)
+            assert np.array_equal(model.neighbor_sims[u], sims[u, order])
 
     def test_invalid_k(self, toy):
         with pytest.raises(ValueError):
