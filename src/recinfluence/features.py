@@ -21,10 +21,11 @@ import numpy as np
 
 from .data import RatingsDataset
 from .recommender import KnnModel
-from .similarity import (SHRINK_COUNT, _DEGENERATE, item_distance_submatrix,
+from .similarity import (_similarity_rows, item_distance_submatrix,
                          user_distance_matrix, user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
+EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class FeatureConfig:
     item_distance: str = "cosine"     # beta8
     epsilon: float | None = None      # beta4; None resolves from the quantile
     epsilon_quantile: float = 0.25
-    epsilon_sample: int = 1000        # users sampled for the quantile when large
     seed: int = 0
 
 
@@ -104,31 +104,15 @@ def centroid_similarity(ds: RatingsDataset, u: int,
                         similarity: str = "pearson") -> float:
     """beta7: similarity of u's ratings to per-item mean ratings.
 
-    Compared over u's rated items; degenerate variance scores 0.
+    Scored over u's rated items by the routine user similarities use
+    (Pearson shrink included); degenerate variance scores 0.
     """
     items = ds.user_items(u)
     x = ds.user_values(u)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        centroid = ds.item_sums / ds.item_counts
-    y = centroid[items]
-    if similarity == "cosine":
-        denom = float(np.sqrt(np.sum(x * x)) * np.sqrt(np.sum(y * y)))
-        if denom == 0.0:
-            return 0.0
-        return float(min(1.0, max(-1.0, np.sum(x * y) / denom)))
-    if similarity == "pearson":
-        nc = len(items)
-        if nc == 0:
-            return 0.0
-        cov = float(np.sum(x * y) - np.sum(x) * np.sum(y) / nc)
-        var_x = max(float(np.sum(x * x) - np.sum(x) ** 2 / nc), 0.0)
-        var_y = max(float(np.sum(y * y) - np.sum(y) ** 2 / nc), 0.0)
-        denom = np.sqrt(var_x * var_y)
-        if denom <= _DEGENERATE:
-            return 0.0
-        shrunk = min(nc, SHRINK_COUNT) / SHRINK_COUNT
-        return float(min(1.0, max(-1.0, cov / denom)) * shrunk)
-    raise ValueError(f"unknown similarity {similarity!r}")
+    y = ds.item_sums[items] / ds.item_counts[items]
+    observed = np.ones((1, len(x)), dtype=bool)
+    return float(_similarity_rows(similarity, x[None, :], observed,
+                                  y[None, :], observed)[0, 0])
 
 
 def intra_profile_distance(ds: RatingsDataset, u: int,
@@ -151,15 +135,20 @@ def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
     if dist_matrix is None:
         dist_matrix = user_distance_matrix(ds, kind=config.user_distance)
     n = ds.n_users
-    if n > config.epsilon_sample:
+    if n > EPSILON_SAMPLE:
         rng = np.random.default_rng(config.seed)
-        sel = np.sort(rng.choice(n, size=config.epsilon_sample,
-                                 replace=False))
+        sel = np.sort(rng.choice(n, size=EPSILON_SAMPLE, replace=False))
         sub = dist_matrix[np.ix_(sel, sel)]
     else:
         sub = dist_matrix
     iu = np.triu_indices(sub.shape[0], k=1)
-    return float(np.quantile(sub[iu], config.epsilon_quantile))
+    epsilon = float(np.quantile(sub[iu], config.epsilon_quantile))
+    if epsilon <= 0:
+        raise ValueError(
+            f"the {config.epsilon_quantile} quantile of pairwise "
+            f"{config.user_distance} user distances is {epsilon:g}, but beta4 "
+            f"needs epsilon > 0; set --epsilon, or raise --epsilon-quantile")
+    return epsilon
 
 
 def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
@@ -174,15 +163,19 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
     n = ds.n_users
     if len(lists) != n:
         raise ValueError("need one recommendation list per user")
-    sims = user_similarity_matrix(ds, kind=config.similarity)
+    values = np.empty((n, 8))
+    # beta4 first, so a bad epsilon fails before the Pearson pass and the
+    # distance matrix is freed before the similarity matrix is built.
     dists = user_distance_matrix(ds, kind=config.user_distance)
     epsilon = resolve_epsilon(ds, config, dist_matrix=dists)
-    values = np.empty((n, 8))
+    for u in range(n):
+        values[u, 3] = neighborhood_density(ds, u, epsilon, dist_matrix=dists)
+    del dists
+    sims = user_similarity_matrix(ds, kind=config.similarity)
     for u in range(n):
         values[u, 0] = profile_size(ds, u)
         values[u, 1] = centrality(ds, u, sim_matrix=sims)
         values[u, 2] = neighborhood_membership(knn_model, u)
-        values[u, 3] = neighborhood_density(ds, u, epsilon, dist_matrix=dists)
         values[u, 4] = recommendation_overlap(ds, u, lists)
         values[u, 5] = median_item_popularity(ds, u)
         values[u, 6] = centroid_similarity(ds, u, similarity=config.similarity)

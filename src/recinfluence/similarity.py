@@ -5,10 +5,17 @@ min(co_rated, SHRINK_COUNT) / SHRINK_COUNT; cosine runs over the raw sparse
 vectors. Pairs with no co-rated items, and degenerate (zero-variance)
 correlations, score 0.
 
-All kernels reduce row-by-row with elementwise products and np.sum so a
-pair's value depends only on that pair's profiles. Leave-one-out retrains
-reuse cached pairwise values, and this keeps the reuse bitwise identical to
-a from-scratch recomputation.
+User similarities (``user_similarity_matrix``, and through it
+``user_distance_matrix``), item Pearson distances (``item_distance_submatrix``)
+and the beta7 centroid score (``features.centroid_similarity``) all go through
+the one row routine ``_similarity_rows``. It reduces row by row with
+elementwise products and np.sum, so a pair's value depends only on that
+pair's profiles. Leave-one-out retrains reuse cached user similarities, and
+this keeps the reuse bitwise identical to a from-scratch recomputation.
+
+Item cosine distances are one ``cols.T @ cols`` matrix product instead: item
+distances are never reused across removals, so they carry no per-pair order
+guarantee.
 """
 
 from __future__ import annotations
@@ -23,45 +30,49 @@ _DEGENERATE = 1e-12
 SIMILARITIES = ("pearson", "cosine")
 
 
-def _pearson_rows(ratings: np.ndarray, mask: np.ndarray, shrink: int | None):
-    n = ratings.shape[0]
-    sims = np.zeros((n, n))
-    sq = ratings * ratings
-    for u in range(n):
-        co = mask[u] & mask
-        nc = co.sum(axis=1)
-        ru = ratings[u]
-        su = np.sum(ru * co, axis=1)
-        sv = np.sum(ratings * co, axis=1)
-        suu = np.sum((ru * ru) * co, axis=1)
-        svv = np.sum(sq * co, axis=1)
-        suv = np.sum((ru * ratings) * co, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cov = suv - su * sv / nc
-            var_u = np.maximum(suu - su * su / nc, 0.0)
-            var_v = np.maximum(svv - sv * sv / nc, 0.0)
-            denom = np.sqrt(var_u * var_v)
-        row = np.zeros(n)
-        ok = (nc > 0) & (denom > _DEGENERATE)
-        row[ok] = cov[ok] / denom[ok]
-        np.clip(row, -1.0, 1.0, out=row)
-        if shrink:
-            row *= np.minimum(nc, shrink) / shrink
-        sims[u] = row
-    return sims
+def _similarity_rows(kind: str, a: np.ndarray, a_mask: np.ndarray,
+                     b: np.ndarray, b_mask: np.ndarray,
+                     shrink: int | None = SHRINK_COUNT) -> np.ndarray:
+    """Score each row of ``a`` against every row of ``b`` (len(a) x len(b)).
 
-
-def _cosine_rows(ratings: np.ndarray):
-    n = ratings.shape[0]
-    sims = np.zeros((n, n))
-    norms = np.sqrt(np.sum(ratings * ratings, axis=1))
-    for u in range(n):
-        num = np.sum(ratings[u] * ratings, axis=1)
-        denom = norms[u] * norms
-        row = np.zeros(n)
-        ok = denom > 0
+    Rows are value vectors over the same columns; the masks mark observed
+    entries (Pearson only; cosine reads the raw vectors, zeros included).
+    A pair's value is reduced with np.sum over its two rows alone.
+    """
+    if kind not in SIMILARITIES:
+        raise ValueError(f"unknown similarity {kind!r}")
+    pearson = kind == "pearson"
+    sims = np.zeros((a.shape[0], b.shape[0]))
+    if pearson:
+        sq = b * b
+    else:
+        norms_a = np.sqrt(np.sum(a * a, axis=1))
+        norms_b = np.sqrt(np.sum(b * b, axis=1))
+    for u in range(a.shape[0]):
+        ru = a[u]
+        if pearson:
+            co = a_mask[u] & b_mask
+            nc = co.sum(axis=1)
+            su = np.sum(ru * co, axis=1)
+            sv = np.sum(b * co, axis=1)
+            suu = np.sum((ru * ru) * co, axis=1)
+            svv = np.sum(sq * co, axis=1)
+            suv = np.sum((ru * b) * co, axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                num = suv - su * sv / nc
+                var_u = np.maximum(suu - su * su / nc, 0.0)
+                var_v = np.maximum(svv - sv * sv / nc, 0.0)
+                denom = np.sqrt(var_u * var_v)
+            ok = (nc > 0) & (denom > _DEGENERATE)
+        else:
+            num = np.sum(ru * b, axis=1)
+            denom = norms_a[u] * norms_b
+            ok = denom > 0
+        row = np.zeros(b.shape[0])
         row[ok] = num[ok] / denom[ok]
         np.clip(row, -1.0, 1.0, out=row)
+        if pearson and shrink:
+            row *= np.minimum(nc, shrink) / shrink
         sims[u] = row
     return sims
 
@@ -70,13 +81,8 @@ def user_similarity_matrix(ds: RatingsDataset, kind: str = "pearson",
                            shrink: int | None = SHRINK_COUNT,
                            zero_diagonal: bool = True) -> np.ndarray:
     """n x n user similarity matrix; self-similarity zeroed by default."""
-    if kind not in SIMILARITIES:
-        raise ValueError(f"unknown similarity {kind!r}")
     ratings, mask = ds.dense
-    if kind == "pearson":
-        sims = _pearson_rows(ratings, mask, shrink)
-    else:
-        sims = _cosine_rows(ratings)
+    sims = _similarity_rows(kind, ratings, mask, ratings, mask, shrink)
     if zero_diagonal:
         np.fill_diagonal(sims, 0.0)
     return sims
@@ -104,31 +110,11 @@ def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
         ok = denom > 0
         sims[ok] = num[ok] / denom[ok]
         np.clip(sims, -1.0, 1.0, out=sims)
-    elif kind == "pearson":
-        sub = ds.dense[1][:, items]
-        t = len(items)
-        sims = np.zeros((t, t))
-        for a in range(t):
-            co = sub[:, a:a + 1] & sub
-            nc = co.sum(axis=0)
-            ra = cols[:, a:a + 1]
-            sa = np.sum(ra * co, axis=0)
-            sb = np.sum(cols * co, axis=0)
-            saa = np.sum((ra * ra) * co, axis=0)
-            sbb = np.sum((cols * cols) * co, axis=0)
-            sab = np.sum((ra * cols) * co, axis=0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cov = sab - sa * sb / nc
-                var_a = np.maximum(saa - sa * sa / nc, 0.0)
-                var_b = np.maximum(sbb - sb * sb / nc, 0.0)
-                denom = np.sqrt(var_a * var_b)
-            row = np.zeros(t)
-            ok = (nc > 0) & (denom > _DEGENERATE)
-            row[ok] = cov[ok] / denom[ok]
-            np.clip(row, -1.0, 1.0, out=row)
-            sims[a] = row
     else:
-        raise ValueError(f"unknown item distance {kind!r}")
+        rows = np.ascontiguousarray(cols.T)
+        observed = np.ascontiguousarray(mask[:, items].T)
+        sims = _similarity_rows(kind, rows, observed, rows, observed,
+                                shrink=None)
     dist = 1.0 - sims
     np.fill_diagonal(dist, 0.0)
     return dist

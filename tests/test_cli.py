@@ -189,6 +189,26 @@ class TestFeatureAndTreeCommands:
         meta = json.loads((out / "features.csv.meta.json").read_text())
         assert meta["feature_config"]["epsilon"] > 0
 
+    def test_zero_quantile_epsilon_exits_2(self, tmp_path, capsys):
+        # Implicit feedback: five users share one item, so their cosine
+        # distances (10 of the 21 pairs) are 0 and so is the 25% quantile.
+        rows = [(f"u{j}", "shared", 1) for j in range(5)]
+        rows += [("u5", "a", 1), ("u5", "b", 1), ("u6", "b", 1),
+                 ("u6", "c", 1)]
+        raw = tmp_path / "implicit.csv"
+        raw.write_text("".join(f"{u},{i},{v}\n" for u, i, v in rows))
+        out = tmp_path / "work"
+        assert main(["ingest", "--input", str(raw), "--format", "csv",
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["features", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "knn", "--k", "2", "--l", "1",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "0.25 quantile" in err and "is 0," in err
+        assert "--epsilon" in err and "--epsilon-quantile" in err
+        assert not (out / "features.csv").exists()
+
     def test_features_for_nmf_run_use_standalone_knn_structure(self,
                                                                tmp_path):
         out = ingest_toy(tmp_path)

@@ -9,7 +9,8 @@ from recinfluence.features import (FeatureConfig, centrality,
                                    neighborhood_membership, profile_size,
                                    recommendation_overlap, resolve_epsilon)
 from recinfluence.recommender import ModelConfig, top_items, train_knn
-from recinfluence.similarity import user_distance_matrix
+from recinfluence.similarity import (item_distance_submatrix,
+                                     user_distance_matrix)
 
 import oracles
 from conftest import build_dataset, clone_users_dataset, random_dataset
@@ -164,6 +165,38 @@ class TestCentroidSimilarity:
         assert centroid_similarity(ds, 0, similarity="pearson") == 0.0
 
 
+def centred_pearson(x, y, shrink=50):
+    """Two-pass Pearson of two aligned vectors, shrunk by their length."""
+    xd = x - x.mean()
+    yd = y - y.mean()
+    rho = np.sum(xd * yd) / (np.sqrt(np.sum(xd * xd))
+                             * np.sqrt(np.sum(yd * yd)))
+    return max(-1.0, min(1.0, float(rho))) * min(len(x), shrink) / shrink
+
+
+class TestCentroidPearsonTextbook:
+    @pytest.mark.parametrize("size", [30, 80])   # below and past the shrink
+    def test_matches_two_pass_pearson(self, size):
+        rng = np.random.default_rng(size)
+        rows = [("a", f"i{i:03d}", float(rng.integers(1, 6)))
+                for i in range(size)]
+        rows += [(f"o{j}", f"i{i:03d}", float(rng.integers(1, 6)))
+                 for j in range(6) for i in range(size)
+                 if rng.random() < 0.5]
+        ds = build_dataset(rows)
+        ratings, mask = ds.dense
+        a = list(ds.user_ids).index("a")
+        items = ds.user_items(a)
+        x = np.array([ratings[a, i] for i in items])
+        y = np.array([np.mean(ratings[mask[:, i], i]) for i in items])
+        assert centroid_similarity(ds, a, similarity="pearson") == \
+            pytest.approx(centred_pearson(x, y), abs=1e-12)
+
+    def test_unknown_kind_refused(self, toy):
+        with pytest.raises(ValueError, match="unknown similarity"):
+            centroid_similarity(toy, 0, similarity="jaccard")
+
+
 class TestIntraProfileDistance:
     def test_single_item_profile(self):
         ds = build_dataset([("a", "x", 3.0), ("b", "x", 4.0),
@@ -206,6 +239,27 @@ class TestAlternativeDistances:
         ds = build_dataset(rows)
         assert intra_profile_distance(ds, 0, item_distance="pearson") == \
             pytest.approx(0.0, abs=1e-12)
+
+    def test_pearson_item_distance_matches_textbook(self):
+        ds = random_dataset(12, 20, 0.4, seed=9)
+        # items as users: the oracle's user Pearson is then item Pearson
+        flipped = build_dataset(
+            [(ds.item_ids[i], ds.user_ids[u], v)
+             for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values)],
+            users=list(ds.item_ids), items=list(ds.user_ids))
+        items = np.arange(ds.n_items)
+        dist = item_distance_submatrix(ds, items, kind="pearson")
+        for a in items:
+            assert dist[a, a] == 0.0
+            for b in items:
+                if a != b:
+                    assert dist[a, b] == pytest.approx(
+                        1 - oracles.pearson_pair(flipped, a, b, shrink=None),
+                        abs=1e-12)
+
+    def test_unknown_item_distance_refused(self, toy):
+        with pytest.raises(ValueError, match="unknown similarity"):
+            item_distance_submatrix(toy, np.arange(3), kind="jaccard")
 
     def test_density_with_pearson_distance(self, toy):
         dist = user_distance_matrix(toy, kind="pearson")

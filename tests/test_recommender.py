@@ -48,6 +48,23 @@ class TestSimilarity:
         sims = user_similarity_matrix(ds, kind="pearson")
         assert sims[0, 1] == 0.0
 
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    def test_removal_reuse_exact_on_continuous_ratings(self, kind):
+        # Off-grid ratings make the sums inexact, so only a per-pair
+        # summation order keeps a reduced matrix equal to sim[keep, keep].
+        base = random_dataset(60, 150, 0.1, seed=7)
+        rng = np.random.default_rng(7)
+        ds = build_dataset(
+            [(base.user_ids[u], base.item_ids[i], float(1 + 4 * rng.random()))
+             for u, i in zip(base.user_idx, base.item_idx)],
+            users=list(base.user_ids), items=list(base.item_ids))
+        assert not np.array_equal(ds.values, np.round(ds.values * 2) / 2)
+        full = user_similarity_matrix(ds, kind=kind)
+        for u in range(ds.n_users):
+            keep = np.delete(np.arange(ds.n_users), u)
+            reduced = user_similarity_matrix(drop_user(ds, u), kind=kind)
+            assert np.array_equal(reduced, full[np.ix_(keep, keep)])
+
     def test_rating_scale_invariance_of_neighbor_sets(self):
         base = random_dataset(12, 20, 0.3, seed=4)
         scaled = build_dataset(
