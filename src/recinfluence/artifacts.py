@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RatingsDataset
+from .data import RatingsDataset, _dump_text
 from .influence import GroupInfluenceCurve, InfluenceReport
 from .features import FEATURE_NAMES, FeatureTable
 from .predictor import RegressionTree
@@ -43,11 +43,8 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def dataset_hash(ds: RatingsDataset) -> str:
-    """Content hash over the canonical triplet serialization."""
-    h = hashlib.sha256()
-    for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values):
-        h.update(f"{u}\t{i}\t{repr(float(v))}\n".encode())
-    return h.hexdigest()
+    """Content hash over the canonical dump that ``save_dataset`` writes."""
+    return hashlib.sha256(_dump_text(ds).encode()).hexdigest()
 
 
 def write_sidecar(artifact_path, config: dict, ds_hash: str,

@@ -208,9 +208,9 @@ def cmd_ingest(args) -> int:
                       has_header=cfg["data.has_header"])
     ds = _subsample(cfg, ds)
     path = save_dataset(ds, out / "dataset.tsv")
-    artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds),
-                            {"stats": compute_stats(ds).to_dict()})
     stats = compute_stats(ds)
+    artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds),
+                            {"stats": stats.to_dict()})
     print(f"ingested {stats.n_ratings} ratings: {stats.n_users} users x "
           f"{stats.n_items} items, sparsity {stats.sparsity:.4f}")
     return 0

@@ -58,10 +58,11 @@ class RatingsDataset:
             raise DatasetError("triplet arrays have mismatched lengths")
         if len(values) == 0:
             raise DatasetError("empty dataset")
-        order = np.lexsort((item_idx, user_idx))
-        user_idx, item_idx, values = user_idx[order], item_idx[order], values[order]
         pairs = user_idx * (item_idx.max() + 1) + item_idx
-        if len(np.unique(pairs)) != len(pairs):
+        order = np.argsort(pairs, kind="stable")
+        user_idx, item_idx, values = user_idx[order], item_idx[order], values[order]
+        pairs = pairs[order]
+        if np.any(pairs[1:] == pairs[:-1]):
             raise DatasetError("duplicate (user, item) rating")
         if r_min is None:
             r_min = float(values.min())
@@ -305,12 +306,20 @@ def drop_user(ds: RatingsDataset, u: int) -> RatingsDataset:
                                 r_min=ds.r_min, r_max=ds.r_max)
 
 
+def _dump_text(ds: RatingsDataset) -> str:
+    """The canonical dump text, one line per rating in (user, item) order.
+
+    Each line holds the user index, the item index and the ``repr`` of the
+    rating, separated by tabs.
+    """
+    return "".join(f"{u}\t{i}\t{repr(float(v))}\n"
+                   for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values))
+
+
 def save_dataset(ds: RatingsDataset, tsv_path) -> Path:
     """Write the canonical 3-column dump plus its JSON sidecar."""
     tsv_path = Path(tsv_path)
-    lines = [f"{u}\t{i}\t{repr(float(v))}"
-             for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values)]
-    tsv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tsv_path.write_text(_dump_text(ds), encoding="utf-8")
     sidecar = {
         "user_ids": list(ds.user_ids),
         "item_ids": list(ds.item_ids),

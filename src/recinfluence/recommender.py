@@ -8,8 +8,7 @@ that still have at least one rater in the training data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +94,6 @@ class RecommendationList:
     items: tuple[int, ...]
     scores: tuple[float, ...]
 
-    @cached_property
-    def item_set(self) -> frozenset[int]:
-        return frozenset(self.items)
-
 
 def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
               sim_matrix: np.ndarray | None = None) -> KnnModel:
@@ -138,17 +133,8 @@ def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
 
 
 def predict_knn(model: KnnModel, u: int, i: int) -> float:
-    """Single-pair rating prediction with the documented fallbacks."""
-    ds = model.dataset
-    ratings, mask = ds.dense
-    nbrs = model.neighbors[u]
-    sims = model.neighbor_sims[u]
-    rated = mask[nbrs, i]
-    denom = float(np.sum(np.abs(sims[rated])))
-    if not rated.any() or denom == 0.0:
-        return float(model.item_means[i])
-    num = float(np.sum(sims[rated] * ratings[nbrs[rated], i]))
-    return num / denom
+    """Single-pair rating prediction: the score ``scores_for`` gives item i."""
+    return float(model.scores_for(u)[i])
 
 
 _EPS = 1e-12
@@ -180,6 +166,18 @@ def _nmf_iterate(m, w, p, q, n_iters, rel_tol, history):
     return p, q
 
 
+def _fit_nmf(ds, p, q, seed, n_iters, rel_tol, masked) -> NmfModel:
+    """Iterate from starting factors ``p``, ``q`` and freeze the result."""
+    ratings, mask = ds.dense
+    w = mask.astype(np.float64) if masked else np.ones_like(ratings)
+    history = [_nmf_objective(ratings, w, p @ q.T)]
+    p, q = _nmf_iterate(ratings, w, p, q, n_iters, rel_tol, history)
+    p.flags.writeable = False
+    q.flags.writeable = False
+    return NmfModel(ds, p.shape[1], seed, n_iters, masked, p, q,
+                    tuple(history))
+
+
 def train_nmf(ds: RatingsDataset, factors: int, seed: int,
               n_iters: int = 200, rel_tol: float = 1e-5,
               masked: bool = True) -> NmfModel:
@@ -195,17 +193,11 @@ def train_nmf(ds: RatingsDataset, factors: int, seed: int,
         raise ValueError("factors must be >= 1")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    ratings, mask = ds.dense
-    w = mask.astype(np.float64) if masked else np.ones_like(ratings)
     rng = np.random.default_rng(seed)
     scale = np.sqrt(ds.global_mean / factors)
     p = rng.random((ds.n_users, factors)) * scale
     q = rng.random((ds.n_items, factors)) * scale
-    history = [_nmf_objective(ratings, w, p @ q.T)]
-    p, q = _nmf_iterate(ratings, w, p, q, n_iters, rel_tol, history)
-    p.flags.writeable = False
-    q.flags.writeable = False
-    return NmfModel(ds, factors, seed, n_iters, masked, p, q, tuple(history))
+    return _fit_nmf(ds, p, q, seed, n_iters, rel_tol, masked)
 
 
 def continue_nmf(ds: RatingsDataset, p0: np.ndarray, q0: np.ndarray,
@@ -220,16 +212,9 @@ def continue_nmf(ds: RatingsDataset, p0: np.ndarray, q0: np.ndarray,
         raise ValueError("factor shapes do not match dataset")
     if p0.shape[1] != q0.shape[1]:
         raise ValueError("factor rank mismatch")
-    ratings, mask = ds.dense
-    w = mask.astype(np.float64) if masked else np.ones_like(ratings)
     p = np.array(p0, dtype=np.float64)
     q = np.array(q0, dtype=np.float64)
-    history = [_nmf_objective(ratings, w, p @ q.T)]
-    p, q = _nmf_iterate(ratings, w, p, q, n_iters, 0.0, history)
-    p.flags.writeable = False
-    q.flags.writeable = False
-    return NmfModel(ds, p0.shape[1], seed, n_iters, masked, p, q,
-                    tuple(history))
+    return _fit_nmf(ds, p, q, seed, n_iters, 0.0, masked)
 
 
 def top_items(model, u: int, l: int) -> np.ndarray:
@@ -275,9 +260,6 @@ class ModelConfig:
             return train_knn(ds, self.k, self.similarity, sim_matrix=sim_matrix)
         return train_nmf(ds, self.factors, self.seed, n_iters=self.n_iters,
                          rel_tol=self.rel_tol, masked=self.masked)
-
-    def with_seed(self, seed: int) -> "ModelConfig":
-        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         if self.algorithm == "knn":

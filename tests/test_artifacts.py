@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -76,6 +77,12 @@ class TestCsvFormats:
         other = random_dataset(5, 6, 0.5, seed=3)
         assert artifacts.dataset_hash(toy) != artifacts.dataset_hash(other)
         assert artifacts.dataset_hash(toy) == artifacts.dataset_hash(toy)
+
+    def test_dataset_hash_is_sha256_of_saved_dump(self, tmp_path):
+        ds = random_dataset(30, 50, 0.2, seed=9)
+        path = save_dataset(ds, tmp_path / "d.tsv")
+        assert artifacts.dataset_hash(ds) == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_tree_json_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from recinfluence.data import (DatasetError, compute_stats, drop_user,
-                               load_dataset, load_ratings, sample_items,
-                               sample_users, save_dataset)
+from recinfluence.data import (DatasetError, RatingsDataset, compute_stats,
+                               drop_user, load_dataset, load_ratings,
+                               sample_items, sample_users, save_dataset)
 
 from conftest import build_dataset, random_dataset, toy_dataset
 
@@ -93,6 +93,44 @@ class TestLoadRatings:
         f.write_text("10,1,3\n2,1,4\n1,1,5\n")
         ds = load_ratings(f, format="csv")
         assert ds.user_ids == ("1", "2", "10")
+
+
+class TestBuild:
+    USERS, ITEMS = ("a", "b", "c"), ("x", "y", "z")
+
+    def build(self, u_idx, i_idx, values, **bounds):
+        return RatingsDataset.build(self.USERS, self.ITEMS, u_idx, i_idx,
+                                    values, **bounds)
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(DatasetError, match="mismatched lengths"):
+            self.build([0, 1], [0, 1], [1.0])
+
+    def test_empty(self):
+        with pytest.raises(DatasetError, match="empty dataset"):
+            self.build([], [], [])
+
+    def test_duplicate_pair_apart_in_input(self):
+        with pytest.raises(DatasetError, match="duplicate"):
+            self.build([1, 0, 2, 1], [2, 1, 0, 2], [1.0, 2.0, 3.0, 4.0])
+
+    def test_rating_outside_bounds(self):
+        with pytest.raises(DatasetError, match="outside declared scale"):
+            self.build([0, 1], [0, 1], [1.0, 6.0], r_min=1.0, r_max=5.0)
+        with pytest.raises(DatasetError, match="outside declared scale"):
+            self.build([0, 1], [0, 1], [0.5, 3.0], r_min=1.0, r_max=5.0)
+
+    def test_shuffled_input_sorted_with_values_kept(self):
+        ref = random_dataset(25, 40, 0.2, seed=12)
+        perm = np.random.default_rng(0).permutation(ref.n_ratings)
+        u_idx, i_idx = ref.user_idx[perm], ref.item_idx[perm]
+        values = np.random.default_rng(1).random(ref.n_ratings)
+        ds = RatingsDataset.build(ref.user_ids, ref.item_ids, u_idx, i_idx,
+                                  values)
+        order = np.lexsort((i_idx, u_idx))
+        assert np.array_equal(ds.user_idx, u_idx[order])
+        assert np.array_equal(ds.item_idx, i_idx[order])
+        assert np.array_equal(ds.values, values[order])
 
 
 class TestStats:

@@ -1,12 +1,14 @@
+import itertools
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from recinfluence.data import drop_user
-from recinfluence.recommender import (ModelConfig, TrainingError, evaluate,
-                                      predict_knn, recommend, top_items,
-                                      train_knn, train_nmf, train_test_split)
+from recinfluence.data import RatingsDataset, drop_user
+from recinfluence.recommender import (ModelConfig, TrainingError,
+                                      continue_nmf, evaluate, predict_knn,
+                                      recommend, top_items, train_knn,
+                                      train_nmf, train_test_split)
 from recinfluence.similarity import user_similarity_matrix
 
 import oracles
@@ -163,6 +165,41 @@ class TestPredictKnn:
         assert model.neighbors[0][0] == 1
         assert predict_knn(model, 0, z) == 3.5
 
+    @pytest.mark.parametrize("seed", [300, 301])
+    def test_matches_literal_weighted_average(self, seed):
+        # Reference: a scalar loop over the model's own neighbor lists, so
+        # the check is independent of how those lists were chosen. Only
+        # Pearson gives negative weights on positive ratings.
+        ds = random_dataset(20, 40, 0.25, seed=seed)
+        # an item nobody rated takes the global-mean fallback
+        ds = RatingsDataset.build(ds.user_ids, ds.item_ids + ("unrated",),
+                                  ds.user_idx, ds.item_idx, ds.values)
+        ratings, mask = ds.dense
+        negative_blends = fallbacks = 0
+        for kind, k in itertools.product(("pearson", "cosine"),
+                                         (1, 5, ds.n_users - 1)):
+            model = train_knn(ds, k, kind)
+            for u in range(ds.n_users):
+                for i in range(ds.n_items):
+                    num = den = 0.0
+                    negative = False
+                    for v, s in zip(model.neighbors[u],
+                                    model.neighbor_sims[u]):
+                        if mask[v, i]:
+                            num += s * ratings[v, i]
+                            den += abs(s)
+                            negative |= s < 0
+                    if den > 0:
+                        expected = num / den
+                        negative_blends += negative
+                    else:
+                        raters = ratings[mask[:, i], i]
+                        expected = (raters.mean() if len(raters)
+                                    else ratings[mask].mean())
+                        fallbacks += 1
+                    assert abs(predict_knn(model, u, i) - expected) <= 1e-12
+        assert negative_blends > 0 and fallbacks > 0
+
 
 class TestTrainNmf:
     def test_rank1_exact_recovery(self):
@@ -194,6 +231,24 @@ class TestTrainNmf:
         assert np.array_equal(m1.p, m2.p) and np.array_equal(m1.q, m2.q)
         m3 = train_nmf(toy, 3, seed=8, n_iters=80)
         assert not np.array_equal(m1.p, m3.p)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_continue_from_seeded_draw_equals_train(self, masked):
+        # Replays train_nmf's documented starting draw.
+        ds = random_dataset(20, 30, 0.2, seed=7)
+        factors, seed, n_iters = 3, 11, 40
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(ds.global_mean / factors)
+        p0 = rng.random((ds.n_users, factors)) * scale
+        q0 = rng.random((ds.n_items, factors)) * scale
+        trained = train_nmf(ds, factors, seed, n_iters=n_iters, rel_tol=0.0,
+                            masked=masked)
+        resumed = continue_nmf(ds, p0, q0, seed, n_iters, masked=masked)
+        assert np.array_equal(trained.p, resumed.p)
+        assert np.array_equal(trained.q, resumed.q)
+        assert trained.objective_history == resumed.objective_history
+        assert len(trained.objective_history) == n_iters + 1
+        assert resumed.factors == factors
 
     def test_invalid_params(self, toy):
         with pytest.raises(ValueError):
