@@ -68,60 +68,33 @@ DEFAULTS = {
     "out_dir": ".",
 }
 
-# argparse destination -> config key
-FLAG_KEYS = {
-    "format": "data.format",
-    "sep": "data.sep",
-    "columns": "data.columns",
-    "has_header": "data.has_header",
-    "sample_users": "data.sample_users",
-    "algo": "algo",
-    "k": "knn.k",
-    "similarity": "knn.similarity",
-    "factors": "nmf.factors",
-    "iters": "nmf.iters",
-    "masked": "nmf.masked",
-    "seed": "seed",
-    "l": "list.length",
-    "warm_start": "influence.warm_start",
-    "warm_iters": "influence.warm_iters",
-    "top_k": "influence.top_k",
-    "thetas": "influence.thetas",
-    "epsilon": "features.epsilon",
-    "epsilon_quantile": "features.epsilon_quantile",
-    "max_depth": "tree.max_depth",
-    "min_samples_leaf": "tree.min_samples_leaf",
-    "holdout_fraction": "tree.holdout_fraction",
-    "sample_items": "data.sample_items",
-    "item_sample_mode": "data.item_sample_mode",
-    "distance": "mds.distance",
-    "max_points": "mds.max_points",
-    "segments": "mds.segments",
-    "refine_iters": "mds.refine_iters",
-    "test_fraction": "eval.test_fraction",
-    "relevance_threshold": "eval.relevance_threshold",
-    "out_dir": "out_dir",
-}
+
+def _typed_value(key: str, raw: str):
+    """``raw`` as the type of ``DEFAULTS[key]``, or None when it is not.
+
+    Float keys keep an integer as an int, as written in the file.
+    """
+    default = DEFAULTS[key]
+    if isinstance(default, str):
+        return raw
+    if isinstance(default, bool):
+        return {"true": True, "false": False}.get(raw.lower())
+    for kind in (int, float) if isinstance(default, float) else (int,):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return None
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number"}
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines with dotted section keys; # comments."""
+    """Flat ``key = value`` lines with dotted section keys; # comments.
+
+    Each value must have the type of its key's default.
+    """
     cfg = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -131,24 +104,25 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-        parsed = _parse_value(value)
-        if isinstance(DEFAULTS[key], str):
-            parsed = str(parsed)
+        parsed = _typed_value(key, value)
+        if parsed is None:
+            expected = _EXPECTED[type(DEFAULTS[key])]
+            raise ConfigError(f"{path}: line {lineno}: {key} expects "
+                              f"{expected}, got {value!r}")
         cfg[key] = parsed
     return cfg
 
 
 def resolve_config(args) -> dict:
+    """Defaults < ``--config`` file < flags; each flag's dest is its key."""
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(parse_config_file(args.config))
-    for dest, key in FLAG_KEYS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            cfg[key] = value
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in DEFAULTS and value is not None)
     return cfg
 
 
@@ -171,18 +145,13 @@ def feature_config(cfg: dict) -> features.FeatureConfig:
         seed=cfg["seed"])
 
 
-def _floats(csv_text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(csv_text).split(",") if tok)
-
-
-def _ints(csv_text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in str(csv_text).split(",") if tok)
-
-
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _numbers(cfg: dict, key: str, kind) -> tuple:
+    """The comma-separated numbers of ``cfg[key]``, each read by ``kind``."""
+    try:
+        return tuple(kind(tok) for tok in str(cfg[key]).split(",") if tok)
+    except ValueError:
+        raise ValueError(f"{key} expects comma-separated numbers, got "
+                         f"{cfg[key]!r}") from None
 
 
 def _subsample(cfg: dict, ds):
@@ -199,9 +168,7 @@ def _load(cfg: dict, dataset_path):
     return _subsample(cfg, load_dataset(dataset_path))
 
 
-def cmd_ingest(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_ingest(args, cfg: dict, out: Path) -> int:
     ds = load_ratings(args.input, format=cfg["data.format"],
                       sep=cfg["data.sep"],
                       columns=tuple(cfg["data.columns"].split(",")),
@@ -216,9 +183,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_train(args, cfg: dict, out: Path) -> int:
     ds = _load(cfg, args.dataset)
     model = model_config(cfg).train(ds)
     artifacts.save_model(model, out / "model")
@@ -228,9 +193,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_evaluate(args, cfg: dict, out: Path) -> int:
     ds = _load(cfg, args.dataset)
     train, test = train_test_split(ds, cfg["eval.test_fraction"], cfg["seed"])
     model = model_config(cfg).train(train)
@@ -246,9 +209,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_influence(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_influence(args, cfg: dict, out: Path) -> int:
+    # refuse bad group-curve options before the audit runs
+    thetas = _numbers(cfg, "influence.thetas", float)
+    top_ks = _numbers(cfg, "influence.top_k", int)
+    if any(t < 1 for t in top_ks):
+        raise ValueError(f"influence.top_k must be at least 1, got "
+                         f"{cfg['influence.top_k']!r}")
     ds = _load(cfg, args.dataset)
     report = influence.influence_all(
         ds, model_config(cfg), cfg["list.length"],
@@ -257,10 +224,8 @@ def cmd_influence(args) -> int:
     ds_hash = artifacts.dataset_hash(ds)
     path = artifacts.write_influence_csv(report, ds, out / "influence.csv")
     artifacts.write_sidecar(path, cfg, ds_hash, report.to_meta())
-    thetas = _floats(cfg["influence.thetas"])
     # top sets larger than the dataset clamp to "everyone"
-    top_ks = sorted({min(t, ds.n_users) for t in
-                     _ints(cfg["influence.top_k"])})
+    top_ks = sorted({min(t, ds.n_users) for t in top_ks})
     curves = [influence.group_influence(report, top_k, thresholds=thetas)
               for top_k in top_ks]
     gpath = artifacts.write_group_curves_csv(curves,
@@ -272,9 +237,7 @@ def cmd_influence(args) -> int:
     return 0
 
 
-def cmd_features(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_features(args, cfg: dict, out: Path) -> int:
     ds = _load(cfg, args.dataset)
     mc = model_config(cfg)
     l = cfg["list.length"]
@@ -294,9 +257,7 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_fit_tree(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_fit_tree(args, cfg: dict, out: Path) -> int:
     ids, x = artifacts.read_features_csv(args.features)
     tids, y = artifacts.read_influence_csv(args.influence)
     if ids != tids:
@@ -332,9 +293,7 @@ def cmd_fit_tree(args) -> int:
     return 0
 
 
-def cmd_mds(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_mds(args, cfg: dict, out: Path) -> int:
     ds = _load(cfg, args.dataset)
     ids, infl = artifacts.read_influence_csv(args.influence)
     if list(ids) != list(ds.user_ids):
@@ -361,9 +320,7 @@ def cmd_mds(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = resolve_config(args)
-    out = _out_dir(cfg)
+def cmd_report(args, cfg: dict, out: Path) -> int:
     report: dict = {"config": cfg, "stages": {}}
     for name in ("influence", "group_influence", "features", "embedding",
                  "dispersion", "boundaries"):
@@ -392,6 +349,8 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A config-backed option's dest is its DEFAULTS key, which --help shows
+    # as its metavar; resolve_config reads the keys straight from vars(args).
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file")
     common.add_argument("--seed", type=int)
@@ -401,13 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--algo", choices=("knn", "nmf"))
-    model.add_argument("--k", type=int)
-    model.add_argument("--similarity", choices=("pearson", "cosine"))
-    model.add_argument("--factors", type=int)
-    model.add_argument("--iters", type=int)
-    model.add_argument("--masked", action=argparse.BooleanOptionalAction)
-    model.add_argument("--l", type=int)
-    model.add_argument("--sample-users", type=int)
+    model.add_argument("--k", dest="knn.k", type=int)
+    model.add_argument("--similarity", dest="knn.similarity",
+                       choices=("pearson", "cosine"))
+    model.add_argument("--factors", dest="nmf.factors", type=int)
+    model.add_argument("--iters", dest="nmf.iters", type=int)
+    model.add_argument("--masked", dest="nmf.masked",
+                       action=argparse.BooleanOptionalAction)
+    model.add_argument("--l", dest="list.length", type=int)
+    model.add_argument("--sample-users", dest="data.sample_users", type=int)
 
     parser = argparse.ArgumentParser(
         prog="recinfluence",
@@ -418,13 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", parents=[common],
                        help="parse a ratings file into the canonical dump")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=sorted(FORMATS))
-    p.add_argument("--sep")
-    p.add_argument("--columns")
-    p.add_argument("--has-header", action=argparse.BooleanOptionalAction)
-    p.add_argument("--sample-users", type=int)
-    p.add_argument("--sample-items", type=int)
-    p.add_argument("--item-sample-mode", choices=("random", "popularity"))
+    p.add_argument("--format", dest="data.format", choices=sorted(FORMATS))
+    p.add_argument("--sep", dest="data.sep")
+    p.add_argument("--columns", dest="data.columns")
+    p.add_argument("--has-header", dest="data.has_header",
+                   action=argparse.BooleanOptionalAction)
+    p.add_argument("--sample-users", dest="data.sample_users", type=int)
+    p.add_argument("--sample-items", dest="data.sample_items", type=int)
+    p.add_argument("--item-sample-mode", dest="data.item_sample_mode",
+                   choices=("random", "popularity"))
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", parents=[common, model],
@@ -435,43 +398,49 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[common, model],
                        help="precision/recall at l on a held-out split")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--relevance-threshold", type=float)
+    p.add_argument("--test-fraction", dest="eval.test_fraction", type=float)
+    p.add_argument("--relevance-threshold", dest="eval.relevance_threshold",
+                   type=float)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("influence", parents=[common, model],
                        help="per-user influence and group curves")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--top-k", dest="top_k")
-    p.add_argument("--thetas")
-    p.add_argument("--warm-start", action=argparse.BooleanOptionalAction)
-    p.add_argument("--warm-iters", type=int)
+    p.add_argument("--top-k", dest="influence.top_k")
+    p.add_argument("--thetas", dest="influence.thetas")
+    p.add_argument("--warm-start", dest="influence.warm_start",
+                   action=argparse.BooleanOptionalAction)
+    p.add_argument("--warm-iters", dest="influence.warm_iters", type=int)
     p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("features", parents=[common, model],
                        help="per-user feature table")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--epsilon-quantile", type=float)
+    p.add_argument("--epsilon", dest="features.epsilon", type=float)
+    p.add_argument("--epsilon-quantile", dest="features.epsilon_quantile",
+                   type=float)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("fit-tree", parents=[common],
                        help="regression tree from features to influence")
     p.add_argument("--features", required=True)
     p.add_argument("--influence", required=True)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-samples-leaf", type=int)
-    p.add_argument("--holdout-fraction", type=float)
+    p.add_argument("--max-depth", dest="tree.max_depth", type=int)
+    p.add_argument("--min-samples-leaf", dest="tree.min_samples_leaf",
+                   type=int)
+    p.add_argument("--holdout-fraction", dest="tree.holdout_fraction",
+                   type=float)
     p.set_defaults(func=cmd_fit_tree)
 
     p = sub.add_parser("mds", parents=[common],
                        help="2-D embedding with influence segments")
     p.add_argument("--dataset", required=True)
     p.add_argument("--influence", required=True)
-    p.add_argument("--distance", choices=("pearson", "cosine"))
-    p.add_argument("--max-points", type=int)
-    p.add_argument("--segments", type=int)
-    p.add_argument("--refine-iters", type=int)
+    p.add_argument("--distance", dest="mds.distance",
+                   choices=("pearson", "cosine"))
+    p.add_argument("--max-points", dest="mds.max_points", type=int)
+    p.add_argument("--segments", dest="mds.segments", type=int)
+    p.add_argument("--refine-iters", dest="mds.refine_iters", type=int)
     p.set_defaults(func=cmd_mds)
 
     p = sub.add_parser("report", parents=[common],
@@ -481,10 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        out = Path(cfg["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -255,9 +255,9 @@ class ModelConfig:
         if self.algorithm not in ("knn", "nmf"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
-    def train(self, ds: RatingsDataset, sim_matrix: np.ndarray | None = None):
+    def train(self, ds: RatingsDataset):
         if self.algorithm == "knn":
-            return train_knn(ds, self.k, self.similarity, sim_matrix=sim_matrix)
+            return train_knn(ds, self.k, self.similarity)
         return train_nmf(ds, self.factors, self.seed, n_iters=self.n_iters,
                          rel_tol=self.rel_tol, masked=self.masked)
 

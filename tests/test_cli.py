@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from recinfluence import artifacts
-from recinfluence.cli import main, parse_config_file, resolve_config
+from recinfluence.cli import (DEFAULTS, build_parser, main,
+                              parse_config_file, resolve_config)
 from recinfluence.data import load_dataset
 from recinfluence.influence import influence_all, influence_oracle
 from recinfluence.recommender import ModelConfig
@@ -311,10 +312,10 @@ class TestConfigResolution:
         assert parsed == {"algo": "nmf", "nmf.factors": 9, "seed": 5,
                           "list.length": 7}
 
-        class Args:
-            config = str(cfgfile)
-            factors = 3
-        cfg = resolve_config(Args())
+        args = build_parser().parse_args(
+            ["train", "--dataset", "d.tsv", "--config", str(cfgfile),
+             "--factors", "3"])
+        cfg = resolve_config(args)
         assert cfg["algo"] == "nmf"       # from file
         assert cfg["nmf.factors"] == 3    # flag wins
         assert cfg["seed"] == 5           # from file
@@ -336,3 +337,130 @@ class TestConfigResolution:
         meta = json.loads((out / "influence.csv.meta.json").read_text())
         assert meta["config"]["knn.k"] == 2
         assert meta["config"]["list.length"] == 2
+
+
+# Each subcommand's required arguments, so that one option can be parsed.
+REQUIRED = {
+    "ingest": ["--input", "r.csv"],
+    "train": ["--dataset", "d.tsv"],
+    "evaluate": ["--dataset", "d.tsv"],
+    "influence": ["--dataset", "d.tsv"],
+    "features": ["--dataset", "d.tsv"],
+    "fit-tree": ["--features", "f.csv", "--influence", "i.csv"],
+    "mds": ["--dataset", "d.tsv", "--influence", "i.csv"],
+    "report": [],
+}
+
+# (subcommand, option and value, config key, resolved value): one row per
+# config-backed option, each value off its key's default.
+FLAG_CASES = [
+    ("ingest", ["--format", "csv"], "data.format", "csv"),
+    ("ingest", ["--sep", ";"], "data.sep", ";"),
+    ("ingest", ["--columns", "item,user,rating"], "data.columns",
+     "item,user,rating"),
+    ("ingest", ["--has-header"], "data.has_header", True),
+    ("ingest", ["--sample-users", "7"], "data.sample_users", 7),
+    ("ingest", ["--sample-items", "9"], "data.sample_items", 9),
+    ("ingest", ["--item-sample-mode", "popularity"],
+     "data.item_sample_mode", "popularity"),
+    ("train", ["--sample-users", "7"], "data.sample_users", 7),
+    ("train", ["--algo", "nmf"], "algo", "nmf"),
+    ("train", ["--k", "3"], "knn.k", 3),
+    ("train", ["--similarity", "cosine"], "knn.similarity", "cosine"),
+    ("train", ["--factors", "4"], "nmf.factors", 4),
+    ("train", ["--iters", "30"], "nmf.iters", 30),
+    ("train", ["--no-masked"], "nmf.masked", False),
+    ("train", ["--seed", "11"], "seed", 11),
+    ("train", ["--l", "4"], "list.length", 4),
+    ("train", ["--out-dir", "elsewhere"], "out_dir", "elsewhere"),
+    ("influence", ["--warm-start"], "influence.warm_start", True),
+    ("influence", ["--warm-iters", "5"], "influence.warm_iters", 5),
+    ("influence", ["--top-k", "1,2"], "influence.top_k", "1,2"),
+    ("influence", ["--thetas", "0.5"], "influence.thetas", "0.5"),
+    ("features", ["--epsilon", "0.3"], "features.epsilon", 0.3),
+    ("features", ["--epsilon-quantile", "0.5"],
+     "features.epsilon_quantile", 0.5),
+    ("fit-tree", ["--max-depth", "3"], "tree.max_depth", 3),
+    ("fit-tree", ["--min-samples-leaf", "2"], "tree.min_samples_leaf", 2),
+    ("fit-tree", ["--holdout-fraction", "0.25"], "tree.holdout_fraction",
+     0.25),
+    ("mds", ["--distance", "pearson"], "mds.distance", "pearson"),
+    ("mds", ["--max-points", "50"], "mds.max_points", 50),
+    ("mds", ["--segments", "2"], "mds.segments", 2),
+    ("mds", ["--refine-iters", "6"], "mds.refine_iters", 6),
+    ("evaluate", ["--test-fraction", "0.3"], "eval.test_fraction", 0.3),
+    ("evaluate", ["--relevance-threshold", "3.5"],
+     "eval.relevance_threshold", 3.5),
+]
+
+
+class TestFlagKeys:
+    @pytest.mark.parametrize("command,option,key,value", FLAG_CASES,
+                             ids=[f"{c[0]}{c[1][0]}" for c in FLAG_CASES])
+    def test_option_sets_its_config_key(self, command, option, key, value):
+        args = build_parser().parse_args([command, *REQUIRED[command],
+                                          *option])
+        cfg = resolve_config(args)
+        assert cfg[key] == value
+        assert type(cfg[key]) is type(value)
+        assert {k for k in cfg if cfg[k] != DEFAULTS[k]} == {key}
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("line,message", [
+        ("nmf.masked = no", "nmf.masked expects true or false, got 'no'"),
+        ("knn.k = abc", "knn.k expects an integer, got 'abc'"),
+        ("knn.k = 2.5", "knn.k expects an integer, got '2.5'"),
+        ("knn.k = true", "knn.k expects an integer, got 'true'"),
+        ("nmf.rel_tol = small", "nmf.rel_tol expects a number, got 'small'"),
+    ], ids=["bool", "int-word", "int-float", "int-bool", "float-word"])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, line, message):
+        out = ingest_toy(tmp_path)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# typed values\n{line}\n")
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "nmf", "--config", str(cfgfile),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfgfile}: line 2: {message}\n")
+        assert not (out / "model.json").exists()
+
+    def test_values_keep_their_type(self, tmp_path):
+        # float keys keep an integer as written, so sidecars stay unchanged
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("nmf.masked = False\nknn.k = 3\n"
+                           "features.epsilon = 0\nnmf.rel_tol = 1e-4\n"
+                           "influence.top_k = 10\n")
+        parsed = parse_config_file(cfgfile)
+        assert parsed == {"nmf.masked": False, "knn.k": 3,
+                          "features.epsilon": 0, "nmf.rel_tol": 1e-4,
+                          "influence.top_k": "10"}
+        assert type(parsed["features.epsilon"]) is int
+
+
+class TestGroupOptionsCheckedFirst:
+    @pytest.mark.parametrize("option,message", [
+        (["--thetas", "0.1,x"],
+         "influence.thetas expects comma-separated numbers, got '0.1,x'"),
+        (["--top-k", "2,y"],
+         "influence.top_k expects comma-separated numbers, got '2,y'"),
+        (["--top-k", "0"], "influence.top_k must be at least 1, got '0'"),
+    ], ids=["thetas-word", "top-k-word", "top-k-zero"])
+    def test_bad_option_exits_2_before_audit(self, tmp_path, capsys,
+                                             option, message):
+        out = ingest_toy(tmp_path)
+        capsys.readouterr()
+        assert main(["influence", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "knn", "--k", "2", "--l", "2", *option,
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "influence.csv").exists()
+        assert not (out / "influence.csv.meta.json").exists()

@@ -23,11 +23,11 @@ FLAKY_NMF = ModelConfig("nmf", factors=2, seed=1, n_iters=20)
 _real_train = ModelConfig.train
 
 
-def flaky_train(self, ds, sim_matrix=None):
+def flaky_train(self, ds):
     """Stands in for ModelConfig.train: the toy's removal of u3 diverges."""
     if ds.n_users == 4 and "u3" not in ds.user_ids:
         raise TrainingError("synthetic divergence")
-    return _real_train(self, ds, sim_matrix=sim_matrix)
+    return _real_train(self, ds)
 
 
 def isolated_user_dataset():
