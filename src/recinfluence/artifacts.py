@@ -135,13 +135,14 @@ def read_tree_json(path) -> RegressionTree:
     return RegressionTree.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def save_model(model, base_path) -> Path:
+def save_model(model, base_path, ds_hash: str | None = None) -> Path:
     """Model dump: ``<base>.json`` header plus ``<base>.tsv`` payload.
 
     The kNN payload rows are ``N u v sim`` (neighbor lists in order),
     ``M i mean`` (item means) and ``G mean`` (global mean); the
     factorization payload rows are ``P row f...``, ``Q row f...`` and
-    ``H iter objective``.
+    ``H iter objective``. ``ds_hash`` is ``dataset_hash(model.dataset)``
+    when the caller has it already; otherwise it is computed here.
     """
     base = Path(base_path)
     lines = []
@@ -166,7 +167,7 @@ def save_model(model, base_path) -> Path:
             lines.append(f"H\t{it}\t{repr(float(obj))}")
     else:
         raise TypeError(f"cannot dump {type(model).__name__}")
-    header["dataset_sha256"] = dataset_hash(model.dataset)
+    header["dataset_sha256"] = ds_hash or dataset_hash(model.dataset)
     base.with_suffix(".json").write_text(
         json.dumps(header, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     base.with_suffix(".tsv").write_text("\n".join(lines) + "\n",

@@ -186,9 +186,9 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
 def cmd_train(args, cfg: dict, out: Path) -> int:
     ds = _load(cfg, args.dataset)
     model = model_config(cfg).train(ds)
-    artifacts.save_model(model, out / "model")
-    artifacts.write_sidecar(out / "model.json", cfg,
-                            artifacts.dataset_hash(ds))
+    ds_hash = artifacts.dataset_hash(ds)
+    artifacts.save_model(model, out / "model", ds_hash)
+    artifacts.write_sidecar(out / "model.json", cfg, ds_hash)
     print(f"trained {model.algorithm} model on {ds.n_users} users")
     return 0
 

@@ -94,6 +94,35 @@ def recommendation_overlap(ds: RatingsDataset, u: int, lists) -> float:
     return float(np.mean(sims)) if sims else 0.0
 
 
+def recommendation_overlaps(ds: RatingsDataset, lists) -> np.ndarray:
+    """beta5 of every user: ``recommendation_overlap`` as one matrix pass.
+
+    The intersections are one product of 0/1 profile and list indicators;
+    with fewer than 2**24 items every partial count is an exact float32.
+    The Jaccard values are the same integer ratios, and each row's mean runs
+    over v != u in order, so every value is the reference's to the bit.
+    """
+    n, m = ds.n_users, ds.n_items
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    counts = np.float32 if m < 2 ** 24 else np.float64
+    listed = np.zeros((n, m), dtype=counts)
+    for v, items in enumerate(lists):
+        listed[v, [int(i) for i in items]] = 1
+    _, rated = ds.dense
+    inter = rated.astype(counts) @ listed.T
+    sizes = listed.sum(axis=1, dtype=np.int64)
+    for u in range(n):
+        shared = np.delete(inter[u], u).astype(np.int64)
+        union = ds.user_counts[u] + np.delete(sizes, u) - shared
+        jaccard = np.zeros(n - 1)
+        ok = union > 0
+        jaccard[ok] = shared[ok] / union[ok]
+        out[u] = np.mean(jaccard)
+    return out
+
+
 def median_item_popularity(ds: RatingsDataset, u: int) -> float:
     """beta6: median rater count over u's items (even count: middle mean)."""
     pops = ds.item_counts[ds.user_items(u)]
@@ -171,12 +200,14 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
     for u in range(n):
         values[u, 3] = neighborhood_density(ds, u, epsilon, dist_matrix=dists)
     del dists
+    # beta5 before the Pearson pass, so its n x n counts are never alive
+    # alongside another n x n matrix
+    values[:, 4] = recommendation_overlaps(ds, lists)
     sims = user_similarity_matrix(ds, kind=config.similarity)
     for u in range(n):
         values[u, 0] = profile_size(ds, u)
         values[u, 1] = centrality(ds, u, sim_matrix=sims)
         values[u, 2] = neighborhood_membership(knn_model, u)
-        values[u, 4] = recommendation_overlap(ds, u, lists)
         values[u, 5] = median_item_popularity(ds, u)
         values[u, 6] = centroid_similarity(ds, u, similarity=config.similarity)
         values[u, 7] = intra_profile_distance(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recinfluence
 from recinfluence import artifacts
 from recinfluence.cli import (DEFAULTS, build_parser, main,
                               parse_config_file, resolve_config)
@@ -89,6 +94,25 @@ class TestTrainAndEvaluate:
         direct = ModelConfig("knn", k=2, similarity="cosine").train(ds)
         assert np.array_equal(model.neighbors, direct.neighbors)
         assert np.array_equal(model.neighbor_sims, direct.neighbor_sims)
+
+    def test_train_hashes_the_dataset_once(self, tmp_path, monkeypatch):
+        out = ingest_toy(tmp_path)
+        calls = []
+        real = artifacts.dataset_hash
+
+        def counting(ds):
+            calls.append(ds)
+            return real(ds)
+
+        monkeypatch.setattr(artifacts, "dataset_hash", counting)
+        assert main(["train", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "knn", "--k", "2", "--out-dir", str(out)]) == 0
+        assert len(calls) == 1
+        digest = real(load_dataset(out / "dataset.tsv"))
+        header = json.loads((out / "model.json").read_text())
+        sidecar = json.loads((out / "model.json.meta.json").read_text())
+        assert header["dataset_sha256"] == digest
+        assert sidecar["dataset_sha256"] == digest
 
     def test_evaluate_writes_metrics(self, tmp_path):
         out = ingest_toy(tmp_path)
@@ -189,6 +213,34 @@ class TestFeatureAndTreeCommands:
         assert values[0, 5] == 3.0          # u1 median popularity
         meta = json.loads((out / "features.csv.meta.json").read_text())
         assert meta["feature_config"]["epsilon"] > 0
+
+    def test_features_bytes_equal_across_blas_threads(self, tmp_path):
+        # Half-star ratings take the matrix-product similarity kernel; its
+        # sums are exact, so the BLAS thread count cannot change a byte.
+        rng = np.random.default_rng(11)
+        rows = [f"u{u},i{i},{rng.integers(1, 11) / 2}"
+                for u in range(100) for i in range(200)
+                if rng.random() < 0.1]
+        raw = tmp_path / "half.csv"
+        raw.write_text("\n".join(rows) + "\n")
+        work = tmp_path / "work"
+        assert main(["ingest", "--input", str(raw), "--format", "csv",
+                     "--out-dir", str(work)]) == 0
+        src = str(Path(recinfluence.__file__).resolve().parents[1])
+        blobs = []
+        for threads in ("1", "2"):
+            d = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "recinfluence", "features",
+                 "--dataset", str(work / "dataset.tsv"), "--k", "5",
+                 "--l", "10", "--out-dir", str(d)],
+                env=env, check=True, capture_output=True, timeout=300)
+            blobs.append((d / "features.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_zero_quantile_epsilon_exits_2(self, tmp_path, capsys):
         # Implicit feedback: five users share one item, so their cosine

@@ -7,7 +7,8 @@ from recinfluence.features import (FeatureConfig, centrality,
                                    median_item_popularity,
                                    neighborhood_density,
                                    neighborhood_membership, profile_size,
-                                   recommendation_overlap, resolve_epsilon)
+                                   recommendation_overlap,
+                                   recommendation_overlaps, resolve_epsilon)
 from recinfluence.recommender import ModelConfig, top_items, train_knn
 from recinfluence.similarity import (item_distance_submatrix,
                                      user_distance_matrix)
@@ -123,6 +124,42 @@ class TestRecommendationOverlap:
         sim = recommendation_overlap(toy, 2, lists)
         assert sim == pytest.approx(1 - jaccard_distance(profile, other),
                                     abs=1e-12)
+
+
+class TestRecommendationOverlaps:
+    """The one-pass beta5 column against the per-user reference."""
+
+    @staticmethod
+    def reference(ds, lists):
+        return np.array([recommendation_overlap(ds, u, lists)
+                         for u in range(ds.n_users)])
+
+    @pytest.mark.parametrize("n_users,n_items,l", [
+        (5, 6, 3), (1, 8, 2), (2, 8, 2), (17, 30, 5), (40, 80, 10),
+        (30, 12, 12)])
+    def test_equals_reference(self, n_users, n_items, l):
+        ds = random_dataset(n_users, n_items, 0.2, seed=n_users)
+        rng = np.random.default_rng(n_users)
+        lists = [frozenset(rng.choice(n_items, size=l, replace=False).tolist())
+                 for _ in range(n_users)]
+        got = recommendation_overlaps(ds, lists)
+        assert np.array_equal(got, self.reference(ds, lists))
+
+    def test_empty_and_ragged_lists(self, toy):
+        # empty lists give empty unions only against empty profiles; the
+        # lists here are plain lists with a repeated item
+        lists = [[], [3], [4, 4, 5], [0, 1, 2, 3, 4, 5], [2]]
+        got = recommendation_overlaps(toy, lists)
+        assert np.array_equal(got, self.reference(toy, lists))
+
+    def test_user_without_ratings_scores_its_empty_unions_zero(self):
+        # a train split can leave a user with no ratings; with an empty
+        # list too, the pair's union is empty and scores 0
+        ds = build_dataset([("a", "x", 4.0), ("b", "y", 2.0)],
+                           users=["a", "b", "c"])
+        lists = [[1], [], []]
+        got = recommendation_overlaps(ds, lists)
+        assert np.array_equal(got, self.reference(ds, lists))
 
 
 class TestMedianPopularity:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -9,10 +10,66 @@ from recinfluence.recommender import (ModelConfig, TrainingError,
                                       continue_nmf, evaluate, predict_knn,
                                       recommend, top_items, train_knn,
                                       train_nmf, train_test_split)
+from recinfluence import similarity
 from recinfluence.similarity import user_similarity_matrix
 
 import oracles
-from conftest import build_dataset, clone_users_dataset, random_dataset
+from conftest import (build_dataset, clone_users_dataset, hub_dataset,
+                      random_dataset, toy_dataset)
+
+
+def _grid_dataset(n_users, n_items, density, seed, values):
+    """``random_dataset``'s pattern with ratings drawn from ``values``."""
+    base = random_dataset(n_users, n_items, density, seed=seed)
+    rng = np.random.default_rng(seed)
+    return build_dataset(
+        [(base.user_ids[u], base.item_ids[i], float(rng.choice(values)))
+         for u, i in zip(base.user_idx, base.item_idx)],
+        users=list(base.user_ids), items=list(base.item_ids))
+
+
+HALF_STARS = np.arange(1, 11) / 2
+
+
+def _edge_users_dataset():
+    """One-rating user, a user who rated every item, a constant profile."""
+    ds = _grid_dataset(12, 9, 0.4, 5, HALF_STARS)
+    rows = [(ds.user_ids[u], ds.item_ids[i], float(v))
+            for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values)]
+    rows += [("x_one", "i0", 4.5)]
+    rows += [("x_all", f"i{i}", 1.0 + (i % 4) / 2) for i in range(9)]
+    rows += [("x_flat", f"i{i}", 3.5) for i in range(0, 9, 2)]
+    return build_dataset(rows)
+
+
+def _single_rater_dataset():
+    """Every item but one is rated by a single user."""
+    rows = [(f"u{u}", f"i{u}{j}", float(1 + (u + j) % 5))
+            for u in range(6) for j in range(4)]
+    rows += [(f"u{u}", "shared", 2.5 + u / 2) for u in range(6)]
+    return build_dataset(rows)
+
+
+GRID_DATASETS = {
+    "toy": toy_dataset,
+    "random": lambda: random_dataset(50, 100, 0.1, seed=0),
+    "hub": lambda: hub_dataset(30, 60, seed=2),
+    "clones": lambda: clone_users_dataset(6, 10),
+    "single_rater_items": _single_rater_dataset,
+    "edge_users": _edge_users_dataset,
+    "implicit": lambda: _grid_dataset(25, 40, 0.2, 1, [1.0]),
+    "half_stars": lambda: _grid_dataset(40, 70, 0.15, 2, HALF_STARS),
+    "negative_half_grid": lambda: _grid_dataset(
+        30, 50, 0.2, 3, np.arange(-6, 7) / 2),
+    **{f"n{n}": (lambda n=n: _grid_dataset(n, 30, 0.3, n, HALF_STARS))
+       for n in (1, 2, 17, 33)},
+}
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSimilarity:
@@ -66,6 +123,94 @@ class TestSimilarity:
             keep = np.delete(np.arange(ds.n_users), u)
             reduced = user_similarity_matrix(drop_user(ds, u), kind=kind)
             assert np.array_equal(reduced, full[np.ix_(keep, keep)])
+
+    @pytest.mark.parametrize("shrink", [50, None])
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    @pytest.mark.parametrize("name", sorted(GRID_DATASETS))
+    def test_products_equal_row_loop_on_grid(self, name, kind, shrink):
+        ratings, mask = GRID_DATASETS[name]().dense
+        assert similarity._exact_sums(ratings, mask, ratings, mask)
+        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask,
+                                          shrink)
+        want = similarity._similarity_loop(kind, ratings, mask, ratings,
+                                           mask, shrink)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    def test_products_equal_row_loop_when_a_is_not_b(self, kind):
+        # item-Pearson shapes: rows are items, columns users; partial blocks
+        ratings, mask = _grid_dataset(30, 50, 0.2, 8, HALF_STARS).dense
+        rows = np.ascontiguousarray(ratings.T)
+        observed = np.ascontiguousarray(mask.T)
+        a, a_mask = rows[:21], observed[:21]
+        b, b_mask = rows[13:], observed[13:]
+        assert similarity._exact_sums(a, a_mask, b, b_mask)
+        for shrink in (50, None):
+            assert_same_bits(
+                similarity._similarity_rows(kind, a, a_mask, b, b_mask,
+                                            shrink),
+                similarity._similarity_loop(kind, a, a_mask, b, b_mask,
+                                            shrink))
+
+    @pytest.mark.parametrize("case", ["off_grid", "sums_past_2**51",
+                                      "value_under_false_mask"])
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    def test_row_loop_taken_when_sums_may_be_inexact(self, case, kind,
+                                                     monkeypatch):
+        ratings, mask = _grid_dataset(20, 30, 0.3, 4, HALF_STARS).dense
+        ratings = ratings.copy()
+        if case == "off_grid":
+            ratings[mask.nonzero()[0][0], mask.nonzero()[1][0]] = 2.25
+        elif case == "sums_past_2**51":
+            # 30 items * (2**24)**2 = 2**48 * 30 > 2**51
+            ratings[mask] += 2.0 ** 24
+        else:
+            ratings[(~mask).nonzero()[0][0], (~mask).nonzero()[1][0]] = 1.0
+        assert not similarity._exact_sums(ratings, mask, ratings, mask)
+        want = similarity._similarity_loop(kind, ratings, mask, ratings,
+                                           mask)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("products path taken")
+
+        monkeypatch.setattr(similarity, "_similarity_blocks", refuse)
+        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask)
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_not_exact(self, bad):
+        ratings, mask = _grid_dataset(5, 6, 0.5, 1, HALF_STARS).dense
+        ratings = ratings.copy()
+        ratings[mask] = bad
+        assert not similarity._exact_sums(ratings, mask, ratings, mask)
+
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    def test_grid_data_never_reaches_the_row_loop(self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("row loop taken on half-star data")
+
+        monkeypatch.setattr(similarity, "_similarity_loop", refuse)
+        ds = _grid_dataset(40, 70, 0.15, 2, HALF_STARS)
+        assert user_similarity_matrix(ds, kind=kind).shape == (40, 40)
+
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    def test_products_allocate_no_more_than_row_loop(self, kind,
+                                                     monkeypatch):
+        # knn-loo's shape; 32-row blocks went over the row loop's peak here
+        ds = _grid_dataset(120, 240, 0.05, 6, HALF_STARS)
+        ds.dense
+
+        def peak():
+            tracemalloc.start()
+            try:
+                user_similarity_matrix(ds, kind=kind)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        products = peak()
+        monkeypatch.setattr(similarity, "_exact_sums", lambda *args: False)
+        assert products <= peak()
 
     def test_rating_scale_invariance_of_neighbor_sets(self):
         base = random_dataset(12, 20, 0.3, seed=4)
