@@ -28,8 +28,15 @@ class MdsEmbedding:
 
 
 def pairwise_euclidean(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """(n, n) distances between the rows of ``coords`` (d = 2 here), summed
+    over the columns in order into one buffer: the bits of np.sum over the
+    (n, n, d) differences while d < 8, before numpy sums pairwise."""
+    total = np.zeros((coords.shape[0],) * 2)
+    for col in coords.T:
+        diff = col[:, None] - col[None, :]
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
 
 
 def stress_of(coords: np.ndarray, dist: np.ndarray) -> float:
@@ -86,22 +93,25 @@ def mds_embed(ds: RatingsDataset, distance: str = "cosine",
     Datasets larger than ``max_points`` are subsampled, seeded. Classical
     scaling runs first; ``refine_iters`` > 0 adds majorization steps.
     """
+    if max_points < 3:
+        raise ValueError(f"mds.max_points must be >= 3, got {max_points}")
     n = ds.n_users
     if n < 3:
         raise ValueError("need at least 3 users to embed")
+    chosen = np.arange(n)
     if n > max_points:
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(n, size=max_points, replace=False))
-    else:
-        chosen = np.arange(n)
     dist = user_distance_matrix(ds, kind=distance)[np.ix_(chosen, chosen)]
     coords = classical_mds(dist)
+    stress = stress_of(coords, dist)
     if refine_iters > 0:
         refined = smacof_refine(coords, dist, n_iters=refine_iters)
-        if stress_of(refined, dist) < stress_of(coords, dist):
-            coords = refined
+        refined_stress = stress_of(refined, dist)
+        if refined_stress < stress:
+            coords, stress = refined, refined_stress
     coords.flags.writeable = False
-    return MdsEmbedding(coords, stress_of(coords, dist), distance, chosen)
+    return MdsEmbedding(coords, stress, distance, chosen)
 
 
 def influence_ranking_curve(report: InfluenceReport) -> list[tuple[int, float]]:

@@ -24,6 +24,7 @@ from .data import (FORMATS, DatasetError, compute_stats, load_dataset,
                    save_dataset)
 from .recommender import (ModelConfig, TrainingError, top_items,
                           train_knn, train_test_split, evaluate)
+from .similarity import user_similarity_matrix
 
 
 class ConfigError(ValueError):
@@ -239,16 +240,15 @@ def cmd_influence(args, cfg: dict, out: Path) -> int:
 
 def cmd_features(args, cfg: dict, out: Path) -> int:
     ds = _load(cfg, args.dataset)
-    mc = model_config(cfg)
-    l = cfg["list.length"]
-    model = mc.train(ds)
-    if model.algorithm == "knn":
-        knn_model = model
-    else:
-        knn_model = train_knn(ds, cfg["knn.k"], cfg["knn.similarity"])
-    lists = [frozenset(int(i) for i in top_items(model, u, l))
+    mc, fc = model_config(cfg), feature_config(cfg)
+    # one similarity pass serves beta2 and, when the kinds agree, the kNN fit
+    sims = user_similarity_matrix(ds, kind=fc.similarity)
+    shared = sims if mc.similarity == fc.similarity else None
+    knn_model = train_knn(ds, mc.k, mc.similarity, sim_matrix=shared)
+    model = knn_model if mc.algorithm == "knn" else mc.train(ds)
+    lists = [top_items(model, u, cfg["list.length"])
              for u in range(ds.n_users)]
-    table = features.extract_all(ds, knn_model, lists, feature_config(cfg))
+    table = features.extract_all(ds, knn_model, lists, sims, fc)
     path = artifacts.write_features_csv(table, out / "features.csv")
     artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds),
                             {"feature_config": table.config})
@@ -265,23 +265,18 @@ def cmd_fit_tree(args, cfg: dict, out: Path) -> int:
     ok = ~np.isnan(y)
     x, y = x[ok], y[ok]
     holdout = cfg["tree.holdout_fraction"]
-    meta = {}
+    fit = np.arange(len(y))
     if holdout:
-        rng = np.random.default_rng(cfg["seed"])
-        perm = rng.permutation(len(y))
+        perm = np.random.default_rng(cfg["seed"]).permutation(len(y))
         n_test = int(np.floor(holdout * len(y)))
         if not 0 < n_test < len(y) - 1:
             raise DatasetError("holdout fraction leaves too few rows")
         test, fit = perm[:n_test], perm[n_test:]
-        tree = predictor.fit_tree(
-            x[fit], y[fit], max_depth=cfg["tree.max_depth"],
-            min_samples_leaf=cfg["tree.min_samples_leaf"])
-        meta["holdout_metrics"] = predictor.fit_metrics(tree, x[test],
-                                                        y[test])
-    else:
-        tree = predictor.fit_tree(
-            x, y, max_depth=cfg["tree.max_depth"],
-            min_samples_leaf=cfg["tree.min_samples_leaf"])
+    tree = predictor.fit_tree(x[fit], y[fit],
+                              max_depth=cfg["tree.max_depth"],
+                              min_samples_leaf=cfg["tree.min_samples_leaf"])
+    meta = ({"holdout_metrics": predictor.fit_metrics(tree, x[test], y[test])}
+            if holdout else {})
     tree_path = artifacts.write_tree_json(tree, out / "tree.json")
     bpath = artifacts.write_boundaries_csv(predictor.export_boundaries(tree),
                                            out / "boundaries.csv")

@@ -181,32 +181,32 @@ def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
 
 
 def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
+                sim_matrix: np.ndarray,
                 config: FeatureConfig = FeatureConfig()) -> FeatureTable:
     """All eight features for every user.
 
     ``knn_model`` supplies the neighbor structure for beta3 (when the run
     under study is a factorization model, a standalone neighborhood
     structure is fitted for this purpose); ``lists`` are the top-l item
-    sets of the model under study, one per user, for beta5.
+    lists of the model under study, one per user, for beta5. ``sim_matrix``
+    is ``user_similarity_matrix(ds, config.similarity)`` for beta2, built by
+    the caller, which may hand the same matrix to ``train_knn``.
     """
     n = ds.n_users
     if len(lists) != n:
         raise ValueError("need one recommendation list per user")
     values = np.empty((n, 8))
-    # beta4 first, so a bad epsilon fails before the Pearson pass and the
-    # distance matrix is freed before the similarity matrix is built.
+    # beta4 first, its distance matrix freed before beta5 builds its n x n
+    # counts: beside the caller's ``sim_matrix``, one n x n matrix at a time.
     dists = user_distance_matrix(ds, kind=config.user_distance)
     epsilon = resolve_epsilon(ds, config, dist_matrix=dists)
     for u in range(n):
         values[u, 3] = neighborhood_density(ds, u, epsilon, dist_matrix=dists)
     del dists
-    # beta5 before the Pearson pass, so its n x n counts are never alive
-    # alongside another n x n matrix
     values[:, 4] = recommendation_overlaps(ds, lists)
-    sims = user_similarity_matrix(ds, kind=config.similarity)
     for u in range(n):
         values[u, 0] = profile_size(ds, u)
-        values[u, 1] = centrality(ds, u, sim_matrix=sims)
+        values[u, 1] = centrality(ds, u, sim_matrix=sim_matrix)
         values[u, 2] = neighborhood_membership(knn_model, u)
         values[u, 5] = median_item_popularity(ds, u)
         values[u, 6] = centroid_similarity(ds, u, similarity=config.similarity)

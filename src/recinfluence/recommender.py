@@ -100,8 +100,8 @@ def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
     """Fit the neighborhood model.
 
     ``sim_matrix`` lets callers inject precomputed pairwise similarities
-    (they do not depend on third users, so leave-one-out retrains can reuse
-    them); when omitted it is computed from the dataset.
+    (they do not depend on third users, so leave-one-out retrains reuse them;
+    the features stage passes its beta2 matrix); else they are computed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

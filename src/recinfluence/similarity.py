@@ -5,7 +5,7 @@ min(co_rated, SHRINK_COUNT) / SHRINK_COUNT; cosine runs over the raw sparse
 vectors. Pairs with no co-rated items, and degenerate (zero-variance)
 correlations, score 0.
 
-User similarities (``user_similarity_matrix``, and through it
+User similarities and distances (``user_similarity_matrix``,
 ``user_distance_matrix``), item Pearson distances (``item_distance_submatrix``)
 and the beta7 centroid score (``features.centroid_similarity``) all go through
 the one routine ``_similarity_rows``. Leave-one-out retrains reuse cached user
@@ -30,9 +30,10 @@ Both paths run the same arithmetic after the sums (``_pearson_parts`` and
 ``_bounded_ratio``), so they return the same bits on every input the
 products path accepts.
 
-Item cosine distances are one ``cols.T @ cols`` matrix product instead: item
-distances are never reused across removals, so they carry no per-pair order
-guarantee.
+Item cosine distances are one ``cols.T @ cols`` matrix product instead, with
+the ratio and clip of ``_bounded_ratio``: item distances are never reused
+across removals, so they carry no per-pair order guarantee. Every distance,
+user or item, is 1 - unshrunk similarity with a zero diagonal (``_distances``).
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _exact_sums(a: np.ndarray, a_mask: np.ndarray, b: np.ndarray,
     at most one (n x m) temporary; nan fails the grid test and inf the bound.
     """
     top = 0.0
-    for x, mask in ((a, a_mask), (b, b_mask)):
+    same = b is a and b_mask is a_mask
+    for x, mask in ((a, a_mask),) if same else ((a, a_mask), (b, b_mask)):
         halves = x * 2
         np.rint(halves, out=halves)
         halves *= 0.5
@@ -86,7 +88,7 @@ def _pearson_parts(nc, su, sv, suu, svv, suv):
     return num, denom, (nc > 0) & (denom > _DEGENERATE)
 
 
-def _bounded_ratio(num, denom, ok, nc, shrink) -> np.ndarray:
+def _bounded_ratio(num, denom, ok, nc=None, shrink=None) -> np.ndarray:
     """num / denom where ``ok`` (else 0), clipped to [-1, 1], then shrunk
     by min(nc, shrink) / shrink when ``nc`` is given and shrink is set."""
     out = np.zeros(num.shape)
@@ -178,24 +180,25 @@ def _similarity_rows(kind: str, a: np.ndarray, a_mask: np.ndarray,
     return _similarity_loop(kind, a, a_mask, b, b_mask, shrink)
 
 
-def user_similarity_matrix(ds: RatingsDataset, kind: str = "pearson",
-                           shrink: int | None = SHRINK_COUNT,
-                           zero_diagonal: bool = True) -> np.ndarray:
-    """n x n user similarity matrix; self-similarity zeroed by default."""
-    ratings, mask = ds.dense
-    sims = _similarity_rows(kind, ratings, mask, ratings, mask, shrink)
-    if zero_diagonal:
-        np.fill_diagonal(sims, 0.0)
+def _distances(sims: np.ndarray) -> np.ndarray:
+    """1 - similarity, zero diagonal."""
+    dist = 1.0 - sims
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def user_similarity_matrix(ds: RatingsDataset,
+                           kind: str = "pearson") -> np.ndarray:
+    """n x n shrunk user similarity matrix, self-similarity zeroed."""
+    sims = _similarity_rows(kind, *ds.dense, *ds.dense)
+    np.fill_diagonal(sims, 0.0)
     return sims
 
 
 def user_distance_matrix(ds: RatingsDataset, kind: str = "cosine") -> np.ndarray:
     """n x n user distance matrix: 1 - unshrunk similarity, zero diagonal."""
-    sims = user_similarity_matrix(ds, kind=kind, shrink=None,
-                                  zero_diagonal=False)
-    dist = 1.0 - sims
-    np.fill_diagonal(dist, 0.0)
-    return dist
+    return _distances(_similarity_rows(kind, *ds.dense, *ds.dense,
+                                       shrink=None))
 
 
 def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
@@ -205,17 +208,9 @@ def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
     cols = ratings[:, items]
     if kind == "cosine":
         norms = np.sqrt(np.sum(cols * cols, axis=0))
-        num = cols.T @ cols
         denom = np.outer(norms, norms)
-        sims = np.zeros_like(num)
-        ok = denom > 0
-        sims[ok] = num[ok] / denom[ok]
-        np.clip(sims, -1.0, 1.0, out=sims)
-    else:
-        rows = np.ascontiguousarray(cols.T)
-        observed = np.ascontiguousarray(mask[:, items].T)
-        sims = _similarity_rows(kind, rows, observed, rows, observed,
-                                shrink=None)
-    dist = 1.0 - sims
-    np.fill_diagonal(dist, 0.0)
-    return dist
+        return _distances(_bounded_ratio(cols.T @ cols, denom, denom > 0))
+    rows = np.ascontiguousarray(cols.T)
+    observed = np.ascontiguousarray(mask[:, items].T)
+    return _distances(_similarity_rows(kind, rows, observed, rows, observed,
+                                       shrink=None))

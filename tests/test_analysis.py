@@ -118,6 +118,28 @@ class TestMdsEmbed:
         with pytest.raises(ValueError):
             mds_embed(ds)
 
+    @pytest.mark.parametrize("max_points", [0, 1, 2])
+    def test_sample_below_three_points_refused(self, max_points):
+        ds = random_dataset(20, 30, 0.25, seed=2)
+        with pytest.raises(ValueError, match="mds.max_points"):
+            mds_embed(ds, max_points=max_points)
+
+    def test_refined_stress_is_the_kept_embeddings(self):
+        ds = random_dataset(15, 25, 0.25, seed=3)
+        emb = mds_embed(ds, refine_iters=100)
+        dist = user_distance_matrix(ds, kind="cosine")
+        assert emb.stress == stress_of(emb.coordinates, dist)
+
+
+class TestPairwiseEuclidean:
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_bits_equal_broadcast_sum(self, n, d):
+        coords = np.random.default_rng(10 * n + d).standard_normal((n, d))
+        diff = coords[:, None, :] - coords[None, :, :]
+        expected = np.sqrt(np.sum(diff * diff, axis=2))
+        assert np.array_equal(pairwise_euclidean(coords), expected)
+
 
 class TestSegments:
     def test_single_segment(self):

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import recinfluence
-from recinfluence import artifacts
+from recinfluence import artifacts, predictor, similarity
 from recinfluence.cli import (DEFAULTS, build_parser, main,
                               parse_config_file, resolve_config)
 from recinfluence.data import load_dataset
+from recinfluence.features import centrality, neighborhood_membership
 from recinfluence.influence import influence_all, influence_oracle
-from recinfluence.recommender import ModelConfig
+from recinfluence.recommender import ModelConfig, train_knn
 
-from conftest import TOY_ROWS
+from conftest import TOY_ROWS, random_dataset
 
 
 def write_toy_csv(tmp_path):
@@ -26,6 +27,18 @@ def write_toy_csv(tmp_path):
 
 def ingest_toy(tmp_path):
     raw = write_toy_csv(tmp_path)
+    out = tmp_path / "work"
+    assert main(["ingest", "--input", str(raw), "--format", "csv",
+                 "--out-dir", str(out)]) == 0
+    return out
+
+
+def ingest_random(tmp_path, n_users=30, n_items=50, seed=7):
+    ds = random_dataset(n_users, n_items, 0.2, seed=seed)
+    raw = tmp_path / "random.csv"
+    raw.write_text("".join(
+        f"{ds.user_ids[u]},{ds.item_ids[i]},{v}\n"
+        for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values)))
     out = tmp_path / "work"
     assert main(["ingest", "--input", str(raw), "--format", "csv",
                  "--out-dir", str(out)]) == 0
@@ -305,6 +318,74 @@ class TestFeatureAndTreeCommands:
                           "leaf_value"]
 
 
+class TestFeaturesShareOneSimilarityMatrix:
+    @pytest.mark.parametrize("algo", ["knn", "nmf"])
+    def test_one_user_pearson_pass(self, tmp_path, monkeypatch, algo):
+        out = ingest_random(tmp_path)
+        n = load_dataset(out / "dataset.tsv").n_users
+        calls = []
+        real = similarity._similarity_rows
+
+        def counting(kind, a, *rest, **kwargs):
+            if kind == "pearson" and a.shape[0] == n:
+                calls.append(kind)
+            return real(kind, a, *rest, **kwargs)
+
+        monkeypatch.setattr(similarity, "_similarity_rows", counting)
+        assert main(["features", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", algo, "--out-dir", str(out)]) == 0
+        assert len(calls) == 1
+
+    def test_cosine_features_with_pearson_knn(self, tmp_path):
+        out = ingest_random(tmp_path)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("features.similarity = cosine\n")
+        assert main(["features", "--dataset", str(out / "dataset.tsv"),
+                     "--config", str(cfgfile), "--k", "5",
+                     "--out-dir", str(out)]) == 0
+        _, values = artifacts.read_features_csv(out / "features.csv")
+        ds = load_dataset(out / "dataset.tsv")
+        knn_model = train_knn(ds, 5, "pearson")
+        for u in range(ds.n_users):
+            assert values[u, 1] == centrality(ds, u, similarity="cosine")
+            assert values[u, 2] == neighborhood_membership(knn_model, u)
+        # the two kinds disagree here, so the check above can tell them apart
+        assert any(values[u, 1] != centrality(ds, u, similarity="pearson")
+                   for u in range(ds.n_users))
+        assert not np.array_equal(
+            values[:, 2], [neighborhood_membership(
+                train_knn(ds, 5, "cosine"), u) for u in range(ds.n_users)])
+
+
+class TestFitTreeExact:
+    @pytest.mark.parametrize("holdout", [0.0, 0.2])
+    def test_tree_is_the_fit_on_the_training_rows(self, tmp_path, holdout):
+        out = ingest_random(tmp_path)
+        for stage in ("influence", "features"):
+            assert main([stage, "--dataset", str(out / "dataset.tsv"),
+                         "--k", "5", "--l", "5", "--out-dir", str(out)]) == 0
+        assert main(["fit-tree", "--features", str(out / "features.csv"),
+                     "--influence", str(out / "influence.csv"),
+                     "--max-depth", "4", "--min-samples-leaf", "2",
+                     "--holdout-fraction", str(holdout), "--seed", "3",
+                     "--out-dir", str(out)]) == 0
+        _, x = artifacts.read_features_csv(out / "features.csv")
+        _, y = artifacts.read_influence_csv(out / "influence.csv")
+        ok = ~np.isnan(y)
+        x, y = x[ok], y[ok]
+        rows = np.arange(len(y))
+        if holdout:
+            n_test = int(np.floor(holdout * len(y)))
+            rows = np.random.default_rng(3).permutation(len(y))[n_test:]
+        expected = predictor.fit_tree(x[rows], y[rows], max_depth=4,
+                                      min_samples_leaf=2)
+        assert (out / "tree.json").read_text() == expected.to_json() + "\n"
+        if holdout:
+            every_row = predictor.fit_tree(x, y, max_depth=4,
+                                           min_samples_leaf=2)
+            assert expected.to_json() != every_row.to_json()
+
+
 class TestFitTreeHoldout:
     def test_holdout_metrics_in_sidecar(self, tmp_path):
         out = ingest_toy(tmp_path)
@@ -341,6 +422,21 @@ class TestMdsAndReport:
         header, rows = artifacts.read_csv(out / "dispersion.csv")
         assert header == ["segment", "mean_radius", "mean_pairwise_distance"]
         assert [r[0] for r in rows] == ["0", "1"]
+
+    @pytest.mark.parametrize("max_points", ["0", "1", "2"])
+    def test_mds_max_points_below_three_exits_2(self, tmp_path, capsys,
+                                                max_points):
+        out = ingest_toy(tmp_path)
+        main(["influence", "--dataset", str(out / "dataset.tsv"),
+              "--algo", "knn", "--k", "2", "--l", "2",
+              "--out-dir", str(out)])
+        capsys.readouterr()
+        assert main(["mds", "--dataset", str(out / "dataset.tsv"),
+                     "--influence", str(out / "influence.csv"),
+                     "--max-points", max_points,
+                     "--out-dir", str(out)]) == 2
+        assert "mds.max_points" in capsys.readouterr().err
+        assert not (out / "embedding.csv").exists()
 
     def test_report_bundles_stages(self, tmp_path):
         out = ingest_toy(tmp_path)

@@ -11,7 +11,8 @@ from recinfluence.features import (FeatureConfig, centrality,
                                    recommendation_overlaps, resolve_epsilon)
 from recinfluence.recommender import ModelConfig, top_items, train_knn
 from recinfluence.similarity import (item_distance_submatrix,
-                                     user_distance_matrix)
+                                     user_distance_matrix,
+                                     user_similarity_matrix)
 
 import oracles
 from conftest import build_dataset, clone_users_dataset, random_dataset
@@ -313,7 +314,8 @@ class TestExtractAll:
         lists = [frozenset(top_items(model, v, 3).tolist())
                  for v in range(5)]
         cfg = FeatureConfig()
-        table = extract_all(toy, model, lists, cfg)
+        table = extract_all(toy, model, lists,
+                            user_similarity_matrix(toy), cfg)
         assert table.values.shape == (5, 8)
         eps = table.config["epsilon"]
         for u in range(5):
@@ -346,7 +348,6 @@ class TestExtractAll:
                     rows.append((f"u{u}", f"i{i:02d}",
                                  float(1 + 4 * rng.random())))
         ds = build_dataset(rows, users=[f"u{j}" for j in range(8)])
-        from recinfluence.similarity import user_similarity_matrix
         sims = user_similarity_matrix(ds, kind="pearson")
         iu = np.triu_indices(8, k=1)
         assert len(np.unique(sims[iu])) == len(sims[iu])  # tie-free fixture
@@ -362,8 +363,8 @@ class TestExtractAll:
         m2 = train_knn(ds2, 3, "pearson")
         l1 = [frozenset(top_items(m1, v, 4).tolist()) for v in range(8)]
         l2 = [frozenset(top_items(m2, v, 4).tolist()) for v in range(8)]
-        t1 = extract_all(ds, m1, l1, cfg)
-        t2 = extract_all(ds2, m2, l2, cfg)
+        t1 = extract_all(ds, m1, l1, user_similarity_matrix(ds), cfg)
+        t2 = extract_all(ds2, m2, l2, user_similarity_matrix(ds2), cfg)
         for new, orig in enumerate(perm):
             np.testing.assert_allclose(t2.values[new], t1.values[orig],
                                        atol=1e-12)
@@ -373,7 +374,8 @@ class TestExtractAll:
         model = train_knn(ds, 2, "pearson")
         lists = [frozenset(top_items(model, v, 2).tolist())
                  for v in range(6)]
-        table = extract_all(ds, model, lists, FeatureConfig())
+        table = extract_all(ds, model, lists, user_similarity_matrix(ds),
+                            FeatureConfig())
         assert table.values.shape[1] == 8
 
     def test_invariant_ranges(self):
@@ -381,7 +383,8 @@ class TestExtractAll:
         model = train_knn(ds, 3, "pearson")
         lists = [frozenset(top_items(model, v, 4).tolist())
                  for v in range(10)]
-        table = extract_all(ds, model, lists, FeatureConfig())
+        table = extract_all(ds, model, lists, user_similarity_matrix(ds),
+                            FeatureConfig())
         v = table.values
         assert np.all(v[:, 0] >= 1)
         assert np.all(v[:, 2] == v[:, 2].astype(int))

@@ -8,6 +8,7 @@ from recinfluence.features import FeatureConfig, extract_all
 from recinfluence.influence import influence_all
 from recinfluence.predictor import export_boundaries, fit_tree, predict_tree
 from recinfluence.recommender import ModelConfig, top_items, train_knn
+from recinfluence.similarity import user_similarity_matrix
 
 from conftest import build_dataset, random_dataset
 
@@ -39,7 +40,8 @@ def test_neighborhood_membership_tracks_knn_influence_best():
     model = train_knn(ds, 5)
     lists = [frozenset(top_items(model, v, 10).tolist())
              for v in range(ds.n_users)]
-    table = extract_all(ds, model, lists, FeatureConfig())
+    table = extract_all(ds, model, lists, user_similarity_matrix(ds),
+                        FeatureConfig())
     corrs = [spearman(table.values[:, j], report.influence)
              for j in range(8)]
     assert np.argmax(corrs) == 2
@@ -53,7 +55,8 @@ def test_full_stage_chain_is_consistent():
     model = train_knn(ds, 4)
     lists = [frozenset(top_items(model, v, 5).tolist())
              for v in range(ds.n_users)]
-    table = extract_all(ds, model, lists, FeatureConfig())
+    table = extract_all(ds, model, lists, user_similarity_matrix(ds),
+                        FeatureConfig())
     tree = fit_tree(table.values, report.influence,
                     max_depth=6, min_samples_leaf=2)
     total = tree.importances.sum()
