@@ -3,14 +3,15 @@
 A user's influence is the summed Jaccard distance between every other
 user's top-l list with and without that user's ratings in the training
 data. The module ships two routes to the same number: a naive oracle that
-retrains everything from scratch per removal, and an engine that reuses
-whatever survives a removal unchanged while retraining deterministically
-where nothing does (the factorization model). For the neighborhood model
-the engine reuses the pairwise similarities and rebuilds only the lists a
-removal can change; every other list keeps distance 0, which is exact
-because its reduced list equals its full list. The two routes agree bit
-for bit. Each removal runs once: its per-user distance row is kept, and
-group curves read those rows instead of retraining.
+retrains everything from scratch per removal, and an engine that works
+from the full data. A factorization removal retrains deterministically,
+since nothing survives it unchanged. A neighborhood removal retrains
+nothing: the engine derives the reduced model's neighbors and item means
+from the full data, rebuilds only the lists the removal can change, and
+gives every other list distance 0, which is exact because its reduced list
+equals its full list. The two routes agree bit for bit. Each removal runs
+once: its per-user distance row is kept, and group curves read those rows
+instead of retraining.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset, drop_user
-from .recommender import (ModelConfig, TrainingError, continue_nmf,
-                          top_items, train_knn)
+from .data import DatasetError, RatingsDataset, drop_user
+from .recommender import (ModelConfig, TrainingError, _neighbor_order,
+                          continue_nmf, top_items, train_knn)
 from .similarity import user_similarity_matrix
 
 DEFAULT_THETA_GRID = tuple(round(0.1 * t, 1) for t in range(1, 10))
+# Rows per list-building chunk keep each (rows, n_items) float buffer near
+# this many bytes.
+_CHUNK_BYTES = 64 * 1024
 
 
 def jaccard_distance(a, b) -> float:
@@ -74,19 +78,94 @@ def _rank_users(influence: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(influence)), -key))
 
 
+def _knn_scores(ratings, mask, nbrs, sims, means, out):
+    """Blended kNN scores of a block of rows into ``out`` (rows, m).
+
+    Row r blends the rating rows of its neighbors ``nbrs[r]`` (user
+    indices into ``ratings``/``mask``) with weights ``sims[r]`` and falls
+    back to ``means``. The sums run over neighbor rank j in order from 0,
+    which is how ``KnnModel.scores_for``'s axis-0 sums add them for m >= 2,
+    so each score is bit-identical to it. (With one item numpy sums
+    pairwise, but a one-item list depends on candidacy alone.) ``out``
+    holds the weighted sum until the division.
+    """
+    out[...] = 0.0
+    asum = np.zeros_like(out)
+    term = np.empty_like(out)
+    rated = np.empty(out.shape, dtype=bool)
+    for j in range(nbrs.shape[1]):
+        # mode="clip" lets take write into its out array unbuffered; the
+        # indices are in range
+        mask.take(nbrs[:, j], axis=0, out=rated, mode="clip")
+        ratings.take(nbrs[:, j], axis=0, out=term, mode="clip")
+        term *= sims[:, j, None]
+        term *= rated
+        out += term
+        np.multiply(np.abs(sims[:, j, None]), rated, out=term)
+        asum += term
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out /= asum
+    np.copyto(out, means, where=~(asum > 0))
+
+
+def _top_lists(scores, cand, l):
+    """Top-l lists of a block of rows in one pass, ranked as ``top_items``
+    ranks them: score descending, item index ascending.
+
+    ``scores`` (rows, m) is overwritten; ``cand`` marks each row's
+    candidates. Returns the (rows, m) bool indicator of the lists and each
+    row's l-th score (-inf for a row with fewer than l candidates). Only
+    the entries at or above that score are sorted, so ties at the cut keep
+    their index order.
+    """
+    rows, m = scores.shape
+    scores[~cand] = -np.inf
+    if l <= m:
+        # a copy, so the partitioned buffer is freed on return
+        thr = np.partition(scores, m - l, axis=1)[:, m - l].copy()
+    else:
+        thr = np.full(rows, -np.inf)
+    r, c = np.nonzero(cand & (scores >= thr[:, None]))
+    order = np.lexsort((c, -scores[r, c], r))
+    r, c = r[order], c[order]
+    keep = np.arange(len(r)) - np.searchsorted(r, r) < l
+    lists = np.zeros((rows, m), dtype=bool)
+    lists[r[keep], c[keep]] = True
+    return lists, thr
+
+
+def _jaccard_rows(a, b) -> np.ndarray:
+    """``jaccard_distance`` of each row pair of two list indicators.
+
+    Counts are small exact integers, so each quotient is the float the set
+    formula gives.
+    """
+    inter = np.count_nonzero(a & b, axis=1)
+    union = np.count_nonzero(a | b, axis=1)
+    return 1.0 - np.divide(inter, union, out=np.ones(len(a)),
+                           where=union > 0)
+
+
 class LeaveOneOutEngine:
     """Shared state for a batch of single-user removals.
 
-    The full-data model, its recommendation lists, and (for the
-    neighborhood model) the pairwise similarity matrix are computed once and
-    shared read-only across removals; each removal trains its own reduced
-    model.
-    Removal keeps the item axis, so reduced-model lists come back in the
-    original item index space.
+    The full-data model, its top-l lists (``full_lists``, an (n, m) bool
+    indicator) and each list's l-th score are built once and shared
+    read-only across removals. Removal keeps the item axis, so every list
+    lives in the original item index space, and an item whose only rater
+    is removed leaves the candidates.
 
-    A factorization removal rebuilds every other user's list. A
-    neighborhood removal of u rebuilds only the lists of the users v != u
-    that it flags:
+    A factorization removal retrains on the reduced data (from the full
+    factors when ``warm_start``) and rebuilds every other user's list. A
+    neighborhood removal of u builds no reduced dataset and trains no
+    model. The engine keeps each user's neighbor order one deeper than the
+    model's k; the reduced neighbors of v are that order with u dropped,
+    cut to min(k, n - 2) (removal preserves the relative order of user
+    indices, so tie-breaks hold, and similarities do not depend on third
+    users). Only the means of u's items move, and they are summed again
+    over their remaining raters in user order, as the reduced dataset sums
+    them. Scores are blended from the full rating rows. The lists rebuilt
+    are those of the users v != u that the removal flags:
 
     (a) u is one of v's full-model neighbors (when k >= n - 1 everyone
         else is, so the narrower reduced neighbor lists are all rebuilt);
@@ -97,13 +176,16 @@ class LeaveOneOutEngine:
         reaches the score of v's l-th full-list item (any value does when v
         has fewer than l candidates).
 
-    An unflagged v keeps its neighbors in the same order (removal preserves
-    the relative order of user indices, so tie-breaks hold) with the same
+    An unflagged v keeps its neighbors in the same order with the same
     similarities and rating rows, so every blended score is bit-identical;
     only fallback means of u's items can move, and (b) catches each one
     that could cross v's l-th score. Its reduced list is its full list and
-    its distance is exactly 0. ``lists_rebuilt`` counts the lists rebuilt
-    so far.
+    its distance is exactly 0.
+
+    Lists are built in chunks of rows: each chunk is scored into one
+    buffer, ranked by ``_top_lists`` and compared with the full lists by
+    integer Jaccard counts. ``lists_rebuilt`` counts the lists rebuilt by
+    removals so far.
     """
 
     def __init__(self, ds: RatingsDataset, config: ModelConfig, l: int,
@@ -114,29 +196,108 @@ class LeaveOneOutEngine:
         self.warm_start = warm_start
         self.warm_iters = warm_iters
         self.lists_rebuilt = 0
-        knn = config.algorithm == "knn"
-        if knn:
+        n = ds.n_users
+        _, mask = ds.dense
+        if config.algorithm == "knn":
             self.sim = user_similarity_matrix(ds, kind=config.similarity)
-            self.full_model = train_knn(ds, config.k, config.similarity,
-                                        sim_matrix=self.sim)
+            full = train_knn(ds, config.k, config.similarity,
+                             sim_matrix=self.sim)
+            self._deep = _neighbor_order(self.sim, min(config.k + 1, n - 1))
+            # unrated by v and not covered by a full-model neighbor with
+            # non-zero similarity: v's score there is the item mean
+            covered = np.zeros_like(mask)
+            for j in range(full.neighbors.shape[1]):
+                covered |= (mask[full.neighbors[:, j]]
+                            & (full.neighbor_sims[:, j, None] != 0))
+            self._open = ~mask & ~covered
+            # rating indices item by item, in user order within an item
+            self._raters = np.argsort(ds.item_idx, kind="stable")
+            self._item_ptr = np.searchsorted(ds.item_idx[self._raters],
+                                             np.arange(ds.n_items + 1))
+
+            def score(rows, out):
+                _knn_scores(*ds.dense, full.neighbors[rows],
+                            full.neighbor_sims[rows], full.item_means, out)
         else:
             self.sim = None
-            self.full_model = config.train(ds)
-        self.full_lists = []
-        # score of each user's l-th full-list item, -inf below l candidates
-        self._thr = np.full(ds.n_users, -np.inf)
-        for u in range(ds.n_users):
-            items = top_items(self.full_model, u, l)
-            self.full_lists.append(frozenset(int(i) for i in items))
-            if knn and len(items) == l:
-                self._thr[u] = self.full_model.scores_for(u)[items[-1]]
+            full = config.train(ds)
 
-    def _reduced_model(self, u: int, reduced: RatingsDataset):
-        if self.config.algorithm == "knn":
-            keep = np.delete(np.arange(self.ds.n_users), u)
-            sim_sub = self.sim[np.ix_(keep, keep)]
-            return train_knn(reduced, self.config.k, self.config.similarity,
-                             sim_matrix=sim_sub)
+            def score(rows, out):
+                for r, v in enumerate(rows):
+                    out[r] = full.scores_for(v)
+        self.full_model = full
+        self.full_lists = np.zeros_like(mask)
+        # score of each user's l-th full-list item, -inf below l candidates
+        self._thr = np.empty(n)
+        for rows, lists, thr in self._lists(np.arange(n), score,
+                                            ds.item_counts > 0):
+            self.full_lists[rows] = lists
+            self._thr[rows] = thr
+        self.full_lists.flags.writeable = False
+
+    def _lists(self, rows, score, live):
+        """Yield (chunk, lists, l-th scores) for ``rows`` chunk by chunk.
+
+        ``score(chunk, out)`` fills a (len(chunk), m) buffer; a row's
+        candidates are the ``live`` items (those with a rater) it has not
+        rated.
+        """
+        ds = self.ds
+        _, mask = ds.dense
+        step = max(1, _CHUNK_BYTES // (8 * ds.n_items))
+        buf = np.empty((min(step, len(rows)), ds.n_items))
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            scores = buf[:len(chunk)]
+            score(chunk, scores)
+            cand = ~mask[chunk] & live
+            yield (chunk, *_top_lists(scores, cand, self.l))
+
+    def _means_without(self, u: int) -> np.ndarray:
+        """Means of u's items (``ds.user_items(u)``) once u is gone, -inf
+        for an item u alone rated; summed over the remaining raters in user
+        order exactly as the reduced dataset's ``item_sums`` sums them."""
+        ds = self.ds
+        items = ds.user_items(u)
+        lo, hi = self._item_ptr[items], self._item_ptr[items + 1]
+        sizes = hi - lo
+        seg = np.repeat(np.arange(len(items)), sizes)
+        pos = self._raters[np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+                           + np.arange(len(seg))]
+        keep = ds.user_idx[pos] != u
+        sums = np.bincount(seg[keep], weights=ds.values[pos[keep]],
+                           minlength=len(items))
+        counts = sizes - 1
+        return np.divide(sums, counts, out=np.full(len(items), -np.inf),
+                         where=counts > 0)
+
+    def _flagged(self, u: int, means) -> np.ndarray:
+        """Bool mask of the users whose kNN list removing u may change,
+        given the new means of u's items (``_means_without``); u is never
+        flagged."""
+        full = self.full_model
+        items = self.ds.user_items(u)
+        flags = np.any(full.neighbors == u, axis=1)
+        old = full.item_means[items]
+        changed = means != old
+        reach = np.maximum(old, means)[changed]
+        flags |= np.any(self._open[:, items[changed]]
+                        & (reach >= self._thr[:, None]), axis=1)
+        flags[u] = False
+        return flags
+
+    def _reduced_neighbors(self, rows, u: int):
+        """Neighbors (full user indices) and similarities of ``rows`` once
+        u is gone: each deep order with u dropped, cut to min(k, n - 2)."""
+        deep = self._deep[rows]
+        k = min(self.config.k, self.ds.n_users - 2)
+        cols = np.arange(k) + np.cumsum(deep == u, axis=1)[:, :k]
+        nbrs = np.take_along_axis(deep, cols, axis=1)
+        return nbrs, self.sim[rows[:, None], nbrs]
+
+    def _retrain(self, u: int):
+        """The factorization model of the data without u."""
+        reduced = drop_user(self.ds, u)
         if self.warm_start:
             p0 = np.delete(self.full_model.p, u, axis=0)
             return continue_nmf(reduced, p0, self.full_model.q,
@@ -144,45 +305,38 @@ class LeaveOneOutEngine:
                                 masked=self.config.masked)
         return self.config.train(reduced)
 
-    def _flagged(self, u: int, model) -> np.ndarray:
-        """Bool mask of the users whose list removing u may change; u is
-        never flagged."""
-        if self.config.algorithm != "knn":
-            flags = np.ones(self.ds.n_users, dtype=bool)
-        else:
-            full = self.full_model
-            flags = np.any(full.neighbors == u, axis=1)
-            new_counts = model.dataset.item_counts
-            changed = (self.ds.item_counts > 0) & (
-                (new_counts == 0) | (model.item_means != full.item_means))
-            items = np.flatnonzero(changed)
-            new = np.where(new_counts[items] > 0, model.item_means[items],
-                           -np.inf)
-            reach = np.maximum(full.item_means[items], new)
-            _, mask = self.ds.dense
-            rated = mask[:, items]
-            covered = np.any(rated[full.neighbors]
-                             & (full.neighbor_sims != 0)[:, :, None], axis=1)
-            flags |= np.any(~rated & ~covered
-                            & (reach >= self._thr[:, None]), axis=1)
-        flags[u] = False
-        return flags
-
     def distances_without(self, u: int) -> np.ndarray:
         """Jaccard distance of each other user's list after removing u.
 
         Entry v is the distance for original user v; entry u is 0, as is
         every entry of a user whose list the removal cannot change.
         """
-        reduced = drop_user(self.ds, u)
-        model = self._reduced_model(u, reduced)
-        dists = np.zeros(self.ds.n_users)
-        flagged = np.flatnonzero(self._flagged(u, model))
-        for v in flagged:
-            v_red = v if v < u else v - 1
-            after = frozenset(int(i) for i in top_items(model, v_red, self.l))
-            dists[v] = jaccard_distance(self.full_lists[v], after)
-        self.lists_rebuilt += len(flagged)
+        ds = self.ds
+        if ds.n_users < 2:
+            raise DatasetError("cannot remove the only user")
+        items = ds.user_items(u)
+        live = ds.item_counts > 0
+        live[items[ds.item_counts[items] == 1]] = False
+        if self.config.algorithm == "knn":
+            new_means = self._means_without(u)
+            rows = np.flatnonzero(self._flagged(u, new_means))
+            means = self.full_model.item_means.copy()
+            means[items] = new_means
+
+            def score(chunk, out):
+                nbrs, sims = self._reduced_neighbors(chunk, u)
+                _knn_scores(*ds.dense, nbrs, sims, means, out)
+        else:
+            model = self._retrain(u)
+            rows = np.delete(np.arange(ds.n_users), u)
+
+            def score(chunk, out):
+                for r, v in enumerate(chunk):
+                    out[r] = model.scores_for(v - (v > u))
+        dists = np.zeros(ds.n_users)
+        for chunk, lists, _ in self._lists(rows, score, live):
+            dists[chunk] = _jaccard_rows(lists, self.full_lists[chunk])
+        self.lists_rebuilt += len(rows)
         return dists
 
 

@@ -95,13 +95,24 @@ class RecommendationList:
     scores: tuple[float, ...]
 
 
+def _neighbor_order(sim_matrix: np.ndarray, depth: int) -> np.ndarray:
+    """Each user's first ``depth`` other users by similarity descending,
+    ties broken by ascending user index; (n, depth) int."""
+    n = len(sim_matrix)
+    idx = np.arange(n)
+    order = np.lexsort((np.broadcast_to(idx, (n, n)), -sim_matrix), axis=-1)
+    # each row holds its own index exactly once
+    return np.ascontiguousarray(
+        order[order != idx[:, None]].reshape(n, n - 1)[:, :depth])
+
+
 def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
               sim_matrix: np.ndarray | None = None) -> KnnModel:
     """Fit the neighborhood model.
 
     ``sim_matrix`` lets callers inject precomputed pairwise similarities
-    (they do not depend on third users, so leave-one-out retrains reuse them;
-    the features stage passes its beta2 matrix); else they are computed.
+    (the leave-one-out engine passes the matrix it keeps, the features stage
+    its beta2 matrix); else they are computed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -114,11 +125,7 @@ def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
     k_eff = min(k, n - 1)
     if sim_matrix is None:
         sim_matrix = user_similarity_matrix(ds, kind=similarity)
-    idx = np.arange(n)
-    order = np.lexsort((np.broadcast_to(idx, (n, n)), -sim_matrix), axis=-1)
-    # each row holds its own index exactly once
-    neighbors = np.ascontiguousarray(
-        order[order != idx[:, None]].reshape(n, n - 1)[:, :k_eff])
+    neighbors = _neighbor_order(sim_matrix, k_eff)
     neighbor_sims = np.take_along_axis(sim_matrix, neighbors, axis=1)
 
     counts = ds.item_counts

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recinfluence import influence
-from recinfluence.data import drop_user
+from recinfluence.data import DatasetError, RatingsDataset, drop_user
 from recinfluence.influence import (LeaveOneOutEngine, group_influence,
                                     influence_all, influence_oracle,
                                     jaccard_distance,
                                     prediction_shift_oracle)
-from recinfluence.recommender import ModelConfig, TrainingError, top_items
+from recinfluence.recommender import (ModelConfig, TrainingError,
+                                      continue_nmf, top_items, train_knn)
 
 import oracles
 from conftest import (build_dataset, clone_users_dataset, hub_dataset,
@@ -282,7 +283,7 @@ class TestEngineInternals:
     def test_reduced_lists_live_in_original_item_space(self, toy):
         engine = LeaveOneOutEngine(toy, KNN2, 2)
         reduced = drop_user(toy, 0)
-        model = engine._reduced_model(0, reduced)
+        model = engine.config.train(reduced)
         for v_red in range(4):
             items = top_items(model, v_red, 2)
             assert set(items) <= set(range(6))
@@ -295,11 +296,28 @@ class TestEngineInternals:
         ds = build_dataset(rows)
         engine = LeaveOneOutEngine(ds, ModelConfig("knn", k=1), 3)
         a = list(ds.user_ids).index("a")
-        reduced = drop_user(ds, a)
-        model = engine._reduced_model(a, reduced)
+        model = engine.config.train(drop_user(ds, a))
         only = list(ds.item_ids).index("only")
         for v_red in range(2):
             assert only not in top_items(model, v_red, 3)
+
+    @pytest.mark.parametrize("cfg", [KNN2, FLAKY_NMF], ids=["knn", "nmf"])
+    def test_only_user_cannot_be_removed(self, cfg):
+        ds = build_dataset([("a", "x", 5.0), ("a", "y", 3.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            engine = LeaveOneOutEngine(ds, cfg, 2)
+        with pytest.raises(DatasetError):
+            engine.distances_without(0)
+
+    def test_k_warnings_come_from_the_full_model_only(self):
+        ds = random_dataset(10, 20, 0.3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            influence_all(ds, ModelConfig("knn", k=9), 3)
+        with pytest.warns(UserWarning) as caught:
+            influence_all(ds, ModelConfig("knn", k=10), 3)
+        assert len(caught) == 1
 
 
 def single_rater_dataset():
@@ -326,35 +344,67 @@ def sparse_dataset(seed, n_users=12, n_items=30):
 
 
 def rebuilt_row(engine, u):
-    """Reference row: every other user's list rebuilt from the reduced
-    model, plus the users whose list changed."""
-    model = engine._reduced_model(u, drop_user(engine.ds, u))
+    """Reference row: every other user's list from a from-scratch retrain
+    on the reduced data, plus the users whose list changed."""
+    model = engine.config.train(drop_user(engine.ds, u))
     row = np.zeros(engine.ds.n_users)
     changed = set()
     for v_red in range(engine.ds.n_users - 1):
         v = v_red if v_red < u else v_red + 1
+        before = frozenset(int(i) for i in
+                           top_items(engine.full_model, v, engine.l))
         after = frozenset(int(i) for i in top_items(model, v_red, engine.l))
-        row[v] = jaccard_distance(engine.full_lists[v], after)
-        if after != engine.full_lists[v]:
+        row[v] = jaccard_distance(before, after)
+        if after != before:
             changed.add(v)
-    return row, changed, model
+    return row, changed
 
 
 def check_delta_rows(ds, cfg, l):
     engine = LeaveOneOutEngine(ds, cfg, l)
     n = ds.n_users
     for u in range(n):
-        expected, changed, model = rebuilt_row(engine, u)
+        expected, changed = rebuilt_row(engine, u)
         row = engine.distances_without(u)
         assert np.array_equal(row, expected)
-        flagged = engine._flagged(u, model)
+        flagged = engine._flagged(u, engine._means_without(u))
         assert not flagged[u]
         assert changed <= set(np.flatnonzero(flagged).tolist())
         if cfg.k >= n - 1:
             assert row[u] == 0.0
 
 
+def two_user_dataset():
+    """Removing either user leaves a model with no neighbors at all."""
+    rows = [("a", "x", 5.0), ("a", "y", 2.0), ("a", "z", 4.0),
+            ("b", "x", 4.0), ("b", "w", 3.0), ("b", "v", 1.0)]
+    return build_dataset(rows)
+
+
+def dense_dataset():
+    """u0 rated every item, so its candidate row is empty; each other user
+    skips one to three items, so every list is shorter than l = 4."""
+    rng = np.random.default_rng(4)
+    rows = [("u0", f"i{i}", float(rng.integers(1, 6))) for i in range(6)]
+    for u in range(1, 7):
+        skip = rng.choice(6, size=rng.integers(1, 4), replace=False)
+        rows += [(f"u{u}", f"i{i}", float(rng.integers(1, 6)))
+                 for i in range(6) if i not in skip]
+    return build_dataset(rows)
+
+
+def off_grid_dataset(seed=0, n_users=12, n_items=25, density=0.3):
+    """Ratings off the half-star grid, so sums depend on their order."""
+    ds = random_dataset(n_users, n_items, density, seed=seed)
+    values = np.random.default_rng(seed).uniform(1.0, 5.0, ds.n_ratings)
+    return RatingsDataset.build(ds.user_ids, ds.item_ids, ds.user_idx,
+                                ds.item_idx, values, r_min=1.0, r_max=5.0)
+
+
 DELTA_DATASETS = {
+    "two-users": two_user_dataset,
+    "dense": dense_dataset,
+    "off-grid": off_grid_dataset,
     "toy": toy_dataset,
     "clones": lambda: clone_users_dataset(n_users=6, n_items=8, seed=3),
     "mutual": mutual_disruption_dataset,
@@ -400,32 +450,32 @@ class TestDeltaEngine:
         solo = list(ds.item_ids).index("solo")
         engine = LeaveOneOutEngine(ds, ModelConfig("knn", k=1), 1)
         assert u not in engine.full_model.neighbors[a]
-        assert engine.full_lists[a] == {solo}
-        model = engine._reduced_model(u, drop_user(ds, u))
-        assert engine._flagged(u, model)[a]
+        assert set(np.flatnonzero(engine.full_lists[a])) == {solo}
+        assert engine._flagged(u, engine._means_without(u))[a]
         assert engine.distances_without(u)[a] == 1.0
 
     def test_rebuilds_fewer_lists_than_full_pass(self, monkeypatch):
         ds = random_dataset(60, 200, 0.03, seed=0)
         n = ds.n_users
-        calls = []
+        built = []
+        real = influence._top_lists
 
-        def counting_top_items(model, u, l):
-            calls.append(u)
-            return top_items(model, u, l)
+        def counting_top_lists(scores, cand, l):
+            built.append(len(scores))
+            return real(scores, cand, l)
 
         knn = LeaveOneOutEngine(ds, ModelConfig("knn", k=5), 10)
         nmf = LeaveOneOutEngine(ds, ModelConfig("nmf", factors=3, seed=1,
                                                 n_iters=10), 10)
-        monkeypatch.setattr(influence, "top_items", counting_top_items)
+        monkeypatch.setattr(influence, "_top_lists", counting_top_lists)
         for u in range(n):
             knn.distances_without(u)
-        assert len(calls) < n * (n - 1)
-        assert knn.lists_rebuilt == len(calls)
-        calls.clear()
+        assert 0 < sum(built) < n * (n - 1)
+        assert knn.lists_rebuilt == sum(built)
+        built.clear()
         for u in range(3):
             nmf.distances_without(u)
-        assert len(calls) == nmf.lists_rebuilt == 3 * (n - 1)
+        assert sum(built) == nmf.lists_rebuilt == 3 * (n - 1)
 
     def test_report_counts_rebuilt_lists_outside_meta(self, toy):
         report = influence_all(toy, ModelConfig("knn", k=1), 2)
@@ -433,3 +483,95 @@ class TestDeltaEngine:
         assert "lists_rebuilt" not in report.to_meta()
         nmf = influence_all(toy, FLAKY_NMF, 2)
         assert nmf.lists_rebuilt == 5 * 4
+
+
+def item_sets(rng, rows, m):
+    a = np.zeros((rows, m), dtype=bool)
+    for r in range(rows):
+        a[r, rng.choice(m, size=rng.integers(0, 11), replace=False)] = True
+    return a
+
+
+class TestOnePassParts:
+    """Each part of the engine's kNN delta and list builder against the
+    from-scratch route it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
+    @pytest.mark.parametrize("similarity", ["pearson", "cosine"])
+    def test_reduced_neighbors_and_means_equal_retrain(self, name,
+                                                       similarity):
+        ds = DELTA_DATASETS[name]()
+        n = ds.n_users
+        for k in sorted({1, 3, n - 1, n + 5}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                engine = LeaveOneOutEngine(ds, ModelConfig(
+                    "knn", k=k, similarity=similarity), 4)
+                for u in range(n):
+                    model = train_knn(drop_user(ds, u), k, similarity)
+                    nbrs, sims = engine._reduced_neighbors(
+                        np.delete(np.arange(n), u), u)
+                    assert np.array_equal(nbrs - (nbrs > u), model.neighbors)
+                    assert np.array_equal(sims, model.neighbor_sims)
+                    items = ds.user_items(u)
+                    means = engine._means_without(u)
+                    kept = model.dataset.item_counts[items] > 0
+                    assert np.array_equal(means[kept],
+                                          model.item_means[items[kept]])
+                    assert np.all(means[~kept] == -np.inf)
+
+    @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
+    def test_block_scores_equal_scores_for(self, name):
+        ds = DELTA_DATASETS[name]()
+        model = train_knn(ds, min(3, ds.n_users - 1))
+        out = np.empty((ds.n_users, ds.n_items))
+        influence._knn_scores(*ds.dense, model.neighbors,
+                              model.neighbor_sims, model.item_means, out)
+        expected = [model.scores_for(v) for v in range(ds.n_users)]
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
+    def test_one_pass_lists_equal_top_items(self, name):
+        ds = DELTA_DATASETS[name]()
+        nmf = ModelConfig("nmf", factors=2, seed=3, n_iters=20)
+        full = nmf.train(ds)
+        warm = continue_nmf(drop_user(ds, 0), np.delete(full.p, 0, axis=0),
+                            full.q, nmf.seed, 5)
+        for model in (train_knn(ds, min(3, ds.n_users - 1)), full, warm):
+            _, mask = model.dataset.dense
+            cand = ~mask & (model.dataset.item_counts > 0)
+            scores = np.array([model.scores_for(v)
+                               for v in range(len(mask))])
+            for l in (1, 4, 10):
+                lists, thr = influence._top_lists(scores.copy(), cand, l)
+                for v in range(len(mask)):
+                    expected = top_items(model, v, l)
+                    assert np.array_equal(np.flatnonzero(lists[v]),
+                                          np.sort(expected))
+                    short = len(expected) < l
+                    assert thr[v] == (-np.inf if short
+                                      else scores[v, expected[-1]])
+
+    @pytest.mark.parametrize("algorithm", ["knn", "nmf"])
+    @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
+    def test_engine_full_lists_equal_top_items(self, name, algorithm):
+        ds = DELTA_DATASETS[name]()
+        cfg = ModelConfig(algorithm, k=min(3, ds.n_users - 1), factors=2,
+                          seed=3, n_iters=20)
+        engine = LeaveOneOutEngine(ds, cfg, 4)
+        for v in range(ds.n_users):
+            expected = top_items(engine.full_model, v, 4)
+            assert np.array_equal(np.flatnonzero(engine.full_lists[v]),
+                                  np.sort(expected))
+
+    def test_integer_jaccard_equals_set_formula(self):
+        rng = np.random.default_rng(0)
+        a, b = item_sets(rng, 300, 30), item_sets(rng, 300, 30)
+        a[:2] = False               # both empty, then one empty
+        b[0] = False
+        b[1, 5] = True
+        a[2, 7], b[2] = True, False  # the other one empty
+        expected = [jaccard_distance(np.flatnonzero(x), np.flatnonzero(y))
+                    for x, y in zip(a, b)]
+        assert expected[:3] == [0.0, 1.0, 1.0]
+        assert np.array_equal(influence._jaccard_rows(a, b), expected)
