@@ -211,12 +211,15 @@ def cmd_evaluate(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_influence(args, cfg: dict, out: Path) -> int:
-    # refuse bad group-curve options before the audit runs
+    # refuse bad options before the audit runs
     thetas = _numbers(cfg, "influence.thetas", float)
     top_ks = _numbers(cfg, "influence.top_k", int)
     if any(t < 1 for t in top_ks):
         raise ValueError(f"influence.top_k must be at least 1, got "
                          f"{cfg['influence.top_k']!r}")
+    if cfg["influence.warm_iters"] < 1:
+        raise ValueError(f"influence.warm_iters must be at least 1, got "
+                         f"{cfg['influence.warm_iters']!r}")
     ds = _load(cfg, args.dataset)
     report = influence.influence_all(
         ds, model_config(cfg), cfg["list.length"],
@@ -233,8 +236,12 @@ def cmd_influence(args, cfg: dict, out: Path) -> int:
                                              out / "group_influence.csv")
     artifacts.write_sidecar(gpath, cfg, ds_hash, report.to_meta())
     n = ds.n_users
-    print(f"influence computed for {n} users ({len(report.failures)} "
-          f"failures; {report.lists_rebuilt} of {n * (n - 1)} lists rebuilt)")
+    line = (f"influence computed for {n} users ({len(report.failures)} "
+            f"failures; {report.lists_rebuilt} of {n * (n - 1)} lists rebuilt")
+    if report.config.algorithm == "nmf":
+        line += (f"; {report.nmf_iters} NMF iterations, "
+                 f"{report.nmf_early_stops} early stops")
+    print(line + ")")
     return 0
 
 

@@ -51,9 +51,12 @@ class InfluenceReport:
     # (n, n): row u holds each user's list distance after removing u, NaN
     # where that removal failed; None for reports rebuilt from a CSV
     distances: np.ndarray | None = None
-    # top-l lists the removals rebuilt; kept out of to_meta so artifacts
-    # stay free of run statistics
+    # top-l lists the removals rebuilt, and the NMF iterations and early
+    # stops of their retrains; kept out of to_meta so artifacts stay free
+    # of run statistics
     lists_rebuilt: int = 0
+    nmf_iters: int = 0
+    nmf_early_stops: int = 0
 
     @property
     def n_users(self) -> int:
@@ -185,7 +188,8 @@ class LeaveOneOutEngine:
     Lists are built in chunks of rows: each chunk is scored into one
     buffer, ranked by ``_top_lists`` and compared with the full lists by
     integer Jaccard counts. ``lists_rebuilt`` counts the lists rebuilt by
-    removals so far.
+    removals so far, ``nmf_iters`` and ``nmf_early_stops`` the iterations
+    and early stops of the retrains that finished.
     """
 
     def __init__(self, ds: RatingsDataset, config: ModelConfig, l: int,
@@ -196,6 +200,8 @@ class LeaveOneOutEngine:
         self.warm_start = warm_start
         self.warm_iters = warm_iters
         self.lists_rebuilt = 0
+        self.nmf_iters = 0
+        self.nmf_early_stops = 0
         n = ds.n_users
         _, mask = ds.dense
         if config.algorithm == "knn":
@@ -296,14 +302,20 @@ class LeaveOneOutEngine:
         return nbrs, self.sim[rows[:, None], nbrs]
 
     def _retrain(self, u: int):
-        """The factorization model of the data without u."""
+        """The factorization model of the data without u; counts its
+        iterations and whether it stopped early."""
         reduced = drop_user(self.ds, u)
         if self.warm_start:
             p0 = np.delete(self.full_model.p, u, axis=0)
-            return continue_nmf(reduced, p0, self.full_model.q,
-                                self.config.seed, self.warm_iters,
-                                masked=self.config.masked)
-        return self.config.train(reduced)
+            model = continue_nmf(reduced, p0, self.full_model.q,
+                                 self.config.seed, self.warm_iters,
+                                 masked=self.config.masked)
+        else:
+            model = self.config.train(reduced)
+        iters = len(model.objective_history) - 1
+        self.nmf_iters += iters
+        self.nmf_early_stops += int(iters < model.n_iters)
+        return model
 
     def distances_without(self, u: int) -> np.ndarray:
         """Jaccard distance of each other user's list after removing u.
@@ -390,7 +402,8 @@ def influence_all(ds: RatingsDataset, config: ModelConfig, l: int,
     influence.flags.writeable = False
     distances.flags.writeable = False
     return InfluenceReport(config, l, influence, _rank_users(influence),
-                           tuple(failures), distances, engine.lists_rebuilt)
+                           tuple(failures), distances, engine.lists_rebuilt,
+                           engine.nmf_iters, engine.nmf_early_stops)
 
 
 def group_influence(report: InfluenceReport, top_k: int,

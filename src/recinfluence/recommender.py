@@ -148,21 +148,43 @@ _EPS = 1e-12
 
 
 def _nmf_objective(m, w, pq) -> float:
-    resid = w * (m - pq)
-    return float(np.sum(resid * resid))
+    """Sum of squares of w * (m - pq), in one (n, m) buffer."""
+    resid = np.subtract(m, pq)
+    resid *= w
+    resid *= resid
+    return float(np.sum(resid))
 
 
 def _nmf_iterate(m, w, p, q, n_iters, rel_tol, history):
-    """Alternating multiplicative updates; appends objectives to history."""
-    wm = w * m
-    pq = p @ q.T
+    """Alternating multiplicative updates; appends objectives to history.
+
+    Preconditions: ``w`` holds only 0 and 1, and ``m`` is +0 wherever ``w``
+    is 0 (``_fit_nmf`` passes the float mask or all ones with the dense
+    ratings). Then ``w * m`` equals ``m`` bit for bit, so the updates read
+    ``m`` itself.
+
+    The loop allocates no (n, m) array. After each factor update, ``p @
+    q.T`` goes into ``pq`` and ``w * pq`` into ``wpq``. The ``wpq`` taken
+    after the q update serves this iteration's objective and the next p
+    update. The objective squares ``m - wpq`` in ``pq``, which is dead
+    until the next product. Where ``w`` is 1 that residual is the same
+    arithmetic as ``w * (m - pq)``; where it is 0 one gives 0 - 0 = +0 and
+    the other ``0 * (0 - pq)`` = +-0, and both square to +0. So every
+    factor and objective is bit-identical to the route with fresh
+    temporaries.
+    """
+    pq = np.matmul(p, q.T)
+    wpq = np.multiply(w, pq)
     for _ in range(n_iters):
-        p = p * ((wm @ q) / ((w * pq) @ q + _EPS))
-        pq = p @ q.T
-        q = q * ((wm.T @ p) / ((w * pq).T @ p + _EPS))
-        # serves both this objective and the next iteration's p update
-        pq = p @ q.T
-        obj = _nmf_objective(m, w, pq)
+        p = p * ((m @ q) / (wpq @ q + _EPS))
+        np.matmul(p, q.T, out=pq)
+        np.multiply(w, pq, out=wpq)
+        q = q * ((m.T @ p) / (wpq.T @ p + _EPS))
+        np.matmul(p, q.T, out=pq)
+        np.multiply(w, pq, out=wpq)
+        np.subtract(m, wpq, out=pq)
+        pq *= pq
+        obj = float(np.sum(pq))
         prev = history[-1]
         if obj > prev + 1e-9:
             raise TrainingError(
@@ -219,6 +241,8 @@ def continue_nmf(ds: RatingsDataset, p0: np.ndarray, q0: np.ndarray,
         raise ValueError("factor shapes do not match dataset")
     if p0.shape[1] != q0.shape[1]:
         raise ValueError("factor rank mismatch")
+    if n_iters < 1:
+        raise ValueError("n_iters must be >= 1")
     p = np.array(p0, dtype=np.float64)
     q = np.array(q0, dtype=np.float64)
     return _fit_nmf(ds, p, q, seed, n_iters, 0.0, masked)

@@ -126,6 +126,52 @@ def knn_loo_influence(ds, u, k, l, kind="pearson"):
     return total
 
 
+def nmf_objective(m, w, pq):
+    resid = w * (m - pq)
+    return float(np.sum(resid * resid))
+
+
+def nmf_iterate(m, w, p, q, n_iters, rel_tol, history):
+    """Literal multiplicative updates: ``w * m`` formed explicitly and a
+    fresh array for every product and residual. Same update order, epsilon
+    and stopping rules as the package, so its lean loop must match this
+    bit for bit. A rising objective raises RuntimeError with the package's
+    message."""
+    wm = w * m
+    pq = p @ q.T
+    for _ in range(n_iters):
+        p = p * ((wm @ q) / ((w * pq) @ q + 1e-12))
+        pq = p @ q.T
+        q = q * ((wm.T @ p) / ((w * pq).T @ p + 1e-12))
+        pq = p @ q.T
+        obj = nmf_objective(m, w, pq)
+        prev = history[-1]
+        if obj > prev + 1e-9:
+            raise RuntimeError(f"objective increased from {prev} to {obj}")
+        history.append(obj)
+        if rel_tol and prev > 0 and (prev - obj) / prev < rel_tol:
+            break
+    return p, q
+
+
+def nmf_fit(ds, p, q, n_iters, rel_tol, masked=True):
+    """(p, q, objective history) of ``nmf_iterate`` from the given start."""
+    ratings, mask = ds.dense
+    w = mask.astype(np.float64) if masked else np.ones_like(ratings)
+    history = [nmf_objective(ratings, w, p @ q.T)]
+    p, q = nmf_iterate(ratings, w, p, q, n_iters, rel_tol, history)
+    return p, q, tuple(history)
+
+
+def nmf_start(ds, factors, seed):
+    """The seeded starting factors ``train_nmf`` documents."""
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(ds.global_mean / factors)
+    p = rng.random((ds.n_users, factors)) * scale
+    q = rng.random((ds.n_items, factors)) * scale
+    return p, q
+
+
 def exhaustive_tree(x, y, max_depth, min_samples_leaf):
     """Plain recursive CART with exhaustive midpoint split search.
 

@@ -33,8 +33,8 @@ def ingest_toy(tmp_path):
     return out
 
 
-def ingest_random(tmp_path, n_users=30, n_items=50, seed=7):
-    ds = random_dataset(n_users, n_items, 0.2, seed=seed)
+def ingest_random(tmp_path, n_users=30, n_items=50, seed=7, density=0.2):
+    ds = random_dataset(n_users, n_items, density, seed=seed)
     raw = tmp_path / "random.csv"
     raw.write_text("".join(
         f"{ds.user_ids[u]},{ds.item_ids[i]},{v}\n"
@@ -168,6 +168,31 @@ class TestInfluenceCommand:
             f"influence computed for 5 users (0 failures; {rebuilt} of 20 "
             "lists rebuilt)")
 
+    def test_closing_line_counts_nmf_iterations(self, tmp_path, capsys):
+        out = ingest_toy(tmp_path)
+        capsys.readouterr()
+        assert main(["influence", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "nmf", "--factors", "2", "--iters", "15",
+                     "--l", "2", "--top-k", "1", "--out-dir", str(out)]) == 0
+        # five retrains, each running all 15 iterations
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "influence computed for 5 users (0 failures; 20 of 20 lists "
+            "rebuilt; 75 NMF iterations, 0 early stops)")
+
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_warm_iters_below_one_exits_2_before_audit(self, tmp_path,
+                                                       capsys, iters):
+        out = ingest_toy(tmp_path)
+        capsys.readouterr()
+        assert main(["influence", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "nmf", "--factors", "2", "--iters", "15",
+                     "--l", "2", "--warm-start", "--warm-iters", iters,
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: influence.warm_iters must be at least 1, got {iters}\n")
+        assert not (out / "influence.csv").exists()
+        assert not (out / "group_influence.csv").exists()
+
     def test_group_curve_schema_and_monotonicity(self, tmp_path):
         out = ingest_toy(tmp_path)
         assert main(["influence", "--dataset", str(out / "dataset.tsv"),
@@ -253,6 +278,29 @@ class TestFeatureAndTreeCommands:
                  "--l", "10", "--out-dir", str(d)],
                 env=env, check=True, capture_output=True, timeout=300)
             blobs.append((d / "features.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_nmf_bytes_equal_across_blas_threads(self, tmp_path):
+        # nmf-loo's shape and model settings; the audit retrains per removal
+        work = ingest_random(tmp_path, n_users=100, n_items=200, seed=17,
+                             density=0.05)
+        src = str(Path(recinfluence.__file__).resolve().parents[1])
+        names = ("model.tsv", "influence.csv", "group_influence.csv")
+        blobs = []
+        for threads in ("1", "2"):
+            d = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            model = ["--dataset", str(work / "dataset.tsv"), "--algo", "nmf",
+                     "--factors", "8", "--iters", "40", "--out-dir", str(d)]
+            for stage in (["train"], ["influence", "--l", "10",
+                                      "--top-k", "10,50"]):
+                subprocess.run(
+                    [sys.executable, "-m", "recinfluence", *stage, *model],
+                    env=env, check=True, capture_output=True, timeout=300)
+            blobs.append([(d / name).read_bytes() for name in names])
         assert blobs[0] == blobs[1]
 
     def test_zero_quantile_epsilon_exits_2(self, tmp_path, capsys):

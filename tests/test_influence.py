@@ -484,6 +484,34 @@ class TestDeltaEngine:
         nmf = influence_all(toy, FLAKY_NMF, 2)
         assert nmf.lists_rebuilt == 5 * 4
 
+    def test_report_counts_nmf_iterations_outside_meta(self):
+        # nmf-loo's model settings on smaller data: 8 factors, 40
+        # iterations and the default rel_tol run every retrain to the end
+        ds = random_dataset(20, 40, 0.1, seed=2)
+        report = influence_all(ds, ModelConfig("nmf", factors=8, seed=1,
+                                               n_iters=40), 10)
+        assert not report.failures
+        assert report.nmf_iters == 20 * 40
+        assert report.nmf_early_stops == 0
+        meta = report.to_meta()
+        assert "nmf_iters" not in meta and "nmf_early_stops" not in meta
+        warm = influence_all(ds, ModelConfig("nmf", factors=8, seed=1,
+                                             n_iters=40), 10,
+                             warm_start=True, warm_iters=6)
+        assert (warm.nmf_iters, warm.nmf_early_stops) == (20 * 6, 0)
+        knn = influence_all(ds, KNN2, 10)
+        assert (knn.nmf_iters, knn.nmf_early_stops) == (0, 0)
+
+    def test_report_counts_early_stops(self):
+        ds = random_dataset(12, 30, 0.15, seed=4)
+        cfg = ModelConfig("nmf", factors=3, seed=2, n_iters=500, rel_tol=1e-3)
+        report = influence_all(ds, cfg, 5)
+        engine = LeaveOneOutEngine(ds, cfg, 5)
+        lengths = [len(engine._retrain(u).objective_history) - 1
+                   for u in range(ds.n_users)]
+        assert report.nmf_iters == sum(lengths)
+        assert report.nmf_early_stops == sum(n < 500 for n in lengths) > 0
+
 
 def item_sets(rng, rows, m):
     a = np.zeros((rows, m), dtype=bool)

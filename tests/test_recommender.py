@@ -401,6 +401,116 @@ class TestTrainNmf:
         with pytest.raises(ValueError):
             train_nmf(toy, 2, seed=1, n_iters=0)
 
+    @pytest.mark.parametrize("n_iters", [0, -5])
+    def test_continue_refuses_fewer_than_one_iteration(self, toy, n_iters):
+        model = train_nmf(toy, 2, seed=1, n_iters=5)
+        with pytest.raises(ValueError, match="n_iters must be >= 1"):
+            continue_nmf(toy, model.p, model.q, seed=1, n_iters=n_iters)
+
+
+def _sole_rater_removed():
+    """A reduced dataset holding an item nobody rates any more."""
+    ds = random_dataset(20, 30, 0.15, seed=5)
+    item = int(np.flatnonzero(ds.item_counts == 1)[0])
+    _, mask = ds.dense
+    reduced = drop_user(ds, int(np.flatnonzero(mask[:, item])[0]))
+    assert reduced.item_counts[item] == 0
+    return reduced
+
+
+NMF_EDGE_CASES = {
+    "one-user": lambda: build_dataset([("a", "x", 5.0), ("a", "y", 2.0),
+                                       ("a", "z", 4.0)]),
+    "unrated-item": _sole_rater_removed,
+    "user-rated-all": lambda: hub_dataset(15, 25, hub_fraction=1.0,
+                                          profile=3, seed=2),
+    "factors-above-rank": toy_dataset,
+}
+
+
+class TestLeanNmfLoop:
+    """The shared-buffer loop against ``oracles.nmf_iterate``, which
+    forms every product and residual afresh: bit for bit."""
+
+    def assert_fit_matches(self, model, ds, p0, q0, n_iters, rel_tol):
+        p, q, history = oracles.nmf_fit(ds, p0, q0, n_iters, rel_tol,
+                                        model.masked)
+        assert np.array_equal(model.p, p)
+        assert np.array_equal(model.q, q)
+        assert model.objective_history == history
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_train_matches_reference(self, masked):
+        ds = random_dataset(40, 70, 0.1, seed=3)
+        model = train_nmf(ds, 5, 9, n_iters=30, rel_tol=0.0, masked=masked)
+        self.assert_fit_matches(model, ds, *oracles.nmf_start(ds, 5, 9),
+                                30, 0.0)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_warm_start_matches_reference(self, masked):
+        ds = random_dataset(30, 50, 0.15, seed=4)
+        full = train_nmf(ds, 4, 2, n_iters=25, masked=masked)
+        reduced = drop_user(ds, 7)
+        p0 = np.delete(full.p, 7, axis=0)
+        model = continue_nmf(reduced, p0, full.q, 2, 12, masked=masked)
+        self.assert_fit_matches(model, reduced, p0, full.q, 12, 0.0)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_early_stop_matches_reference(self, masked):
+        ds = random_dataset(30, 50, 0.15, seed=6)
+        model = train_nmf(ds, 3, 4, n_iters=500, rel_tol=1e-3,
+                          masked=masked)
+        assert len(model.objective_history) - 1 < 500
+        self.assert_fit_matches(model, ds, *oracles.nmf_start(ds, 3, 4),
+                                500, 1e-3)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("case", sorted(NMF_EDGE_CASES))
+    def test_edge_cases_match_reference(self, case, masked):
+        ds = NMF_EDGE_CASES[case]()
+        factors = 8 if case == "factors-above-rank" else 2
+        model = train_nmf(ds, factors, 1, n_iters=40, rel_tol=0.0,
+                          masked=masked)
+        self.assert_fit_matches(model, ds,
+                                *oracles.nmf_start(ds, factors, 1), 40, 0.0)
+
+    def test_divergence_message_matches_reference(self, toy):
+        from recinfluence.recommender import _nmf_iterate
+        ratings, mask = toy.dense
+        w = mask.astype(float)
+        rng = np.random.default_rng(0)
+        p, q = rng.random((5, 2)), rng.random((6, 2))
+        # a fabricated "previous objective" below any reachable value
+        with pytest.raises(TrainingError) as lean:
+            _nmf_iterate(ratings, w, p, q, 1, 0.0, [-1.0])
+        with pytest.raises(RuntimeError) as ref:
+            oracles.nmf_iterate(ratings, w, p, q, 1, 0.0, [-1.0])
+        assert str(lean.value) == str(ref.value)
+        assert str(lean.value).startswith("objective increased from -1.0 to ")
+
+    def test_no_per_iteration_temporaries(self):
+        # nmf-loo's shape: 100 x 200, 8 factors, 40 iterations
+        ds = random_dataset(100, 200, 0.05, seed=1)
+        ratings, _ = ds.dense
+
+        def peak(fit):
+            tracemalloc.start()
+            try:
+                fit()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lean = peak(lambda: train_nmf(ds, 8, 1, n_iters=40, rel_tol=0.0))
+        p0, q0 = oracles.nmf_start(ds, 8, 1)
+        reference = peak(lambda: oracles.nmf_fit(ds, p0, q0, 40, 0.0))
+        assert lean < reference
+        # Three (n, m) float buffers: the weights, pq and w * pq. The
+        # factor-sized temporaries of one update stay below a fourth.
+        factor_bytes = (ds.n_users + ds.n_items) * 8 * 8
+        assert 6 * factor_bytes < ratings.nbytes
+        assert lean <= 3 * ratings.nbytes + 6 * factor_bytes
+
 
 class TestRecommend:
     def test_forced_single_choice(self):
