@@ -42,9 +42,12 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def dataset_hash(ds: RatingsDataset) -> str:
-    """Content hash over the canonical dump that ``save_dataset`` writes."""
-    return hashlib.sha256(_dump_text(ds).encode()).hexdigest()
+def dataset_hash(ds: RatingsDataset, text: str | None = None) -> str:
+    """Content hash over the canonical dump that ``save_dataset`` writes;
+    ``text`` is that dump when the caller has already built it."""
+    if text is None:
+        text = _dump_text(ds)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def write_sidecar(artifact_path, config: dict, ds_hash: str,

@@ -310,16 +310,25 @@ def _dump_text(ds: RatingsDataset) -> str:
     """The canonical dump text, one line per rating in (user, item) order.
 
     Each line holds the user index, the item index and the ``repr`` of the
-    rating, separated by tabs.
+    rating, separated by tabs. The values are formatted as the Python ints
+    and floats ``tolist`` gives, which print as their numpy scalars do.
     """
-    return "".join(f"{u}\t{i}\t{repr(float(v))}\n"
-                   for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values))
+    return "".join(f"{u}\t{i}\t{v!r}\n"
+                   for u, i, v in zip(ds.user_idx.tolist(),
+                                      ds.item_idx.tolist(),
+                                      ds.values.tolist()))
 
 
-def save_dataset(ds: RatingsDataset, tsv_path) -> Path:
-    """Write the canonical 3-column dump plus its JSON sidecar."""
+def save_dataset(ds: RatingsDataset, tsv_path,
+                 text: str | None = None) -> Path:
+    """Write the canonical 3-column dump plus its JSON sidecar.
+
+    ``text`` is ``_dump_text(ds)`` when the caller has already built it.
+    """
     tsv_path = Path(tsv_path)
-    tsv_path.write_text(_dump_text(ds), encoding="utf-8")
+    if text is None:
+        text = _dump_text(ds)
+    tsv_path.write_text(text, encoding="utf-8")
     sidecar = {
         "user_ids": list(ds.user_ids),
         "item_ids": list(ds.item_ids),

@@ -11,6 +11,26 @@ interface:
   beta6  median popularity (rater count) of the items in I_u
   beta7  similarity of u to the centroid user (per-item mean ratings)
   beta8  mean pairwise distance between the items in I_u
+
+The one-user functions (``centrality``, ``intra_profile_distance``, ...)
+are the reference definitions. ``extract_all`` computes each column for
+all users in whole-array passes that give the same bits:
+
+- beta2 and beta5 reduce rows of an n x n matrix with the diagonal
+  dropped, so each row holds the same n - 1 contiguous values in the same
+  order as ``np.delete(row, u)``, and a row mean is the same pairwise sum.
+  beta4 counts a whole distance row and subtracts its zero diagonal.
+- beta6 and beta7 group users by profile size t and gather each group as
+  a (users, t) array; a row sum over t contiguous values adds in the same
+  pairwise order as ``np.sum`` over one profile.
+- beta8 with item cosine, when every rating is a multiple of 0.5 and
+  n * max|2r|**2 < 2**24, slices one float32 Gram matrix h.T @ h of the
+  doubled ratings h = 2r (m * m * 4 bytes). Every partial sum is an integer
+  below 2**24, so each entry is exact whatever order or thread count BLAS
+  uses, and 0.25 times it is the float64 product the reference forms.
+  Other ratings keep the reference's per-profile product and column norms.
+- beta8 with item Pearson scores every item pair once and looks up each
+  profile's pairs: a pair's value depends on its two columns alone.
 """
 
 from __future__ import annotations
@@ -21,11 +41,18 @@ import numpy as np
 
 from .data import RatingsDataset
 from .recommender import KnnModel
-from .similarity import (_similarity_rows, item_distance_submatrix,
+from .similarity import (SHRINK_COUNT, _bounded_ratio, _pearson_parts,
+                         _similarity_rows, item_distance_submatrix,
                          user_distance_matrix, user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
+# Rows per chunk keep each (rows, n_users) float buffer near this many bytes.
+_CHUNK_BYTES = 64 * 1024
+# The doubled-rating Gram is exact while n * max|2r|**2 stays below this.
+_GRAM_LIMIT = 2.0 ** 24
+# Item pairs per batch of beta8 profiles.
+_BATCH_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -101,6 +128,7 @@ def recommendation_overlaps(ds: RatingsDataset, lists) -> np.ndarray:
     with fewer than 2**24 items every partial count is an exact float32.
     The Jaccard values are the same integer ratios, and each row's mean runs
     over v != u in order, so every value is the reference's to the bit.
+    Rows go a chunk at a time, so the temporaries stay a few chunk rows.
     """
     n, m = ds.n_users, ds.n_items
     out = np.zeros(n)
@@ -108,18 +136,21 @@ def recommendation_overlaps(ds: RatingsDataset, lists) -> np.ndarray:
         return out
     counts = np.float32 if m < 2 ** 24 else np.float64
     listed = np.zeros((n, m), dtype=counts)
-    for v, items in enumerate(lists):
-        listed[v, [int(i) for i in items]] = 1
-    _, rated = ds.dense
-    inter = rated.astype(counts) @ listed.T
+    lengths = [len(items) for items in lists]
+    listed[np.repeat(np.arange(n), lengths),
+           np.fromiter((int(i) for items in lists for i in items),
+                       dtype=np.int64, count=sum(lengths))] = 1
     sizes = listed.sum(axis=1, dtype=np.int64)
-    for u in range(n):
-        shared = np.delete(inter[u], u).astype(np.int64)
-        union = ds.user_counts[u] + np.delete(sizes, u) - shared
-        jaccard = np.zeros(n - 1)
-        ok = union > 0
-        jaccard[ok] = shared[ok] / union[ok]
-        out[u] = np.mean(jaccard)
+    _, rated = ds.dense
+    for rows in _row_chunks(n):
+        shared = _drop_self(rated[rows].astype(counts) @ listed.T,
+                            rows).astype(np.int64)
+        union = (ds.user_counts[rows, None]
+                 + _drop_self(np.broadcast_to(sizes, (len(rows), n)), rows)
+                 - shared)
+        jaccard = np.divide(shared, union, out=np.zeros(shared.shape),
+                            where=union > 0)
+        out[rows] = jaccard.mean(axis=1)
     return out
 
 
@@ -180,6 +211,122 @@ def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
     return epsilon
 
 
+def _row_chunks(n: int):
+    """Consecutive user index ranges whose (rows, n) float rows fill about
+    ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        yield np.arange(lo, min(lo + step, n))
+
+
+def _drop_self(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``block`` (one row per user in ``rows``, one column per user) without
+    each row's own column: row r is ``np.delete(block[r], rows[r])``, as one
+    contiguous (len(rows), n - 1) array."""
+    keep = np.arange(block.shape[1]) != rows[:, None]
+    return block[keep].reshape(len(rows), -1)
+
+
+def _size_groups(ds: RatingsDataset):
+    """(users, positions) per profile size t: the users rating t items and
+    the (users, t) positions of their ratings in ``ds.item_idx`` and
+    ``ds.values``."""
+    counts = ds.user_counts
+    for t in np.unique(counts):
+        users = np.flatnonzero(counts == t)
+        yield users, ds._user_ptr[users, None] + np.arange(t)
+
+
+def _centroid_similarities(x: np.ndarray, y: np.ndarray,
+                           similarity: str) -> np.ndarray:
+    """beta7 of the rows of ``x`` (users, t) against their item means ``y``.
+
+    The sums are ``_similarity_loop``'s for one fully observed pair, each a
+    row sum over t contiguous values, so every score is
+    ``centroid_similarity``'s to the bit.
+    """
+    if similarity == "pearson":
+        nc = np.full(len(x), x.shape[1])
+        num, denom, ok = _pearson_parts(
+            nc, np.sum(x, axis=1), np.sum(y, axis=1), np.sum(x * x, axis=1),
+            np.sum(y * y, axis=1), np.sum(x * y, axis=1))
+        return _bounded_ratio(num, denom, ok, nc, SHRINK_COUNT)
+    if similarity != "cosine":
+        raise ValueError(f"unknown similarity {similarity!r}")
+    num = np.sum(x * y, axis=1)
+    denom = (np.sqrt(np.sum(x * x, axis=1))
+             * np.sqrt(np.sum(y * y, axis=1)))
+    return _bounded_ratio(num, denom, denom > 0)
+
+
+def _cosine_gram(ds: RatingsDataset) -> np.ndarray | None:
+    """h.T @ h as float32 for the doubled ratings h = 2r, or None unless
+    every rating is a multiple of 0.5 and n * max|2r|**2 < 2**24.
+
+    Under that bound every entry and partial sum is an integer below 2**24,
+    so the product is exact in any order; 0.25 times an entry is the
+    float64 column product ``item_distance_submatrix`` forms.
+    """
+    doubled = ds.values * 2
+    if not (np.array_equal(np.rint(doubled), doubled)
+            and ds.n_users * float(np.abs(doubled).max()) ** 2
+            < _GRAM_LIMIT):
+        return None
+    h = np.zeros((ds.n_users, ds.n_items), dtype=np.float32)
+    h[ds.user_idx, ds.item_idx] = doubled
+    return h.T @ h
+
+
+def _intra_profile_distances(ds: RatingsDataset,
+                             item_distance: str) -> np.ndarray:
+    """beta8 of every user, bit-identical to ``intra_profile_distance``.
+
+    Item cosine slices ``_cosine_gram`` when it exists and otherwise runs
+    the reference per profile. Item Pearson scores all item pairs once; a
+    pair's value depends on its two columns alone, on either kernel path.
+    Profiles of one size t go together, about ``_BATCH_ENTRIES`` item
+    pairs at a time: row r of a batch holds user r's t(t-1)/2 pairs in
+    ``np.triu_indices`` order, one contiguous row that ``np.mean`` reduces
+    as it reduces the reference's upper triangle.
+    """
+    out = np.zeros(ds.n_users)
+    if item_distance == "cosine":
+        gram = _cosine_gram(ds)
+        if gram is None:
+            for u in np.flatnonzero(ds.user_counts >= 2):
+                out[u] = intra_profile_distance(ds, u, "cosine")
+            return out
+        norms = np.sqrt(np.diagonal(gram).astype(np.float64) * 0.25)
+    else:
+        ratings, mask = ds.dense
+        columns = np.ascontiguousarray(ratings.T)
+        rated = np.ascontiguousarray(mask.T)
+        sims = _similarity_rows(item_distance, columns, rated, columns,
+                                rated, shrink=None)
+        del columns, rated
+    for users, pos in _size_groups(ds):
+        t = pos.shape[1]
+        if t < 2:
+            continue
+        upper = np.triu_indices(t, k=1)
+        step = max(1, _BATCH_ENTRIES // len(upper[0]))
+        for lo in range(0, len(users), step):
+            items = ds.item_idx[pos[lo:lo + step]]
+            # np.take keeps each user's pairs in one contiguous row
+            a, b = (np.take(items, side, axis=1) for side in upper)
+            if item_distance == "cosine":
+                num = gram[a, b].astype(np.float64)
+                num *= 0.25
+                denom = norms[a] * norms[b]
+                scores = _bounded_ratio(num, denom, denom > 0)
+            else:
+                scores = sims[a, b]
+            # 1 - similarity, as similarity._distances gives it off the
+            # diagonal
+            out[users[lo:lo + step]] = np.mean(1.0 - scores, axis=1)
+    return out
+
+
 def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
                 sim_matrix: np.ndarray,
                 config: FeatureConfig = FeatureConfig()) -> FeatureTable:
@@ -191,27 +338,40 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
     lists of the model under study, one per user, for beta5. ``sim_matrix``
     is ``user_similarity_matrix(ds, config.similarity)`` for beta2, built by
     the caller, which may hand the same matrix to ``train_knn``.
+
+    Each column is computed for all users at once and equals the one-user
+    reference function's value bit for bit (see the module docstring).
+    Beside the caller's arrays at most one n x n matrix is held at a time,
+    and with item cosine on half-star ratings the m x m float32 Gram
+    (m * m * 4 bytes) is the largest buffer; item Pearson holds an m x m
+    float64 similarity matrix.
     """
     n = ds.n_users
     if len(lists) != n:
         raise ValueError("need one recommendation list per user")
     values = np.empty((n, 8))
-    # beta4 first, its distance matrix freed before beta5 builds its n x n
-    # counts: beside the caller's ``sim_matrix``, one n x n matrix at a time.
+    # beta4 first, its distance matrix freed before beta5's products
     dists = user_distance_matrix(ds, kind=config.user_distance)
     epsilon = resolve_epsilon(ds, config, dist_matrix=dists)
-    for u in range(n):
-        values[u, 3] = neighborhood_density(ds, u, epsilon, dist_matrix=dists)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    # the zero diagonal is below epsilon, and a user is not its own neighbor
+    values[:, 3] = np.count_nonzero(dists < epsilon, axis=1) - 1
     del dists
     values[:, 4] = recommendation_overlaps(ds, lists)
-    for u in range(n):
-        values[u, 0] = profile_size(ds, u)
-        values[u, 1] = centrality(ds, u, sim_matrix=sim_matrix)
-        values[u, 2] = neighborhood_membership(knn_model, u)
-        values[u, 5] = median_item_popularity(ds, u)
-        values[u, 6] = centroid_similarity(ds, u, similarity=config.similarity)
-        values[u, 7] = intra_profile_distance(
-            ds, u, item_distance=config.item_distance)
+    values[:, 0] = ds.user_counts
+    values[:, 1] = 0.0
+    if n > 1:
+        for rows in _row_chunks(n):
+            values[rows, 1] = _drop_self(sim_matrix[rows], rows).mean(axis=1)
+    values[:, 2] = np.bincount(knn_model.neighbors.ravel(), minlength=n)
+    for users, pos in _size_groups(ds):
+        items = ds.item_idx[pos]
+        values[users, 5] = np.median(ds.item_counts[items], axis=1)
+        means = ds.item_sums[items] / ds.item_counts[items]
+        values[users, 6] = _centroid_similarities(ds.values[pos], means,
+                                                  config.similarity)
+    values[:, 7] = _intra_profile_distances(ds, config.item_distance)
     values.flags.writeable = False
     snapshot = {
         "similarity": config.similarity,

@@ -137,6 +137,53 @@ def _top_lists(scores, cand, l):
     return lists, thr
 
 
+def _list_chunks(ds: RatingsDataset, rows, score, live, l: int):
+    """Yield (chunk, lists, l-th scores) for ``rows`` chunk by chunk.
+
+    ``score(chunk, out)`` fills a (len(chunk), m) buffer; a row's
+    candidates are the ``live`` items (those with a rater) it has not
+    rated. Each chunk is ranked by ``_top_lists``.
+    """
+    _, mask = ds.dense
+    step = max(1, _CHUNK_BYTES // (8 * ds.n_items))
+    buf = np.empty((min(step, len(rows)), ds.n_items))
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        scores = buf[:len(chunk)]
+        score(chunk, scores)
+        cand = ~mask[chunk] & live
+        yield (chunk, *_top_lists(scores, cand, l))
+
+
+def top_lists(model, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's ``top_items`` list in one chunked pass.
+
+    Returns the (n, m) bool indicator of the lists and each list's l-th
+    score (-inf for a user with fewer than l candidates). kNN rows are
+    blended by ``_knn_scores``, factorization rows by ``scores_for``, so
+    every list holds exactly the items ``top_items(model, v, l)`` returns.
+    """
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    ds = model.dataset
+    n = ds.n_users
+    if model.algorithm == "knn":
+        def score(rows, out):
+            _knn_scores(*ds.dense, model.neighbors[rows],
+                        model.neighbor_sims[rows], model.item_means, out)
+    else:
+        def score(rows, out):
+            for r, v in enumerate(rows):
+                out[r] = model.scores_for(v)
+    lists = np.zeros((n, ds.n_items), dtype=bool)
+    thr = np.empty(n)
+    for rows, chunk_lists, chunk_thr in _list_chunks(
+            ds, np.arange(n), score, ds.item_counts > 0, l):
+        lists[rows] = chunk_lists
+        thr[rows] = chunk_thr
+    return lists, thr
+
+
 def _jaccard_rows(a, b) -> np.ndarray:
     """``jaccard_distance`` of each row pair of two list indicators.
 
@@ -220,44 +267,13 @@ class LeaveOneOutEngine:
             self._raters = np.argsort(ds.item_idx, kind="stable")
             self._item_ptr = np.searchsorted(ds.item_idx[self._raters],
                                              np.arange(ds.n_items + 1))
-
-            def score(rows, out):
-                _knn_scores(*ds.dense, full.neighbors[rows],
-                            full.neighbor_sims[rows], full.item_means, out)
         else:
             self.sim = None
             full = config.train(ds)
-
-            def score(rows, out):
-                for r, v in enumerate(rows):
-                    out[r] = full.scores_for(v)
         self.full_model = full
-        self.full_lists = np.zeros_like(mask)
         # score of each user's l-th full-list item, -inf below l candidates
-        self._thr = np.empty(n)
-        for rows, lists, thr in self._lists(np.arange(n), score,
-                                            ds.item_counts > 0):
-            self.full_lists[rows] = lists
-            self._thr[rows] = thr
+        self.full_lists, self._thr = top_lists(full, l)
         self.full_lists.flags.writeable = False
-
-    def _lists(self, rows, score, live):
-        """Yield (chunk, lists, l-th scores) for ``rows`` chunk by chunk.
-
-        ``score(chunk, out)`` fills a (len(chunk), m) buffer; a row's
-        candidates are the ``live`` items (those with a rater) it has not
-        rated.
-        """
-        ds = self.ds
-        _, mask = ds.dense
-        step = max(1, _CHUNK_BYTES // (8 * ds.n_items))
-        buf = np.empty((min(step, len(rows)), ds.n_items))
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            scores = buf[:len(chunk)]
-            score(chunk, scores)
-            cand = ~mask[chunk] & live
-            yield (chunk, *_top_lists(scores, cand, self.l))
 
     def _means_without(self, u: int) -> np.ndarray:
         """Means of u's items (``ds.user_items(u)``) once u is gone, -inf
@@ -346,7 +362,8 @@ class LeaveOneOutEngine:
                 for r, v in enumerate(chunk):
                     out[r] = model.scores_for(v - (v > u))
         dists = np.zeros(ds.n_users)
-        for chunk, lists, _ in self._lists(rows, score, live):
+        for chunk, lists, _ in _list_chunks(ds, rows, score, live,
+                                            self.l):
             dists[chunk] = _jaccard_rows(lists, self.full_lists[chunk])
         self.lists_rebuilt += len(rows)
         return dists

@@ -147,16 +147,9 @@ def predict_knn(model: KnnModel, u: int, i: int) -> float:
 _EPS = 1e-12
 
 
-def _nmf_objective(m, w, pq) -> float:
-    """Sum of squares of w * (m - pq), in one (n, m) buffer."""
-    resid = np.subtract(m, pq)
-    resid *= w
-    resid *= resid
-    return float(np.sum(resid))
-
-
 def _nmf_iterate(m, w, p, q, n_iters, rel_tol, history):
-    """Alternating multiplicative updates; appends objectives to history.
+    """Alternating multiplicative updates; appends objectives to history,
+    starting with the objective of ``p`` and ``q`` when it is empty.
 
     Preconditions: ``w`` holds only 0 and 1, and ``m`` is +0 wherever ``w``
     is 0 (``_fit_nmf`` passes the float mask or all ones with the dense
@@ -171,10 +164,15 @@ def _nmf_iterate(m, w, p, q, n_iters, rel_tol, history):
     arithmetic as ``w * (m - pq)``; where it is 0 one gives 0 - 0 = +0 and
     the other ``0 * (0 - pq)`` = +-0, and both square to +0. So every
     factor and objective is bit-identical to the route with fresh
-    temporaries.
+    temporaries. The starting objective squares ``m - wpq`` the same way,
+    from the first ``wpq``, before the first update overwrites ``pq``.
     """
     pq = np.matmul(p, q.T)
     wpq = np.multiply(w, pq)
+    if not history:
+        np.subtract(m, wpq, out=pq)
+        pq *= pq
+        history.append(float(np.sum(pq)))
     for _ in range(n_iters):
         p = p * ((m @ q) / (wpq @ q + _EPS))
         np.matmul(p, q.T, out=pq)
@@ -199,7 +197,7 @@ def _fit_nmf(ds, p, q, seed, n_iters, rel_tol, masked) -> NmfModel:
     """Iterate from starting factors ``p``, ``q`` and freeze the result."""
     ratings, mask = ds.dense
     w = mask.astype(np.float64) if masked else np.ones_like(ratings)
-    history = [_nmf_objective(ratings, w, p @ q.T)]
+    history = []
     p, q = _nmf_iterate(ratings, w, p, q, n_iters, rel_tol, history)
     p.flags.writeable = False
     q.flags.writeable = False

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from recinfluence import artifacts
-from recinfluence.data import save_dataset
+from recinfluence.data import load_dataset, save_dataset
 from recinfluence.influence import influence_all
 from recinfluence.recommender import (ModelConfig, continue_nmf, recommend,
                                       train_knn, train_nmf)
 from recinfluence.predictor import fit_tree
 
-from conftest import random_dataset
+from conftest import build_dataset, random_dataset
 
 
 class TestModelDump:
@@ -83,6 +83,26 @@ class TestCsvFormats:
         path = save_dataset(ds, tmp_path / "d.tsv")
         assert artifacts.dataset_hash(ds) == \
             hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_dump_and_hash_equal_numpy_scalar_formula(self, tmp_path):
+        # the dump formats tolist() values; the old formula formatted the
+        # numpy scalars themselves
+        ds = build_dataset([("a", "x", -0.0), ("a", "y", 1e-05),
+                            ("b", "x", 1e+16), ("b", "z", 0.1 + 0.2),
+                            ("c", "y", 4.5)])
+        old = "".join(f"{u}\t{i}\t{repr(float(v))}\n"
+                      for u, i, v in zip(ds.user_idx, ds.item_idx,
+                                         ds.values))
+        assert "-0.0" in old and "1e-05" in old and "1e+16" in old
+        assert "0.30000000000000004" in old
+        path = save_dataset(ds, tmp_path / "d.tsv")
+        assert path.read_bytes() == old.encode()
+        digest = hashlib.sha256(old.encode()).hexdigest()
+        assert artifacts.dataset_hash(ds) == digest
+        assert artifacts.dataset_hash(ds, old) == digest
+        reread = load_dataset(path)
+        assert np.array_equal(reread.values.view(np.int64),
+                              ds.values.view(np.int64))
 
     def test_tree_json_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

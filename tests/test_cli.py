@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -56,6 +57,25 @@ class TestIngest:
         assert meta["config"]["data.format"] == "csv"
         assert len(meta["dataset_sha256"]) == 64
         assert "sparsity 0.5" in capsys.readouterr().out
+
+    def test_builds_the_dump_text_once(self, tmp_path, monkeypatch):
+        from recinfluence import cli, data
+        calls = []
+        real = data._dump_text
+
+        def counting(ds):
+            calls.append(ds)
+            return real(ds)
+
+        for module in (cli, data, artifacts):
+            monkeypatch.setattr(module, "_dump_text", counting)
+        out = ingest_toy(tmp_path)
+        assert len(calls) == 1
+        meta = json.loads((out / "dataset.tsv.meta.json").read_text())
+        assert meta["dataset_sha256"] == hashlib.sha256(
+            (out / "dataset.tsv").read_bytes()).hexdigest()
+        assert meta["dataset_sha256"] == artifacts.dataset_hash(
+            load_dataset(out / "dataset.tsv"))
 
     def test_round_trips_through_load(self, tmp_path):
         out = ingest_toy(tmp_path)
@@ -253,8 +273,9 @@ class TestFeatureAndTreeCommands:
         assert meta["feature_config"]["epsilon"] > 0
 
     def test_features_bytes_equal_across_blas_threads(self, tmp_path):
-        # Half-star ratings take the matrix-product similarity kernel; its
-        # sums are exact, so the BLAS thread count cannot change a byte.
+        # Half-star ratings take the matrix-product similarity kernel and,
+        # for item cosine, the float32 item Gram; their sums are exact, so
+        # the BLAS thread count cannot change a byte.
         rng = np.random.default_rng(11)
         rows = [f"u{u},i{i},{rng.integers(1, 11) / 2}"
                 for u in range(100) for i in range(200)
@@ -265,20 +286,28 @@ class TestFeatureAndTreeCommands:
         assert main(["ingest", "--input", str(raw), "--format", "csv",
                      "--out-dir", str(work)]) == 0
         src = str(Path(recinfluence.__file__).resolve().parents[1])
-        blobs = []
-        for threads in ("1", "2"):
-            d = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run(
-                [sys.executable, "-m", "recinfluence", "features",
-                 "--dataset", str(work / "dataset.tsv"), "--k", "5",
-                 "--l", "10", "--out-dir", str(d)],
-                env=env, check=True, capture_output=True, timeout=300)
-            blobs.append((d / "features.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+        for item_distance in ("cosine", "pearson"):
+            config = tmp_path / f"{item_distance}.cfg"
+            config.write_text(f"features.item_distance = {item_distance}\n")
+            blobs = []
+            for threads in ("1", "2"):
+                d = tmp_path / f"{item_distance}{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(
+                               [src, os.environ.get("PYTHONPATH", "")]))
+                subprocess.run(
+                    [sys.executable, "-m", "recinfluence", "features",
+                     "--dataset", str(work / "dataset.tsv"), "--k", "5",
+                     "--l", "10", "--config", str(config),
+                     "--out-dir", str(d)],
+                    env=env, check=True, capture_output=True, timeout=300)
+                blobs.append((d / "features.csv").read_bytes())
+                side = json.loads(
+                    (d / "features.csv.meta.json").read_text())
+                assert side["feature_config"]["item_distance"] == \
+                    item_distance
+            assert blobs[0] == blobs[1]
 
     def test_nmf_bytes_equal_across_blas_threads(self, tmp_path):
         # nmf-loo's shape and model settings; the audit retrains per removal

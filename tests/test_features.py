@@ -1,7 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from recinfluence.features import (FeatureConfig, centrality,
+from recinfluence import features
+from recinfluence.data import RatingsDataset
+from recinfluence.features import (FEATURE_NAMES, FeatureConfig, centrality,
                                    centroid_similarity, extract_all,
                                    intra_profile_distance,
                                    median_item_popularity,
@@ -9,6 +14,7 @@ from recinfluence.features import (FeatureConfig, centrality,
                                    neighborhood_membership, profile_size,
                                    recommendation_overlap,
                                    recommendation_overlaps, resolve_epsilon)
+from recinfluence.influence import top_lists
 from recinfluence.recommender import ModelConfig, top_items, train_knn
 from recinfluence.similarity import (item_distance_submatrix,
                                      user_distance_matrix,
@@ -393,3 +399,244 @@ class TestExtractAll:
         assert np.all(v[:, 5] >= 1)
         assert np.all(np.abs(v[:, 1]) <= 1)
         assert np.all(np.abs(v[:, 6]) <= 1)
+
+
+def graded_dataset(n_users, n_items, density, seed, grade="half",
+                   full_user=False, top=5.0):
+    """Random ratings on a chosen grid: "int" 1..5 stars, "half" half stars
+    up to ``top``, or "continuous" 1 + 4 * U(0, 1). Every user and item gets
+    a rating; ``full_user`` makes user 0 rate every item."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_users, n_items)) < density
+    if full_user:
+        mask[0] = True
+    for u in np.flatnonzero(~mask.any(axis=1)):
+        mask[u, rng.integers(n_items)] = True
+    for i in np.flatnonzero(~mask.any(axis=0)):
+        mask[rng.integers(n_users), i] = True
+    users, items = np.nonzero(mask)
+    if grade == "int":
+        values = rng.integers(1, 6, len(users)).astype(float)
+    elif grade == "half":
+        values = rng.integers(1, int(2 * top) + 1, len(users)) * 0.5
+    else:
+        values = 1 + 4 * rng.random(len(users))
+    return RatingsDataset.build([f"u{j}" for j in range(n_users)],
+                                [f"i{j}" for j in range(n_items)],
+                                users, items, values)
+
+
+def reference_values(ds, model, lists, sims, cfg, epsilon):
+    """The table the one-user reference functions give, row by row."""
+    return np.array([
+        [profile_size(ds, u), centrality(ds, u, sim_matrix=sims),
+         neighborhood_membership(model, u),
+         neighborhood_density(ds, u, epsilon, distance=cfg.user_distance),
+         recommendation_overlap(ds, u, lists),
+         median_item_popularity(ds, u),
+         centroid_similarity(ds, u, cfg.similarity),
+         intra_profile_distance(ds, u, cfg.item_distance)]
+        for u in range(ds.n_users)]).reshape(ds.n_users, 8)
+
+
+def feature_inputs(ds, cfg, k=3, l=5, algo="knn"):
+    """The kNN model, top-l lists and similarity matrix ``extract_all``
+    takes, built as the ``features`` command builds them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # k >= n is reduced
+        model = train_knn(ds, k, cfg.similarity)
+    studied = model if algo == "knn" else ModelConfig(
+        "nmf", factors=3, seed=2, n_iters=20).train(ds)
+    listed, _ = top_lists(studied, l)
+    lists = [np.flatnonzero(row) for row in listed]
+    return model, lists, user_similarity_matrix(ds, kind=cfg.similarity)
+
+
+def table_and_reference(ds, cfg=FeatureConfig(), **kwargs):
+    model, lists, sims = feature_inputs(ds, cfg, **kwargs)
+    table = extract_all(ds, model, lists, sims, cfg)
+    return table.values, reference_values(ds, model, lists, sims, cfg,
+                                          table.config["epsilon"])
+
+
+def assert_same_bits(got, expected):
+    # an int64 view tells signed zeros and NaN payloads apart
+    assert got.shape == expected.shape
+    same = got.view(np.int64) == expected.view(np.int64)
+    assert same.all(), [FEATURE_NAMES[j] for j in
+                        np.flatnonzero(~same.all(axis=0))]
+
+
+class TestBatchedColumns:
+    """``extract_all``'s whole-array columns against the one-user reference
+    functions, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_suite(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        grade = ("int", "half", "continuous")[seed % 3]
+        ds = graded_dataset(int(rng.integers(4, 61)),
+                            int(rng.integers(5, 301)),
+                            rng.uniform(0.05, 0.4), seed, grade,
+                            full_user=seed % 4 == 0)
+        for cfg in (FeatureConfig(),
+                    FeatureConfig(similarity="cosine",
+                                  user_distance="pearson",
+                                  item_distance="pearson")):
+            assert_same_bits(*table_and_reference(
+                ds, cfg, k=int(rng.integers(1, ds.n_users + 2))))
+
+    def test_single_user(self):
+        ds = build_dataset([("a", "x", 3.0), ("a", "y", 4.5),
+                            ("a", "z", 1.0)])
+        got, expected = table_and_reference(ds, FeatureConfig(epsilon=0.5),
+                                            k=1, l=2)
+        assert_same_bits(got, expected)
+        assert got[0, 1] == got[0, 3] == got[0, 4] == 0.0
+
+    @pytest.mark.parametrize("grade", ["int", "half", "continuous"])
+    def test_two_users(self, grade):
+        ds = graded_dataset(2, 6, 0.6, 3, grade)
+        assert_same_bits(*table_and_reference(
+            ds, FeatureConfig(epsilon=1.5), k=1, l=3))
+
+    def test_one_rating_users_and_single_rater_items(self):
+        ds = graded_dataset(30, 80, 0.02, 5)
+        assert np.any(ds.user_counts == 1)
+        assert np.any(ds.item_counts == 1)
+        assert_same_bits(*table_and_reference(ds))
+
+    @pytest.mark.parametrize("grade", ["int", "half", "continuous"])
+    def test_user_who_rated_every_item(self, grade):
+        ds = graded_dataset(25, 40, 0.2, 6, grade, full_user=True)
+        assert ds.user_counts[0] == ds.n_items
+        for item_distance in ("cosine", "pearson"):
+            assert_same_bits(*table_and_reference(
+                ds, FeatureConfig(item_distance=item_distance)))
+
+    @pytest.mark.parametrize("k", [14, 15, 40])
+    def test_k_at_least_n_minus_one(self, k):
+        ds = graded_dataset(16, 30, 0.3, 7)
+        assert_same_bits(*table_and_reference(ds, k=k))
+
+    def test_continuous_ratings(self):
+        ds = graded_dataset(40, 90, 0.15, 8, "continuous")
+        assert features._cosine_gram(ds) is None
+        assert_same_bits(*table_and_reference(ds))
+
+    def test_half_stars_over_the_float32_bound(self):
+        # n * max|2r|**2 = 30 * 1600**2 passes 2**24: per-profile route
+        ds = graded_dataset(30, 60, 0.2, 9, "half", top=800.0)
+        assert 30 * (2 * ds.values.max()) ** 2 >= 2 ** 24
+        assert features._cosine_gram(ds) is None
+        assert_same_bits(*table_and_reference(ds))
+
+    def test_half_stars_just_under_the_float32_bound(self):
+        # 30 * 740**2 < 2**24: the Gram route with its largest sums
+        ds = graded_dataset(30, 60, 0.2, 9, "half", top=370.0)
+        assert 30 * (2 * ds.values.max()) ** 2 < 2 ** 24
+        assert features._cosine_gram(ds) is not None
+        assert_same_bits(*table_and_reference(ds))
+
+    @pytest.mark.parametrize("grade", ["int", "half", "continuous"])
+    def test_item_pearson(self, grade):
+        ds = graded_dataset(35, 70, 0.15, 10, grade)
+        assert_same_bits(*table_and_reference(
+            ds, FeatureConfig(item_distance="pearson")))
+
+    @pytest.mark.parametrize("grade", ["int", "half", "continuous"])
+    def test_cosine_similarity(self, grade):
+        ds = graded_dataset(35, 70, 0.15, 11, grade)
+        assert_same_bits(*table_and_reference(
+            ds, FeatureConfig(similarity="cosine")))
+
+    def test_nmf_lists(self):
+        ds = graded_dataset(30, 60, 0.15, 12)
+        assert_same_bits(*table_and_reference(ds, algo="nmf"))
+
+    def test_negative_ratings(self):
+        ds = graded_dataset(25, 50, 0.2, 13, "half")
+        shifted = RatingsDataset.build(ds.user_ids, ds.item_ids,
+                                       ds.user_idx, ds.item_idx,
+                                       ds.values - 3.0)
+        assert_same_bits(*table_and_reference(shifted))
+
+    def test_explicit_epsilon_must_be_positive(self, toy):
+        model = train_knn(toy, 2)
+        lists = [top_items(model, v, 3) for v in range(5)]
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            extract_all(toy, model, lists, user_similarity_matrix(toy),
+                        FeatureConfig(epsilon=-0.5))
+
+
+class TestBeta8Routes:
+    def test_grid_ratings_form_no_per_profile_product(self, monkeypatch):
+        ds = graded_dataset(30, 60, 0.2, 14)
+        expected = {kind: table_and_reference(
+            ds, FeatureConfig(item_distance=kind))[1]
+            for kind in ("cosine", "pearson")}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-profile item product")
+
+        monkeypatch.setattr(features, "item_distance_submatrix", refuse)
+        for kind, reference in expected.items():
+            cfg = FeatureConfig(item_distance=kind)
+            table = extract_all(ds, *feature_inputs(ds, cfg), cfg)
+            assert_same_bits(table.values, reference)
+
+    @pytest.mark.parametrize("grade,top", [("continuous", 5.0),
+                                           ("half", 800.0)])
+    def test_off_grid_ratings_form_no_gram(self, monkeypatch, grade, top):
+        ds = graded_dataset(30, 60, 0.2, 15, grade, top=top)
+        built = []
+        real = features._cosine_gram
+
+        def spy(data):
+            gram = real(data)
+            built.append(gram)
+            return gram
+
+        monkeypatch.setattr(features, "_cosine_gram", spy)
+        got, expected = table_and_reference(ds)
+        assert built == [None]
+        assert_same_bits(got, expected)
+
+
+class TestFeatureMemory:
+    def test_peak_within_reference_route_plus_item_gram(self):
+        # profile-analysis shape: 300 x 600 half stars at 4% density
+        ds = graded_dataset(300, 600, 0.04, 16)
+        cfg = FeatureConfig()
+        model, lists, sims = feature_inputs(ds, cfg, k=20, l=10)
+
+        def reference():
+            dists = user_distance_matrix(ds, kind=cfg.user_distance)
+            epsilon = resolve_epsilon(ds, cfg, dist_matrix=dists)
+            for u in range(ds.n_users):
+                neighborhood_density(ds, u, epsilon, dist_matrix=dists)
+            del dists
+            for u in range(ds.n_users):
+                centrality(ds, u, sim_matrix=sims)
+                neighborhood_membership(model, u)
+                recommendation_overlap(ds, u, lists)
+                median_item_popularity(ds, u)
+                centroid_similarity(ds, u)
+                intra_profile_distance(ds, u)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def batched():
+            extract_all(ds, model, lists, sims, cfg)
+
+        # a first call imports modules lazily (np.unique loads numpy.ma),
+        # which both routes would otherwise count
+        batched()
+        limit = peak(reference) + ds.n_items ** 2 * 4
+        assert peak(batched) <= limit

@@ -592,6 +592,25 @@ class TestOnePassParts:
             assert np.array_equal(np.flatnonzero(engine.full_lists[v]),
                                   np.sort(expected))
 
+    @pytest.mark.parametrize("algorithm", ["knn", "nmf"])
+    @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
+    def test_top_lists_equal_top_items(self, name, algorithm):
+        ds = DELTA_DATASETS[name]()
+        model = ModelConfig(algorithm, k=min(3, ds.n_users - 1), factors=2,
+                            seed=3, n_iters=20).train(ds)
+        for l in (1, 4, ds.n_items + 5):
+            lists, thr = influence.top_lists(model, l)
+            for v in range(ds.n_users):
+                expected = top_items(model, v, l)
+                assert np.array_equal(np.flatnonzero(lists[v]),
+                                      np.sort(expected))
+                if len(expected) < l:
+                    assert thr[v] == -np.inf
+                else:
+                    assert thr[v] == model.scores_for(v)[expected[-1]]
+        with pytest.raises(ValueError, match="l must be >= 1"):
+            influence.top_lists(model, 0)
+
     def test_integer_jaccard_equals_set_formula(self):
         rng = np.random.default_rng(0)
         a, b = item_sets(rng, 300, 30), item_sets(rng, 300, 30)

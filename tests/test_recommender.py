@@ -488,6 +488,17 @@ class TestLeanNmfLoop:
         assert str(lean.value) == str(ref.value)
         assert str(lean.value).startswith("objective increased from -1.0 to ")
 
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_empty_history_gets_the_starting_objective(self, masked):
+        from recinfluence.recommender import _nmf_iterate
+        ds = random_dataset(20, 30, 0.2, seed=5)
+        ratings, mask = ds.dense
+        w = mask.astype(float) if masked else np.ones_like(ratings)
+        p, q = oracles.nmf_start(ds, 3, 1)
+        history = []
+        _nmf_iterate(ratings, w, p, q, 0, 0.0, history)
+        assert history == [oracles.nmf_objective(ratings, w, p @ q.T)]
+
     def test_no_per_iteration_temporaries(self):
         # nmf-loo's shape: 100 x 200, 8 factors, 40 iterations
         ds = random_dataset(100, 200, 0.05, seed=1)
