@@ -111,6 +111,16 @@ def _knn_scores(ratings, mask, nbrs, sims, means, out):
     np.copyto(out, means, where=~(asum > 0))
 
 
+def _nmf_scores(model, rows, out):
+    """``model.scores_for`` of each of ``rows`` into ``out``, bit for bit.
+
+    One stacked matmul of (1, f) @ (f, m) slices: numpy sends each slice
+    to the same gemv that ``scores_for`` runs. A plain 2-D product would
+    run a gemm, whose sums can differ in the last bits.
+    """
+    np.matmul(model.p[rows, None, :], model.q.T, out=out[:, None, :])
+
+
 def _top_lists(scores, cand, l):
     """Top-l lists of a block of rows in one pass, ranked as ``top_items``
     ranks them: score descending, item index ascending.
@@ -160,7 +170,7 @@ def top_lists(model, l: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the (n, m) bool indicator of the lists and each list's l-th
     score (-inf for a user with fewer than l candidates). kNN rows are
-    blended by ``_knn_scores``, factorization rows by ``scores_for``, so
+    blended by ``_knn_scores``, factorization rows by ``_nmf_scores``, so
     every list holds exactly the items ``top_items(model, v, l)`` returns.
     """
     if l < 1:
@@ -173,8 +183,7 @@ def top_lists(model, l: int) -> tuple[np.ndarray, np.ndarray]:
                         model.neighbor_sims[rows], model.item_means, out)
     else:
         def score(rows, out):
-            for r, v in enumerate(rows):
-                out[r] = model.scores_for(v)
+            _nmf_scores(model, rows, out)
     lists = np.zeros((n, ds.n_items), dtype=bool)
     thr = np.empty(n)
     for rows, chunk_lists, chunk_thr in _list_chunks(
@@ -359,8 +368,7 @@ class LeaveOneOutEngine:
             rows = np.delete(np.arange(ds.n_users), u)
 
             def score(chunk, out):
-                for r, v in enumerate(chunk):
-                    out[r] = model.scores_for(v - (v > u))
+                _nmf_scores(model, chunk - (chunk > u), out)
         dists = np.zeros(ds.n_users)
         for chunk, lists, _ in _list_chunks(ds, rows, score, live,
                                             self.l):

@@ -138,10 +138,9 @@ class TestNmfModes:
     def test_divergence_reported_as_failure(self, toy):
         from recinfluence.recommender import TrainingError, _nmf_iterate
         ratings, mask = toy.dense
-        w = mask.astype(float)
         rng = np.random.default_rng(0)
         p = rng.random((5, 2))
         q = rng.random((6, 2))
         # a fabricated "previous objective" below any reachable value
         with pytest.raises(TrainingError, match="increased"):
-            _nmf_iterate(ratings, w, p, q, 1, 0.0, [-1.0])
+            _nmf_iterate(ratings, mask, p, q, 1, 0.0, [-1.0])

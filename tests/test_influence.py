@@ -12,7 +12,7 @@ from recinfluence.influence import (LeaveOneOutEngine, group_influence,
                                     influence_all, influence_oracle,
                                     jaccard_distance,
                                     prediction_shift_oracle)
-from recinfluence.recommender import (ModelConfig, TrainingError,
+from recinfluence.recommender import (ModelConfig, NmfModel, TrainingError,
                                       continue_nmf, top_items, train_knn)
 
 import oracles
@@ -147,6 +147,24 @@ class TestInfluenceAll:
         assert report.ranking[-1] == 2
         assert np.isnan(report.distances[2]).all()
         assert np.isfinite(np.delete(report.distances, 2, axis=0)).all()
+
+    def test_non_finite_objective_is_a_failure(self):
+        # One rating just above sqrt(max float): its squared residual
+        # overflows in the starting objective of the fits without u3 and
+        # without u4, but not in the full fit or the other removals'.
+        big = np.sqrt(np.finfo(float).max) * 1.01
+        rows = [("h", "a", big), ("h", "b", 3.0)]
+        for u in range(5):
+            rows += [(f"u{u}", item, float(1 + (u + j) % 5))
+                     for j, item in enumerate("abcd"[:2 + u % 3])]
+        ds = build_dataset(rows)
+        cfg = ModelConfig("nmf", factors=1, seed=1, n_iters=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = influence_all(ds, cfg, 2)
+        failed = (ds.user_ids.index("u3"), ds.user_ids.index("u4"))
+        assert report.failures == failed
+        assert np.isnan(report.influence[list(failed)]).all()
+        assert np.isfinite(np.delete(report.influence, failed)).all()
 
     def test_warm_start_mode_runs(self, toy):
         cfg = ModelConfig("nmf", factors=2, seed=4, n_iters=60)
@@ -556,6 +574,19 @@ class TestOnePassParts:
         influence._knn_scores(*ds.dense, model.neighbors,
                               model.neighbor_sims, model.item_means, out)
         expected = [model.scores_for(v) for v in range(ds.n_users)]
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n,m,f", [(2, 7, 3), (9, 1, 2), (12, 15, 1),
+                                       (40, 60, 8), (3, 200, 11)])
+    def test_stacked_nmf_scores_equal_scores_for(self, n, m, f):
+        ds = random_dataset(n, m, 0.3, seed=n + m + f)
+        rng = np.random.default_rng(f)
+        model = NmfModel(ds, f, 0, 1, True, rng.random((n, f)),
+                         rng.random((m, f)), (0.0,))
+        rows = rng.permutation(n)[:max(1, n - 1)]
+        out = np.empty((len(rows), m))
+        influence._nmf_scores(model, rows, out)
+        expected = [model.scores_for(v) for v in rows]
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))

@@ -10,7 +10,7 @@ from recinfluence.recommender import (ModelConfig, TrainingError,
                                       continue_nmf, evaluate, predict_knn,
                                       recommend, top_items, train_knn,
                                       train_nmf, train_test_split)
-from recinfluence import similarity
+from recinfluence import recommender, similarity
 from recinfluence.similarity import user_similarity_matrix
 
 import oracles
@@ -418,6 +418,13 @@ def _sole_rater_removed():
     return reduced
 
 
+def _one_rater_item():
+    """A dataset where some item has exactly one rater."""
+    ds = random_dataset(20, 30, 0.15, seed=5)
+    assert np.any(ds.item_counts == 1)
+    return ds
+
+
 NMF_EDGE_CASES = {
     "one-user": lambda: build_dataset([("a", "x", 5.0), ("a", "y", 2.0),
                                        ("a", "z", 4.0)]),
@@ -425,12 +432,14 @@ NMF_EDGE_CASES = {
     "user-rated-all": lambda: hub_dataset(15, 25, hub_fraction=1.0,
                                           profile=3, seed=2),
     "factors-above-rank": toy_dataset,
+    "one-rater-item": _one_rater_item,
 }
 
 
 class TestLeanNmfLoop:
-    """The shared-buffer loop against ``oracles.nmf_iterate``, which
-    forms every product and residual afresh: bit for bit."""
+    """The one-buffer loop against ``oracles.nmf_iterate``, which forms
+    the float weights and every product and residual afresh: bit for
+    bit."""
 
     def assert_fit_matches(self, model, ds, p0, q0, n_iters, rel_tol):
         p, q, history = oracles.nmf_fit(ds, p0, q0, n_iters, rel_tol,
@@ -465,6 +474,26 @@ class TestLeanNmfLoop:
                                 500, 1e-3)
 
     @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("density", [0.05, 0.4, 1.0])
+    def test_densities_match_reference(self, density, masked):
+        # masked, 0.05 gathers the observed entries and 0.4 squares the
+        # residual in place; at 1.0 every entry is observed, so the mask
+        # product is skipped
+        ds = random_dataset(30, 50, density, seed=8)
+        assert (ds.n_ratings == 30 * 50) == (density == 1.0)
+        model = train_nmf(ds, 4, 3, n_iters=25, rel_tol=0.0, masked=masked)
+        self.assert_fit_matches(model, ds, *oracles.nmf_start(ds, 4, 3),
+                                25, 0.0)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_one_iteration_matches_reference(self, masked):
+        ds = random_dataset(25, 40, 0.1, seed=9)
+        model = train_nmf(ds, 3, 5, n_iters=1, masked=masked)
+        assert len(model.objective_history) == 2
+        self.assert_fit_matches(model, ds, *oracles.nmf_start(ds, 3, 5),
+                                1, 1e-5)
+
+    @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("case", sorted(NMF_EDGE_CASES))
     def test_edge_cases_match_reference(self, case, masked):
         ds = NMF_EDGE_CASES[case]()
@@ -477,14 +506,14 @@ class TestLeanNmfLoop:
     def test_divergence_message_matches_reference(self, toy):
         from recinfluence.recommender import _nmf_iterate
         ratings, mask = toy.dense
-        w = mask.astype(float)
         rng = np.random.default_rng(0)
         p, q = rng.random((5, 2)), rng.random((6, 2))
         # a fabricated "previous objective" below any reachable value
         with pytest.raises(TrainingError) as lean:
-            _nmf_iterate(ratings, w, p, q, 1, 0.0, [-1.0])
+            _nmf_iterate(ratings, mask, p, q, 1, 0.0, [-1.0])
         with pytest.raises(RuntimeError) as ref:
-            oracles.nmf_iterate(ratings, w, p, q, 1, 0.0, [-1.0])
+            oracles.nmf_iterate(ratings, mask.astype(float), p, q, 1, 0.0,
+                                [-1.0])
         assert str(lean.value) == str(ref.value)
         assert str(lean.value).startswith("objective increased from -1.0 to ")
 
@@ -496,12 +525,24 @@ class TestLeanNmfLoop:
         w = mask.astype(float) if masked else np.ones_like(ratings)
         p, q = oracles.nmf_start(ds, 3, 1)
         history = []
-        _nmf_iterate(ratings, w, p, q, 0, 0.0, history)
+        _nmf_iterate(ratings, mask if masked else None, p, q, 0, 0.0,
+                     history)
         assert history == [oracles.nmf_objective(ratings, w, p @ q.T)]
 
-    def test_no_per_iteration_temporaries(self):
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_non_finite_objective_raises(self, masked):
+        # 1e300 is a finite rating, but its square overflows
+        ds = build_dataset([("a", "x", 1e300), ("a", "y", 2.0),
+                            ("b", "x", 3.0), ("b", "z", 4.0),
+                            ("c", "y", 5.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="objective is not finite"):
+                train_nmf(ds, 2, 0, n_iters=5, masked=masked)
+
+    @staticmethod
+    def assert_one_buffer(masked, density):
         # nmf-loo's shape: 100 x 200, 8 factors, 40 iterations
-        ds = random_dataset(100, 200, 0.05, seed=1)
+        ds = random_dataset(100, 200, density, seed=1)
         ratings, _ = ds.dense
 
         def peak(fit):
@@ -512,15 +553,32 @@ class TestLeanNmfLoop:
             finally:
                 tracemalloc.stop()
 
-        lean = peak(lambda: train_nmf(ds, 8, 1, n_iters=40, rel_tol=0.0))
+        lean = peak(lambda: train_nmf(ds, 8, 1, n_iters=40, rel_tol=0.0,
+                                      masked=masked))
         p0, q0 = oracles.nmf_start(ds, 8, 1)
-        reference = peak(lambda: oracles.nmf_fit(ds, p0, q0, 40, 0.0))
+        reference = peak(lambda: oracles.nmf_fit(ds, p0, q0, 40, 0.0,
+                                                 masked))
         assert lean < reference
-        # Three (n, m) float buffers: the weights, pq and w * pq. The
-        # factor-sized temporaries of one update stay below a fourth.
+        # One (n, m) float buffer. A masked fit at 5% density adds four
+        # nnz-sized vectors: the observed indexes and ratings, the
+        # gathered products and their squared residuals. Six factor-sized
+        # arrays cover the rest: the starting and current factors, one
+        # update's temporaries, or numpy's 64 KB cast buffer for the bool
+        # mask in the mask product. All of that stays below a second
+        # buffer.
         factor_bytes = (ds.n_users + ds.n_items) * 8 * 8
-        assert 6 * factor_bytes < ratings.nbytes
-        assert lean <= 3 * ratings.nbytes + 6 * factor_bytes
+        gathers = (masked and ds.n_ratings
+                   <= recommender._GATHER_DENSITY * ratings.size)
+        vector_bytes = 4 * 8 * ds.n_ratings if gathers else 0
+        assert 6 * factor_bytes + vector_bytes < ratings.nbytes
+        assert lean <= ratings.nbytes + vector_bytes + 6 * factor_bytes
+
+    def test_no_per_iteration_temporaries(self):
+        self.assert_one_buffer(True, 0.05)
+
+    @pytest.mark.parametrize("masked,density", [(False, 0.05), (True, 0.4)])
+    def test_one_buffer_without_gathers(self, masked, density):
+        self.assert_one_buffer(masked, density)
 
 
 class TestRecommend:
