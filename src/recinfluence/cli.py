@@ -24,7 +24,7 @@ from .data import (FORMATS, DatasetError, _dump_text, compute_stats,
                    save_dataset)
 # top_items is unused here but stays bound: the benchmark's tracer test
 # checks that every binding of it is wrapped
-from .recommender import (ModelConfig, TrainingError, top_items,
+from .recommender import (ModelConfig, TrainingError, top_items, top_lists,
                           train_knn, train_test_split, evaluate)
 from .similarity import user_similarity_matrix
 
@@ -256,10 +256,8 @@ def cmd_features(args, cfg: dict, out: Path) -> int:
     shared = sims if mc.similarity == fc.similarity else None
     knn_model = train_knn(ds, mc.k, mc.similarity, sim_matrix=shared)
     model = knn_model if mc.algorithm == "knn" else mc.train(ds)
-    listed, _ = influence.top_lists(model, cfg["list.length"])
-    lists = [np.flatnonzero(row) for row in listed]
-    del listed
-    table = features.extract_all(ds, knn_model, lists, sims, fc)
+    listed, _ = top_lists(model, cfg["list.length"])
+    table = features.extract_all(ds, knn_model, listed, sims, fc)
     path = artifacts.write_features_csv(table, out / "features.csv")
     artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds),
                             {"feature_config": table.config})

@@ -168,6 +168,8 @@ def load_ratings(path, format: str = "delimited", sep: str = ",",
     ``columns`` names the field order; fields other than user/item/rating are
     ignored. Duplicate (user, item) records keep the last occurrence.
     ``value_map`` translates ordinal interaction labels to numeric ratings.
+    A rating whose square times n_users * n_items is not a finite float64
+    is refused.
     """
     if format not in FORMATS:
         raise DatasetError(f"unknown format {format!r}")
@@ -228,6 +230,13 @@ def load_ratings(path, format: str = "delimited", sep: str = ",",
     u_idx = np.array([umap[u] for u, _ in records], dtype=np.int64)
     i_idx = np.array([imap[i] for _, i in records], dtype=np.int64)
     vals = np.array(list(records.values()))
+    # n * m * r**2 bounds the sums of squares the models and similarity
+    # kernels form over the dense matrix
+    big = float(vals[np.argmax(np.abs(vals))])
+    with np.errstate(over="ignore"):
+        if not np.isfinite(len(user_ids) * len(item_ids) * np.square(big)):
+            raise DatasetError(f"{path}: rating {big!r} is too large: n_users"
+                               " * n_items * rating**2 overflows float64")
     return RatingsDataset.build(user_ids, item_ids, u_idx, i_idx, vals,
                                 r_min=r_min, r_max=r_max)
 

@@ -121,26 +121,23 @@ def recommendation_overlap(ds: RatingsDataset, u: int, lists) -> float:
     return float(np.mean(sims)) if sims else 0.0
 
 
-def recommendation_overlaps(ds: RatingsDataset, lists) -> np.ndarray:
+def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     """beta5 of every user: ``recommendation_overlap`` as one matrix pass.
 
-    The intersections are one product of 0/1 profile and list indicators;
-    with fewer than 2**24 items every partial count is an exact float32.
-    The Jaccard values are the same integer ratios, and each row's mean runs
-    over v != u in order, so every value is the reference's to the bit.
-    Rows go a chunk at a time, so the temporaries stay a few chunk rows.
+    The intersections are one product of the 0/1 profile and list
+    indicators (``listed``, as ``top_lists`` returns it); below 2**24 items
+    every partial count is an exact float32. The Jaccard values are the
+    same integer ratios, and each row's mean runs over v != u in order, so
+    every value is the reference's to the bit. Rows go a chunk at a time,
+    so the temporaries stay a few chunk rows.
     """
     n, m = ds.n_users, ds.n_items
     out = np.zeros(n)
     if n < 2:
         return out
+    sizes = np.count_nonzero(listed, axis=1)
     counts = np.float32 if m < 2 ** 24 else np.float64
-    listed = np.zeros((n, m), dtype=counts)
-    lengths = [len(items) for items in lists]
-    listed[np.repeat(np.arange(n), lengths),
-           np.fromiter((int(i) for items in lists for i in items),
-                       dtype=np.int64, count=sum(lengths))] = 1
-    sizes = listed.sum(axis=1, dtype=np.int64)
+    listed = listed.astype(counts)
     _, rated = ds.dense
     for rows in _row_chunks(n):
         shared = _drop_self(rated[rows].astype(counts) @ listed.T,
@@ -327,17 +324,17 @@ def _intra_profile_distances(ds: RatingsDataset,
     return out
 
 
-def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
+def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
                 sim_matrix: np.ndarray,
                 config: FeatureConfig = FeatureConfig()) -> FeatureTable:
     """All eight features for every user.
 
     ``knn_model`` supplies the neighbor structure for beta3 (when the run
     under study is a factorization model, a standalone neighborhood
-    structure is fitted for this purpose); ``lists`` are the top-l item
-    lists of the model under study, one per user, for beta5. ``sim_matrix``
-    is ``user_similarity_matrix(ds, config.similarity)`` for beta2, built by
-    the caller, which may hand the same matrix to ``train_knn``.
+    structure is fitted for this purpose); ``listed`` is the (n, m) bool
+    indicator of the studied model's top-l lists (``top_lists``), for beta5.
+    ``sim_matrix`` is ``user_similarity_matrix(ds, config.similarity)`` for
+    beta2, built by the caller, which may hand it to ``train_knn``.
 
     Each column is computed for all users at once and equals the one-user
     reference function's value bit for bit (see the module docstring).
@@ -347,7 +344,7 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
     float64 similarity matrix.
     """
     n = ds.n_users
-    if len(lists) != n:
+    if listed.shape != (n, ds.n_items):
         raise ValueError("need one recommendation list per user")
     values = np.empty((n, 8))
     # beta4 first, its distance matrix freed before beta5's products
@@ -358,7 +355,7 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
     # the zero diagonal is below epsilon, and a user is not its own neighbor
     values[:, 3] = np.count_nonzero(dists < epsilon, axis=1) - 1
     del dists
-    values[:, 4] = recommendation_overlaps(ds, lists)
+    values[:, 4] = recommendation_overlaps(ds, listed)
     values[:, 0] = ds.user_counts
     values[:, 1] = 0.0
     if n > 1:
@@ -379,6 +376,6 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, lists,
         "item_distance": config.item_distance,
         "epsilon": epsilon,
         "k": knn_model.k,
-        "l": max((len(x) for x in lists), default=None),
+        "l": int(np.count_nonzero(listed, axis=1).max()),
     }
     return FeatureTable(ds.user_ids, values, snapshot)

@@ -12,6 +12,10 @@ gives every other list distance 0, which is exact because its reduced list
 equals its full list. The two routes agree bit for bit. Each removal runs
 once: its per-user distance row is kept, and group curves read those rows
 instead of retraining.
+
+Scoring is the model layer's: every list is scored by a model's
+``score_rows``, or for a neighborhood removal by ``recommender._blend``,
+the kNN model's own blend, on the reduced neighbor lists.
 """
 
 from __future__ import annotations
@@ -21,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetError, RatingsDataset, drop_user
-from .recommender import (ModelConfig, TrainingError, _neighbor_order,
-                          continue_nmf, top_items, train_knn)
+from .recommender import (ModelConfig, TrainingError, _blend, _list_chunks,
+                          _neighbor_order, continue_nmf, top_items,
+                          top_lists, train_knn)
 from .similarity import user_similarity_matrix
 
 DEFAULT_THETA_GRID = tuple(round(0.1 * t, 1) for t in range(1, 10))
-# Rows per list-building chunk keep each (rows, n_items) float buffer near
-# this many bytes.
-_CHUNK_BYTES = 64 * 1024
 
 
 def jaccard_distance(a, b) -> float:
@@ -81,118 +83,6 @@ def _rank_users(influence: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(influence)), -key))
 
 
-def _knn_scores(ratings, mask, nbrs, sims, means, out):
-    """Blended kNN scores of a block of rows into ``out`` (rows, m).
-
-    Row r blends the rating rows of its neighbors ``nbrs[r]`` (user
-    indices into ``ratings``/``mask``) with weights ``sims[r]`` and falls
-    back to ``means``. The sums run over neighbor rank j in order from 0,
-    which is how ``KnnModel.scores_for``'s axis-0 sums add them for m >= 2,
-    so each score is bit-identical to it. (With one item numpy sums
-    pairwise, but a one-item list depends on candidacy alone.) ``out``
-    holds the weighted sum until the division.
-    """
-    out[...] = 0.0
-    asum = np.zeros_like(out)
-    term = np.empty_like(out)
-    rated = np.empty(out.shape, dtype=bool)
-    for j in range(nbrs.shape[1]):
-        # mode="clip" lets take write into its out array unbuffered; the
-        # indices are in range
-        mask.take(nbrs[:, j], axis=0, out=rated, mode="clip")
-        ratings.take(nbrs[:, j], axis=0, out=term, mode="clip")
-        term *= sims[:, j, None]
-        term *= rated
-        out += term
-        np.multiply(np.abs(sims[:, j, None]), rated, out=term)
-        asum += term
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out /= asum
-    np.copyto(out, means, where=~(asum > 0))
-
-
-def _nmf_scores(model, rows, out):
-    """``model.scores_for`` of each of ``rows`` into ``out``, bit for bit.
-
-    One stacked matmul of (1, f) @ (f, m) slices: numpy sends each slice
-    to the same gemv that ``scores_for`` runs. A plain 2-D product would
-    run a gemm, whose sums can differ in the last bits.
-    """
-    np.matmul(model.p[rows, None, :], model.q.T, out=out[:, None, :])
-
-
-def _top_lists(scores, cand, l):
-    """Top-l lists of a block of rows in one pass, ranked as ``top_items``
-    ranks them: score descending, item index ascending.
-
-    ``scores`` (rows, m) is overwritten; ``cand`` marks each row's
-    candidates. Returns the (rows, m) bool indicator of the lists and each
-    row's l-th score (-inf for a row with fewer than l candidates). Only
-    the entries at or above that score are sorted, so ties at the cut keep
-    their index order.
-    """
-    rows, m = scores.shape
-    scores[~cand] = -np.inf
-    if l <= m:
-        # a copy, so the partitioned buffer is freed on return
-        thr = np.partition(scores, m - l, axis=1)[:, m - l].copy()
-    else:
-        thr = np.full(rows, -np.inf)
-    r, c = np.nonzero(cand & (scores >= thr[:, None]))
-    order = np.lexsort((c, -scores[r, c], r))
-    r, c = r[order], c[order]
-    keep = np.arange(len(r)) - np.searchsorted(r, r) < l
-    lists = np.zeros((rows, m), dtype=bool)
-    lists[r[keep], c[keep]] = True
-    return lists, thr
-
-
-def _list_chunks(ds: RatingsDataset, rows, score, live, l: int):
-    """Yield (chunk, lists, l-th scores) for ``rows`` chunk by chunk.
-
-    ``score(chunk, out)`` fills a (len(chunk), m) buffer; a row's
-    candidates are the ``live`` items (those with a rater) it has not
-    rated. Each chunk is ranked by ``_top_lists``.
-    """
-    _, mask = ds.dense
-    step = max(1, _CHUNK_BYTES // (8 * ds.n_items))
-    buf = np.empty((min(step, len(rows)), ds.n_items))
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo:lo + step]
-        scores = buf[:len(chunk)]
-        score(chunk, scores)
-        cand = ~mask[chunk] & live
-        yield (chunk, *_top_lists(scores, cand, l))
-
-
-def top_lists(model, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's ``top_items`` list in one chunked pass.
-
-    Returns the (n, m) bool indicator of the lists and each list's l-th
-    score (-inf for a user with fewer than l candidates). kNN rows are
-    blended by ``_knn_scores``, factorization rows by ``_nmf_scores``, so
-    every list holds exactly the items ``top_items(model, v, l)`` returns.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    ds = model.dataset
-    n = ds.n_users
-    if model.algorithm == "knn":
-        def score(rows, out):
-            _knn_scores(*ds.dense, model.neighbors[rows],
-                        model.neighbor_sims[rows], model.item_means, out)
-    else:
-        def score(rows, out):
-            _nmf_scores(model, rows, out)
-    lists = np.zeros((n, ds.n_items), dtype=bool)
-    thr = np.empty(n)
-    for rows, chunk_lists, chunk_thr in _list_chunks(
-            ds, np.arange(n), score, ds.item_counts > 0, l):
-        lists[rows] = chunk_lists
-        thr[rows] = chunk_thr
-    return lists, thr
-
-
 def _jaccard_rows(a, b) -> np.ndarray:
     """``jaccard_distance`` of each row pair of two list indicators.
 
@@ -223,8 +113,8 @@ class LeaveOneOutEngine:
     indices, so tie-breaks hold, and similarities do not depend on third
     users). Only the means of u's items move, and they are summed again
     over their remaining raters in user order, as the reduced dataset sums
-    them. Scores are blended from the full rating rows. The lists rebuilt
-    are those of the users v != u that the removal flags:
+    them. Scores are blended by ``_blend`` from the full rating rows. The
+    lists rebuilt are those of the users v != u that the removal flags:
 
     (a) u is one of v's full-model neighbors (when k >= n - 1 everyone
         else is, so the narrower reduced neighbor lists are all rebuilt);
@@ -242,10 +132,10 @@ class LeaveOneOutEngine:
     its distance is exactly 0.
 
     Lists are built in chunks of rows: each chunk is scored into one
-    buffer, ranked by ``_top_lists`` and compared with the full lists by
-    integer Jaccard counts. ``lists_rebuilt`` counts the lists rebuilt by
-    removals so far, ``nmf_iters`` and ``nmf_early_stops`` the iterations
-    and early stops of the retrains that finished.
+    buffer, ranked by ``recommender._top_lists`` and compared with the full
+    lists by integer Jaccard counts. ``lists_rebuilt`` counts the lists
+    rebuilt by removals so far, ``nmf_iters`` and ``nmf_early_stops`` the
+    iterations and early stops of the retrains that finished.
     """
 
     def __init__(self, ds: RatingsDataset, config: ModelConfig, l: int,
@@ -362,13 +252,13 @@ class LeaveOneOutEngine:
 
             def score(chunk, out):
                 nbrs, sims = self._reduced_neighbors(chunk, u)
-                _knn_scores(*ds.dense, nbrs, sims, means, out)
+                _blend(*ds.dense, nbrs, sims, means, out)
         else:
             model = self._retrain(u)
             rows = np.delete(np.arange(ds.n_users), u)
 
             def score(chunk, out):
-                _nmf_scores(model, chunk - (chunk > u), out)
+                model.score_rows(chunk - (chunk > u), out)
         dists = np.zeros(ds.n_users)
         for chunk, lists, _ in _list_chunks(ds, rows, score, live,
                                             self.l):

@@ -20,16 +20,55 @@ class TrainingError(RuntimeError):
     """Raised when model fitting fails (for example a diverging objective)."""
 
 
+def _blend(ratings, mask, nbrs, sims, means, out):
+    """The one kNN blend: scores of a block of rows into ``out`` (rows, m).
+
+    Row r blends the rating rows of its neighbors ``nbrs[r]`` (user indices
+    into ``ratings``/``mask``) with weights ``sims[r]`` and falls back to
+    ``means``. The sums run elementwise over neighbor rank in order, so a
+    row's scores depend neither on the block nor on m. ``KnnModel`` and the
+    leave-one-out engine's reduced neighbor lists both score through it.
+    ``out`` holds the weighted sum until the division.
+    """
+    out[...] = 0.0
+    asum = np.zeros_like(out)
+    term = np.empty_like(out)
+    rated = np.empty(out.shape, dtype=bool)
+    for j in range(nbrs.shape[1]):
+        # mode="clip" lets take write into its out array unbuffered; the
+        # indices are in range
+        mask.take(nbrs[:, j], axis=0, out=rated, mode="clip")
+        ratings.take(nbrs[:, j], axis=0, out=term, mode="clip")
+        term *= sims[:, j, None]
+        term *= rated
+        out += term
+        np.multiply(np.abs(sims[:, j, None]), rated, out=term)
+        asum += term
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out /= asum
+    np.copyto(out, means, where=~(asum > 0))
+
+
+class _RowScorer:
+    """A model whose every score comes from its ``score_rows``."""
+
+    def scores_for(self, u: int) -> np.ndarray:
+        """Predicted score for every item: one row of ``score_rows``."""
+        out = np.empty((1, self.dataset.n_items))
+        self.score_rows(np.array([u]), out)
+        return out[0]
+
+
 @dataclass(frozen=True, eq=False)
-class KnnModel:
+class KnnModel(_RowScorer):
     """Neighborhood model: per-user top-k neighbor lists plus item means.
 
     Neighbor lists hold exactly min(k, n - 1) entries, sorted by similarity
     descending with ties broken by ascending user index. Ratings of a target
     item are blended as sum(sim * r) / sum(|sim|) over the listed neighbors
-    who rated it; when no listed neighbor rated the item (or their
-    similarities cancel to zero weight) the item's mean rating stands in,
-    and an item with no raters at all falls back to the global mean.
+    who rated it (``_blend``); when no listed neighbor rated the item (or
+    their similarities cancel to zero weight) the item's mean rating stands
+    in, and an item with no raters at all falls back to the global mean.
     """
 
     dataset: RatingsDataset
@@ -44,21 +83,15 @@ class KnnModel:
     def algorithm(self) -> str:
         return "knn"
 
-    def scores_for(self, u: int) -> np.ndarray:
-        """Predicted score for every item (candidate filtering comes later)."""
-        ratings, mask = self.dataset.dense
-        nbrs = self.neighbors[u]
-        sims = self.neighbor_sims[u]
-        rated = mask[nbrs]
-        wsum = np.sum((sims[:, None] * ratings[nbrs]) * rated, axis=0)
-        asum = np.sum(np.abs(sims)[:, None] * rated, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            blended = wsum / asum
-        return np.where(asum > 0, blended, self.item_means)
+    def score_rows(self, rows, out) -> None:
+        """Scores of users ``rows`` for every item into ``out`` (len(rows),
+        m): ``_blend`` of their neighbors' rating rows."""
+        _blend(*self.dataset.dense, self.neighbors[rows],
+               self.neighbor_sims[rows], self.item_means, out)
 
 
 @dataclass(frozen=True, eq=False)
-class NmfModel:
+class NmfModel(_RowScorer):
     """Nonnegative factorization model fit by multiplicative updates.
 
     Minimizes the squared Frobenius error of p @ q.T against the rating
@@ -88,8 +121,11 @@ class NmfModel:
     def final_objective(self) -> float:
         return self.objective_history[-1]
 
-    def scores_for(self, u: int) -> np.ndarray:
-        return self.p[u] @ self.q.T
+    def score_rows(self, rows, out) -> None:
+        """Scores of users ``rows`` into ``out`` (len(rows), m): stacked
+        (1, f) @ (f, m) slices, each the gemv of one user's ``p[u] @ q.T``
+        (a 2-D product would run a gemm, whose sums differ in last bits)."""
+        np.matmul(self.p[rows, None, :], self.q.T, out=out[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -149,6 +185,9 @@ def predict_knn(model: KnnModel, u: int, i: int) -> float:
 
 
 _EPS = 1e-12
+# Rows per list-building chunk keep each (rows, n_items) float buffer near
+# this many bytes.
+_CHUNK_BYTES = 64 * 1024
 # Densest mask whose objective gathers the observed entries. Up to it the
 # four nnz-sized vectors (32 bytes a rating) hold no more than one more
 # (n, m) buffer would, and the gathers cost less than forming p @ q.T
@@ -320,6 +359,71 @@ def recommend(model, u: int, l: int) -> RecommendationList:
                               tuple(float(scores[i]) for i in items))
 
 
+def _top_lists(scores, cand, l):
+    """Top-l lists of a block of rows in one pass, ranked as ``top_items``
+    ranks them: score descending, item index ascending.
+
+    ``scores`` (rows, m) is overwritten; ``cand`` marks each row's
+    candidates. Returns the (rows, m) bool indicator of the lists and each
+    row's l-th score (-inf for a row with fewer than l candidates). Only
+    the entries at or above that score are sorted, so ties at the cut keep
+    their index order.
+    """
+    rows, m = scores.shape
+    scores[~cand] = -np.inf
+    if l <= m:
+        # a copy, so the partitioned buffer is freed on return
+        thr = np.partition(scores, m - l, axis=1)[:, m - l].copy()
+    else:
+        thr = np.full(rows, -np.inf)
+    r, c = np.nonzero(cand & (scores >= thr[:, None]))
+    order = np.lexsort((c, -scores[r, c], r))
+    r, c = r[order], c[order]
+    keep = np.arange(len(r)) - np.searchsorted(r, r) < l
+    lists = np.zeros((rows, m), dtype=bool)
+    lists[r[keep], c[keep]] = True
+    return lists, thr
+
+
+def _list_chunks(ds: RatingsDataset, rows, score, live, l: int):
+    """Yield (chunk, lists, l-th scores) for ``rows`` chunk by chunk.
+
+    ``score(chunk, out)`` fills a (len(chunk), m) buffer; a row's
+    candidates are the ``live`` items (those with a rater) it has not
+    rated. Each chunk is ranked by ``_top_lists``.
+    """
+    _, mask = ds.dense
+    step = max(1, _CHUNK_BYTES // (8 * ds.n_items))
+    buf = np.empty((min(step, len(rows)), ds.n_items))
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        scores = buf[:len(chunk)]
+        score(chunk, scores)
+        cand = ~mask[chunk] & live
+        yield (chunk, *_top_lists(scores, cand, l))
+
+
+def top_lists(model, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's ``top_items`` list in one chunked pass.
+
+    Returns the (n, m) bool indicator of the lists and each list's l-th
+    score (-inf for a user with fewer than l candidates). Rows are scored
+    by ``model.score_rows``, as ``top_items`` scores them, so every list
+    holds exactly the items ``top_items(model, v, l)`` returns.
+    """
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    ds = model.dataset
+    n = ds.n_users
+    lists = np.zeros((n, ds.n_items), dtype=bool)
+    thr = np.empty(n)
+    for rows, chunk_lists, chunk_thr in _list_chunks(
+            ds, np.arange(n), model.score_rows, ds.item_counts > 0, l):
+        lists[rows] = chunk_lists
+        thr[rows] = chunk_thr
+    return lists, thr
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters for one recommender run; ``train`` dispatches."""
@@ -383,23 +487,24 @@ def train_test_split(ds: RatingsDataset, test_fraction: float = 0.2,
 
 def evaluate(model, test: dict[int, dict[int, float]], l: int,
              relevance_threshold: float) -> dict[str, float]:
-    """Mean precision@l and recall@l against held-out relevant items.
+    """Mean precision@l and recall@l of the ``top_lists`` lists against
+    held-out relevant items.
 
     Users with no relevant test item are excluded from both means.
     """
     if not test:
         raise ValueError("empty test set")
     _, train_mask = model.dataset.dense
+    listed, _ = top_lists(model, l)
     precisions, recalls = [], []
     for u, held in test.items():
-        relevant = {i for i, r in held.items() if r >= relevance_threshold}
+        relevant = sorted(i for i, r in held.items()
+                          if r >= relevance_threshold)
         if not relevant:
             continue
-        overlap = relevant & set(np.flatnonzero(train_mask[u]).tolist())
-        if overlap:
+        if train_mask[u, relevant].any():
             raise ValueError(f"test ratings overlap training for user {u}")
-        recs = top_items(model, u, l)
-        hits = len(relevant.intersection(int(i) for i in recs))
+        hits = int(np.count_nonzero(listed[u, relevant]))
         precisions.append(hits / l)
         recalls.append(hits / len(relevant))
     if not precisions:

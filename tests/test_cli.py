@@ -105,6 +105,16 @@ class TestIngest:
                      "--out-dir", str(tmp_path)]) == 2
 
 
+    def test_rating_whose_square_overflows_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("u1,i1,1e300\nu2,i1,3\n")
+        out = tmp_path / "work"
+        assert main(["ingest", "--input", str(big), "--format", "csv",
+                     "--out-dir", str(out)]) == 2
+        assert "1e+300" in capsys.readouterr().err
+        assert not (out / "dataset.tsv").exists()
+
+
 class TestTrainAndEvaluate:
     def test_train_dumps_reloadable_model(self, tmp_path):
         out = ingest_toy(tmp_path)

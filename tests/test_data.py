@@ -88,6 +88,24 @@ class TestLoadRatings:
         with pytest.raises(DatasetError, match="line 1"):
             load_ratings(f, format="csv", r_min=1, r_max=5)
 
+    def test_rating_whose_square_overflows_is_refused(self, tmp_path):
+        f = tmp_path / "big.csv"
+        f.write_text("u1,i1,5\nu2,i2,-1e300\n")
+        with pytest.raises(DatasetError,
+                           match=r"rating -1e\+300 is too large"):
+            load_ratings(f, format="csv")
+
+    def test_square_bound_is_n_users_times_n_items(self, tmp_path):
+        # 2 users x 2 items: n * m * r**2 reaches max float at
+        # r = sqrt(max / 4)
+        edge = float(np.sqrt(np.finfo(float).max / 4))
+        f = tmp_path / "edge.csv"
+        f.write_text(f"u1,i1,{edge * 0.999!r}\nu2,i2,1\n")
+        assert load_ratings(f, format="csv").n_ratings == 2
+        f.write_text(f"u1,i1,{edge * 1.001!r}\nu2,i2,1\n")
+        with pytest.raises(DatasetError, match="too large"):
+            load_ratings(f, format="csv")
+
     def test_integer_ids_sort_numerically(self, tmp_path):
         f = tmp_path / "ids.csv"
         f.write_text("10,1,3\n2,1,4\n1,1,5\n")

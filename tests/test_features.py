@@ -14,14 +14,23 @@ from recinfluence.features import (FEATURE_NAMES, FeatureConfig, centrality,
                                    neighborhood_membership, profile_size,
                                    recommendation_overlap,
                                    recommendation_overlaps, resolve_epsilon)
-from recinfluence.influence import top_lists
-from recinfluence.recommender import ModelConfig, top_items, train_knn
+from recinfluence.recommender import (ModelConfig, top_items, top_lists,
+                                      train_knn)
 from recinfluence.similarity import (item_distance_submatrix,
                                      user_distance_matrix,
                                      user_similarity_matrix)
 
 import oracles
 from conftest import build_dataset, clone_users_dataset, random_dataset
+
+
+def indicator(lists, n_items):
+    """The (n, m) bool indicator of per-user item lists, as ``top_lists``
+    returns it."""
+    listed = np.zeros((len(lists), n_items), dtype=bool)
+    for v, items in enumerate(lists):
+        listed[v, list(items)] = True
+    return listed
 
 
 class TestProfileSize:
@@ -149,14 +158,14 @@ class TestRecommendationOverlaps:
         rng = np.random.default_rng(n_users)
         lists = [frozenset(rng.choice(n_items, size=l, replace=False).tolist())
                  for _ in range(n_users)]
-        got = recommendation_overlaps(ds, lists)
+        got = recommendation_overlaps(ds, indicator(lists, ds.n_items))
         assert np.array_equal(got, self.reference(ds, lists))
 
     def test_empty_and_ragged_lists(self, toy):
         # empty lists give empty unions only against empty profiles; the
         # lists here are plain lists with a repeated item
         lists = [[], [3], [4, 4, 5], [0, 1, 2, 3, 4, 5], [2]]
-        got = recommendation_overlaps(toy, lists)
+        got = recommendation_overlaps(toy, indicator(lists, toy.n_items))
         assert np.array_equal(got, self.reference(toy, lists))
 
     def test_user_without_ratings_scores_its_empty_unions_zero(self):
@@ -165,7 +174,7 @@ class TestRecommendationOverlaps:
         ds = build_dataset([("a", "x", 4.0), ("b", "y", 2.0)],
                            users=["a", "b", "c"])
         lists = [[1], [], []]
-        got = recommendation_overlaps(ds, lists)
+        got = recommendation_overlaps(ds, indicator(lists, ds.n_items))
         assert np.array_equal(got, self.reference(ds, lists))
 
 
@@ -320,7 +329,7 @@ class TestExtractAll:
         lists = [frozenset(top_items(model, v, 3).tolist())
                  for v in range(5)]
         cfg = FeatureConfig()
-        table = extract_all(toy, model, lists,
+        table = extract_all(toy, model, indicator(lists, toy.n_items),
                             user_similarity_matrix(toy), cfg)
         assert table.values.shape == (5, 8)
         eps = table.config["epsilon"]
@@ -369,8 +378,10 @@ class TestExtractAll:
         m2 = train_knn(ds2, 3, "pearson")
         l1 = [frozenset(top_items(m1, v, 4).tolist()) for v in range(8)]
         l2 = [frozenset(top_items(m2, v, 4).tolist()) for v in range(8)]
-        t1 = extract_all(ds, m1, l1, user_similarity_matrix(ds), cfg)
-        t2 = extract_all(ds2, m2, l2, user_similarity_matrix(ds2), cfg)
+        t1 = extract_all(ds, m1, indicator(l1, ds.n_items),
+                         user_similarity_matrix(ds), cfg)
+        t2 = extract_all(ds2, m2, indicator(l2, ds2.n_items),
+                         user_similarity_matrix(ds2), cfg)
         for new, orig in enumerate(perm):
             np.testing.assert_allclose(t2.values[new], t1.values[orig],
                                        atol=1e-12)
@@ -380,8 +391,8 @@ class TestExtractAll:
         model = train_knn(ds, 2, "pearson")
         lists = [frozenset(top_items(model, v, 2).tolist())
                  for v in range(6)]
-        table = extract_all(ds, model, lists, user_similarity_matrix(ds),
-                            FeatureConfig())
+        table = extract_all(ds, model, indicator(lists, ds.n_items),
+                            user_similarity_matrix(ds), FeatureConfig())
         assert table.values.shape[1] == 8
 
     def test_invariant_ranges(self):
@@ -389,8 +400,8 @@ class TestExtractAll:
         model = train_knn(ds, 3, "pearson")
         lists = [frozenset(top_items(model, v, 4).tolist())
                  for v in range(10)]
-        table = extract_all(ds, model, lists, user_similarity_matrix(ds),
-                            FeatureConfig())
+        table = extract_all(ds, model, indicator(lists, ds.n_items),
+                            user_similarity_matrix(ds), FeatureConfig())
         v = table.values
         assert np.all(v[:, 0] >= 1)
         assert np.all(v[:, 2] == v[:, 2].astype(int))
@@ -426,8 +437,9 @@ def graded_dataset(n_users, n_items, density, seed, grade="half",
                                 users, items, values)
 
 
-def reference_values(ds, model, lists, sims, cfg, epsilon):
+def reference_values(ds, model, listed, sims, cfg, epsilon):
     """The table the one-user reference functions give, row by row."""
+    lists = [np.flatnonzero(row) for row in listed]
     return np.array([
         [profile_size(ds, u), centrality(ds, u, sim_matrix=sims),
          neighborhood_membership(model, u),
@@ -440,22 +452,21 @@ def reference_values(ds, model, lists, sims, cfg, epsilon):
 
 
 def feature_inputs(ds, cfg, k=3, l=5, algo="knn"):
-    """The kNN model, top-l lists and similarity matrix ``extract_all``
-    takes, built as the ``features`` command builds them."""
+    """The kNN model, top-l list indicator and similarity matrix
+    ``extract_all`` takes, built as the ``features`` command builds them."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # k >= n is reduced
         model = train_knn(ds, k, cfg.similarity)
     studied = model if algo == "knn" else ModelConfig(
         "nmf", factors=3, seed=2, n_iters=20).train(ds)
     listed, _ = top_lists(studied, l)
-    lists = [np.flatnonzero(row) for row in listed]
-    return model, lists, user_similarity_matrix(ds, kind=cfg.similarity)
+    return model, listed, user_similarity_matrix(ds, kind=cfg.similarity)
 
 
 def table_and_reference(ds, cfg=FeatureConfig(), **kwargs):
-    model, lists, sims = feature_inputs(ds, cfg, **kwargs)
-    table = extract_all(ds, model, lists, sims, cfg)
-    return table.values, reference_values(ds, model, lists, sims, cfg,
+    model, listed, sims = feature_inputs(ds, cfg, **kwargs)
+    table = extract_all(ds, model, listed, sims, cfg)
+    return table.values, reference_values(ds, model, listed, sims, cfg,
                                           table.config["epsilon"])
 
 
@@ -563,9 +574,9 @@ class TestBatchedColumns:
 
     def test_explicit_epsilon_must_be_positive(self, toy):
         model = train_knn(toy, 2)
-        lists = [top_items(model, v, 3) for v in range(5)]
+        listed, _ = top_lists(model, 3)
         with pytest.raises(ValueError, match="epsilon must be > 0"):
-            extract_all(toy, model, lists, user_similarity_matrix(toy),
+            extract_all(toy, model, listed, user_similarity_matrix(toy),
                         FeatureConfig(epsilon=-0.5))
 
 
@@ -608,7 +619,8 @@ class TestFeatureMemory:
         # profile-analysis shape: 300 x 600 half stars at 4% density
         ds = graded_dataset(300, 600, 0.04, 16)
         cfg = FeatureConfig()
-        model, lists, sims = feature_inputs(ds, cfg, k=20, l=10)
+        model, listed, sims = feature_inputs(ds, cfg, k=20, l=10)
+        lists = [np.flatnonzero(row) for row in listed]
 
         def reference():
             dists = user_distance_matrix(ds, kind=cfg.user_distance)
@@ -633,7 +645,7 @@ class TestFeatureMemory:
                 tracemalloc.stop()
 
         def batched():
-            extract_all(ds, model, lists, sims, cfg)
+            extract_all(ds, model, listed, sims, cfg)
 
         # a first call imports modules lazily (np.unique loads numpy.ma),
         # which both routes would otherwise count

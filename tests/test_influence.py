@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recinfluence import influence
+from recinfluence import influence, recommender
 from recinfluence.data import DatasetError, RatingsDataset, drop_user
 from recinfluence.influence import (LeaveOneOutEngine, group_influence,
                                     influence_all, influence_oracle,
                                     jaccard_distance,
                                     prediction_shift_oracle)
 from recinfluence.recommender import (ModelConfig, NmfModel, TrainingError,
-                                      continue_nmf, top_items, train_knn)
+                                      continue_nmf, predict_knn, top_items,
+                                      train_knn)
 
 import oracles
 from conftest import (build_dataset, clone_users_dataset, hub_dataset,
@@ -476,7 +477,7 @@ class TestDeltaEngine:
         ds = random_dataset(60, 200, 0.03, seed=0)
         n = ds.n_users
         built = []
-        real = influence._top_lists
+        real = recommender._top_lists
 
         def counting_top_lists(scores, cand, l):
             built.append(len(scores))
@@ -485,7 +486,7 @@ class TestDeltaEngine:
         knn = LeaveOneOutEngine(ds, ModelConfig("knn", k=5), 10)
         nmf = LeaveOneOutEngine(ds, ModelConfig("nmf", factors=3, seed=1,
                                                 n_iters=10), 10)
-        monkeypatch.setattr(influence, "_top_lists", counting_top_lists)
+        monkeypatch.setattr(recommender, "_top_lists", counting_top_lists)
         for u in range(n):
             knn.distances_without(u)
         assert 0 < sum(built) < n * (n - 1)
@@ -568,13 +569,16 @@ class TestOnePassParts:
 
     @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
     def test_block_scores_equal_scores_for(self, name):
+        # one score_rows block against each row scored alone
         ds = DELTA_DATASETS[name]()
-        model = train_knn(ds, min(3, ds.n_users - 1))
-        out = np.empty((ds.n_users, ds.n_items))
-        influence._knn_scores(*ds.dense, model.neighbors,
-                              model.neighbor_sims, model.item_means, out)
-        expected = [model.scores_for(v) for v in range(ds.n_users)]
-        assert np.array_equal(out, expected)
+        nmf = ModelConfig("nmf", factors=2, seed=3, n_iters=20)
+        for model in (train_knn(ds, min(3, ds.n_users - 1)), nmf.train(ds)):
+            out = np.empty((ds.n_users, ds.n_items))
+            model.score_rows(np.arange(ds.n_users), out)
+            expected = np.array([model.scores_for(v)
+                                 for v in range(ds.n_users)])
+            assert np.array_equal(out.view(np.int64),
+                                  expected.view(np.int64))
 
     @pytest.mark.parametrize("n,m,f", [(2, 7, 3), (9, 1, 2), (12, 15, 1),
                                        (40, 60, 8), (3, 200, 11)])
@@ -585,9 +589,9 @@ class TestOnePassParts:
                          rng.random((m, f)), (0.0,))
         rows = rng.permutation(n)[:max(1, n - 1)]
         out = np.empty((len(rows), m))
-        influence._nmf_scores(model, rows, out)
-        expected = [model.scores_for(v) for v in rows]
-        assert np.array_equal(out, expected)
+        model.score_rows(rows, out)
+        expected = np.array([model.p[v] @ model.q.T for v in rows])
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("name", sorted(DELTA_DATASETS))
     def test_one_pass_lists_equal_top_items(self, name):
@@ -602,7 +606,7 @@ class TestOnePassParts:
             scores = np.array([model.scores_for(v)
                                for v in range(len(mask))])
             for l in (1, 4, 10):
-                lists, thr = influence._top_lists(scores.copy(), cand, l)
+                lists, thr = recommender._top_lists(scores.copy(), cand, l)
                 for v in range(len(mask)):
                     expected = top_items(model, v, l)
                     assert np.array_equal(np.flatnonzero(lists[v]),
@@ -630,7 +634,7 @@ class TestOnePassParts:
         model = ModelConfig(algorithm, k=min(3, ds.n_users - 1), factors=2,
                             seed=3, n_iters=20).train(ds)
         for l in (1, 4, ds.n_items + 5):
-            lists, thr = influence.top_lists(model, l)
+            lists, thr = recommender.top_lists(model, l)
             for v in range(ds.n_users):
                 expected = top_items(model, v, l)
                 assert np.array_equal(np.flatnonzero(lists[v]),
@@ -640,7 +644,48 @@ class TestOnePassParts:
                 else:
                     assert thr[v] == model.scores_for(v)[expected[-1]]
         with pytest.raises(ValueError, match="l must be >= 1"):
-            influence.top_lists(model, 0)
+            recommender.top_lists(model, 0)
+
+    @pytest.mark.parametrize("n,k", [(16, 8), (31, 11)])
+    def test_one_item_scores_agree_bit_for_bit(self, n, k):
+        # With one item, numpy would add an axis-0 neighbor sum pairwise,
+        # not in rank order, from 8 neighbors on. Every route must score
+        # through the one blend: predict_knn, a top_lists block and the
+        # engine's blend of reduced neighbor lists.
+        rng = np.random.default_rng(n)
+        raters = n - 2
+        ds = RatingsDataset.build(
+            [f"u{j}" for j in range(n)], ["x"], np.arange(raters),
+            np.zeros(raters, dtype=int), 1 + 4 * rng.random(raters))
+        engine = LeaveOneOutEngine(ds, ModelConfig("knn", k=k,
+                                                   similarity="cosine"), 1)
+        model = engine.full_model
+        alone = np.array([predict_knn(model, v, 0) for v in range(n)])
+        assert np.array_equal(
+            alone.view(np.int64),
+            np.array([model.scores_for(v)[0] for v in range(n)])
+            .view(np.int64))
+        block = np.empty((n, 1))
+        model.score_rows(np.arange(n), block)
+        assert np.array_equal(block[:, 0].view(np.int64),
+                              alone.view(np.int64))
+        # the two non-raters are the only candidates: their l-th score
+        _, thr = recommender.top_lists(model, 1)
+        assert np.array_equal(thr[raters:].view(np.int64),
+                              alone[raters:].view(np.int64))
+        assert np.all(thr[:raters] == -np.inf)
+        for u in (0, raters - 1, n - 1):
+            reduced = train_knn(drop_user(ds, u), k, "cosine")
+            rows = np.delete(np.arange(n), u)
+            nbrs, sims = engine._reduced_neighbors(rows, u)
+            means = model.item_means.copy()
+            means[ds.user_items(u)] = engine._means_without(u)
+            out = np.empty((n - 1, 1))
+            recommender._blend(*ds.dense, nbrs, sims, means, out)
+            retrained = np.array([predict_knn(reduced, v, 0)
+                                  for v in range(n - 1)])
+            assert np.array_equal(out[:, 0].view(np.int64),
+                                  retrained.view(np.int64))
 
     def test_integer_jaccard_equals_set_formula(self):
         rng = np.random.default_rng(0)

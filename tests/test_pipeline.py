@@ -7,7 +7,7 @@ from recinfluence.analysis import (centrality_dispersion, mds_embed,
 from recinfluence.features import FeatureConfig, extract_all
 from recinfluence.influence import influence_all
 from recinfluence.predictor import export_boundaries, fit_tree, predict_tree
-from recinfluence.recommender import ModelConfig, top_items, train_knn
+from recinfluence.recommender import ModelConfig, top_lists, train_knn
 from recinfluence.similarity import user_similarity_matrix
 
 from conftest import build_dataset, random_dataset
@@ -38,9 +38,8 @@ def test_neighborhood_membership_tracks_knn_influence_best():
     cfg = ModelConfig("knn", k=5)
     report = influence_all(ds, cfg, 10)
     model = train_knn(ds, 5)
-    lists = [frozenset(top_items(model, v, 10).tolist())
-             for v in range(ds.n_users)]
-    table = extract_all(ds, model, lists, user_similarity_matrix(ds),
+    listed, _ = top_lists(model, 10)
+    table = extract_all(ds, model, listed, user_similarity_matrix(ds),
                         FeatureConfig())
     corrs = [spearman(table.values[:, j], report.influence)
              for j in range(8)]
@@ -53,9 +52,8 @@ def test_full_stage_chain_is_consistent():
     cfg = ModelConfig("knn", k=4)
     report = influence_all(ds, cfg, 5)
     model = train_knn(ds, 4)
-    lists = [frozenset(top_items(model, v, 5).tolist())
-             for v in range(ds.n_users)]
-    table = extract_all(ds, model, lists, user_similarity_matrix(ds),
+    listed, _ = top_lists(model, 5)
+    table = extract_all(ds, model, listed, user_similarity_matrix(ds),
                         FeatureConfig())
     tree = fit_tree(table.values, report.influence,
                     max_depth=6, min_samples_leaf=2)

@@ -676,6 +676,28 @@ class TestEvaluate:
         assert got["precision_at_l"] == pytest.approx(np.mean(precisions))
         assert got["recall_at_l"] == pytest.approx(np.mean(recalls))
 
+    @pytest.mark.parametrize("algorithm", ["knn", "nmf"])
+    def test_equals_per_user_top_items_on_random_suite(self, algorithm):
+        # the one top_lists pass against each user's own top_items list
+        cfg = ModelConfig(algorithm, k=10, factors=4, seed=1, n_iters=20)
+        for seed in range(20):
+            ds = random_dataset(50, 100, 0.10, seed=100 + seed)
+            train, test = train_test_split(ds, 0.2, seed=seed)
+            model = cfg.train(train)
+            for l in (1, 10):
+                precisions, recalls = [], []
+                for u, held in test.items():
+                    relevant = {i for i, r in held.items() if r >= 4.0}
+                    if not relevant:
+                        continue
+                    rec = set(top_items(model, u, l).tolist())
+                    hits = len(rec & relevant)
+                    precisions.append(hits / l)
+                    recalls.append(hits / len(relevant))
+                assert evaluate(model, test, l, 4.0) == {
+                    "precision_at_l": float(np.mean(precisions)),
+                    "recall_at_l": float(np.mean(recalls))}
+
     def test_empty_test_set_rejected(self, toy):
         model = train_knn(toy, 2)
         with pytest.raises(ValueError):
