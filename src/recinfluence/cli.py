@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computation failure, 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -352,7 +353,10 @@ def cmd_report(args, cfg: dict, out: Path) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``main`` reads a fresh namespace from
+    it on every call."""
     # A config-backed option's dest is its DEFAULTS key, which --help shows
     # as its metavar; resolve_config reads the keys straight from vars(args).
     common = argparse.ArgumentParser(add_help=False)
@@ -392,12 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-items", dest="data.sample_items", type=int)
     p.add_argument("--item-sample-mode", dest="data.item_sample_mode",
                    choices=("random", "popularity"))
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", parents=[common, model],
                        help="fit a model and dump it")
     p.add_argument("--dataset", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[common, model],
                        help="precision/recall at l on a held-out split")
@@ -405,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", dest="eval.test_fraction", type=float)
     p.add_argument("--relevance-threshold", dest="eval.relevance_threshold",
                    type=float)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("influence", parents=[common, model],
                        help="per-user influence and group curves")
@@ -415,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warm-start", dest="influence.warm_start",
                    action=argparse.BooleanOptionalAction)
     p.add_argument("--warm-iters", dest="influence.warm_iters", type=int)
-    p.set_defaults(func=cmd_influence)
 
     p = sub.add_parser("features", parents=[common, model],
                        help="per-user feature table")
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", dest="features.epsilon", type=float)
     p.add_argument("--epsilon-quantile", dest="features.epsilon_quantile",
                    type=float)
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("fit-tree", parents=[common],
                        help="regression tree from features to influence")
@@ -434,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                    type=int)
     p.add_argument("--holdout-fraction", dest="tree.holdout_fraction",
                    type=float)
-    p.set_defaults(func=cmd_fit_tree)
 
     p = sub.add_parser("mds", parents=[common],
                        help="2-D embedding with influence segments")
@@ -445,21 +443,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", dest="mds.max_points", type=int)
     p.add_argument("--segments", dest="mds.segments", type=int)
     p.add_argument("--refine-iters", dest="mds.refine_iters", type=int)
-    p.set_defaults(func=cmd_mds)
 
     p = sub.add_parser("report", parents=[common],
                        help="bundle stage outputs into one JSON")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a cmd_* rebound after the parser was built
+    # (a tracer's wrapper, a test's stub) is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         cfg = resolve_config(args)
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg, out)
+        return command(args, cfg, out)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -351,22 +352,59 @@ def save_dataset(ds: RatingsDataset, tsv_path,
     return tsv_path
 
 
-def load_dataset(tsv_path) -> RatingsDataset:
-    """Read back a canonical dump written by :func:`save_dataset`."""
-    tsv_path = Path(tsv_path)
-    side = json.loads(tsv_path.with_suffix(".json").read_text(encoding="utf-8"))
-    u_idx, i_idx, vals = [], [], []
+def _dump_table(tsv_path):
+    """The (ratings, 2) int64 indices and the ratings of a dump, parsed in
+    one ``np.loadtxt`` call; ValueError when a row is not two integers and
+    a float."""
+    # an open file, not a path: given a path, loadtxt imports numpy's
+    # data-source module and keeps about 70 KB alive for the process
+    with open(tsv_path, "r", encoding="utf-8") as fh, \
+            warnings.catch_warnings():
+        # an empty dump is refused by RatingsDataset.build as empty
+        warnings.filterwarnings("ignore", "loadtxt: input contained no")
+        table = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
+    if table.size == 0:
+        table = table.reshape(0, 3)
+    if table.shape[1] != 3:
+        raise ValueError("a dump row has other than 3 fields")
+    with np.errstate(invalid="ignore"):
+        idx = table[:, :2].astype(np.int64)
+    if np.any(idx != table[:, :2]):
+        raise ValueError("a dump index is not an integer")
+    return idx, table[:, 2]
+
+
+def _bad_dump_line(tsv_path) -> str:
+    """'line N' for the first non-empty line of a dump that is not two
+    integers and a float separated by tabs."""
     with open(tsv_path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.rstrip("\r\n").split("\t")
+            if parts == [""]:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DatasetError(f"{tsv_path}: line {lineno}: bad dump row")
-            u_idx.append(int(parts[0]))
-            i_idx.append(int(parts[1]))
-            vals.append(float(parts[2]))
+            try:
+                if len(parts) == 3:
+                    int(parts[0]), int(parts[1]), float(parts[2])
+                    continue
+            except ValueError:
+                pass
+            return f"line {lineno}"
+    return "a line"
+
+
+def load_dataset(tsv_path) -> RatingsDataset:
+    """Read back a canonical dump written by :func:`save_dataset`.
+
+    A row that is not two integer indices and a rating raises
+    ``DatasetError`` with its line number; empty lines are skipped.
+    """
+    tsv_path = Path(tsv_path)
+    side = json.loads(tsv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    try:
+        idx, values = _dump_table(tsv_path)
+    except ValueError:
+        raise DatasetError(f"{tsv_path}: {_bad_dump_line(tsv_path)}: "
+                           "bad dump row") from None
     return RatingsDataset.build(side["user_ids"], side["item_ids"],
-                                u_idx, i_idx, vals,
+                                idx[:, 0], idx[:, 1], values,
                                 r_min=side["r_min"], r_max=side["r_max"])

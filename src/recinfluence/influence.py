@@ -15,7 +15,9 @@ instead of retraining.
 
 Scoring is the model layer's: every list is scored by a model's
 ``score_rows``, or for a neighborhood removal by ``recommender._blend``,
-the kNN model's own blend, on the reduced neighbor lists.
+the kNN model's own blend, on the reduced neighbor lists. The blend
+scatters only the ratings those neighbors hold, in rank order, so its
+scores are the full model's arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class LeaveOneOutEngine:
     indices, so tie-breaks hold, and similarities do not depend on third
     users). Only the means of u's items move, and they are summed again
     over their remaining raters in user order, as the reduced dataset sums
-    them. Scores are blended by ``_blend`` from the full rating rows. The
+    them. Scores are blended by ``_blend`` from the full data's ratings. The
     lists rebuilt are those of the users v != u that the removal flags:
 
     (a) u is one of v's full-model neighbors (when k >= n - 1 everyone
@@ -252,7 +254,7 @@ class LeaveOneOutEngine:
 
             def score(chunk, out):
                 nbrs, sims = self._reduced_neighbors(chunk, u)
-                _blend(*ds.dense, nbrs, sims, means, out)
+                _blend(ds, nbrs, sims, means, out)
         else:
             model = self._retrain(u)
             rows = np.delete(np.arange(ds.n_users), u)

@@ -20,32 +20,55 @@ class TrainingError(RuntimeError):
     """Raised when model fitting fails (for example a diverging objective)."""
 
 
-def _blend(ratings, mask, nbrs, sims, means, out):
+def _blend(ds, nbrs, sims, means, out):
     """The one kNN blend: scores of a block of rows into ``out`` (rows, m).
 
-    Row r blends the rating rows of its neighbors ``nbrs[r]`` (user indices
-    into ``ratings``/``mask``) with weights ``sims[r]`` and falls back to
-    ``means``. The sums run elementwise over neighbor rank in order, so a
-    row's scores depend neither on the block nor on m. ``KnnModel`` and the
+    Row r blends the ratings of its neighbors ``nbrs[r]`` (user indices of
+    ``ds``) with weights ``sims[r]`` and falls back to ``means`` where no
+    neighbor with non-zero weight rated the item. The ratings come from
+    ``ds``'s CSR arrays as (row, rank, item) triples, ordered by row, then
+    by neighbor rank, then by item, and each of the two sums is one
+    ``np.bincount`` over them. ``bincount`` adds in input order from +0, so
+    every entry adds its rated neighbors' terms in rank order: the bits of
+    a dense loop over ranks, whose other terms are ±0 added to a sum that
+    is never -0. A row's scores depend neither on the block nor on m.
+    Rows go in sub-blocks of at most ``_BLEND_TRIPLES`` triples (one row
+    at least), which keeps the scratch arrays small. ``KnnModel`` and the
     leave-one-out engine's reduced neighbor lists both score through it.
-    ``out`` holds the weighted sum until the division.
     """
-    out[...] = 0.0
-    asum = np.zeros_like(out)
-    term = np.empty_like(out)
-    rated = np.empty(out.shape, dtype=bool)
-    for j in range(nbrs.shape[1]):
-        # mode="clip" lets take write into its out array unbuffered; the
-        # indices are in range
-        mask.take(nbrs[:, j], axis=0, out=rated, mode="clip")
-        ratings.take(nbrs[:, j], axis=0, out=term, mode="clip")
-        term *= sims[:, j, None]
-        term *= rated
-        out += term
-        np.multiply(np.abs(sims[:, j, None]), rated, out=term)
-        asum += term
+    rows = len(out)
+    ptr = ds._user_ptr
+    lo = ptr[nbrs]
+    sizes = ptr[nbrs + 1] - lo
+    ends = np.cumsum(sizes.sum(axis=1))
+    a = 0
+    while a < rows:
+        start = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, start + _BLEND_TRIPLES,
+                                           side="right")))
+        _scatter_rows(ds, lo[a:b], sizes[a:b], sims[a:b], means, out[a:b])
+        a = b
+
+
+def _scatter_rows(ds, lo, sizes, sims, means, out):
+    """``_blend`` of one sub-block, given each neighbor's CSR start ``lo``
+    and rating count ``sizes``; its scratch is freed on return."""
+    rows, m = out.shape
+    size = sizes.ravel()
+    # rating positions of the triples: each neighbor's CSR range in turn
+    pos = np.repeat(lo.ravel() - (np.cumsum(size) - size), size)
+    pos += np.arange(len(pos))
+    flat = np.repeat(np.arange(0, rows * m, m), sizes.sum(axis=1))
+    flat += ds.item_idx[pos]
+    terms = ds.values[pos]
+    weight = np.repeat(sims.ravel(), size)
+    terms *= weight
+    wsum = np.bincount(flat, weights=terms, minlength=rows * m)
+    asum = np.bincount(flat, weights=np.abs(weight, out=weight),
+                       minlength=rows * m)
+    wsum.shape = asum.shape = (rows, m)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out /= asum
+        np.divide(wsum, asum, out=out)
     np.copyto(out, means, where=~(asum > 0))
 
 
@@ -66,9 +89,11 @@ class KnnModel(_RowScorer):
     Neighbor lists hold exactly min(k, n - 1) entries, sorted by similarity
     descending with ties broken by ascending user index. Ratings of a target
     item are blended as sum(sim * r) / sum(|sim|) over the listed neighbors
-    who rated it (``_blend``); when no listed neighbor rated the item (or
-    their similarities cancel to zero weight) the item's mean rating stands
-    in, and an item with no raters at all falls back to the global mean.
+    who rated it, each sum added in rank order by one ordered scatter of
+    the neighbors' ratings (``_blend``); when no listed neighbor rated the
+    item (or their similarities cancel to zero weight) the item's mean
+    rating stands in, and an item with no raters at all falls back to the
+    global mean.
     """
 
     dataset: RatingsDataset
@@ -85,8 +110,8 @@ class KnnModel(_RowScorer):
 
     def score_rows(self, rows, out) -> None:
         """Scores of users ``rows`` for every item into ``out`` (len(rows),
-        m): ``_blend`` of their neighbors' rating rows."""
-        _blend(*self.dataset.dense, self.neighbors[rows],
+        m): ``_blend`` of their neighbors' ratings."""
+        _blend(self.dataset, self.neighbors[rows],
                self.neighbor_sims[rows], self.item_means, out)
 
 
@@ -188,6 +213,10 @@ _EPS = 1e-12
 # Rows per list-building chunk keep each (rows, n_items) float buffer near
 # this many bytes.
 _CHUNK_BYTES = 64 * 1024
+# Most (row, rank, item) triples one ``_blend`` sub-block holds, so its
+# scratch (four or five 8-byte values a triple) stays near two score
+# chunks, what the dense loop over ranks held.
+_BLEND_TRIPLES = _CHUNK_BYTES // 16
 # Densest mask whose objective gathers the observed entries. Up to it the
 # four nnz-sized vectors (32 bytes a rating) hold no more than one more
 # (n, m) buffer would, and the gathers cost less than forming p @ q.T
@@ -338,25 +367,30 @@ def continue_nmf(ds: RatingsDataset, p0: np.ndarray, q0: np.ndarray,
     return _fit_nmf(ds, p, q, seed, n_iters, 0.0, masked)
 
 
-def top_items(model, u: int, l: int) -> np.ndarray:
-    """Indices of the top-l eligible items, score descending, index ascending."""
+def _ranked(model, u: int, l: int):
+    """(items, scores) of u's top-l list, scored by one ``scores_for``."""
     if l < 1:
         raise ValueError("l must be >= 1")
     ds = model.dataset
     _, mask = ds.dense
     candidates = np.flatnonzero(~mask[u] & (ds.item_counts > 0))
     if len(candidates) == 0:
-        return candidates
+        return candidates, np.empty(0)
     scores = model.scores_for(u)[candidates]
-    order = np.lexsort((candidates, -scores))
-    return candidates[order[:l]]
+    order = np.lexsort((candidates, -scores))[:l]
+    return candidates[order], scores[order]
+
+
+def top_items(model, u: int, l: int) -> np.ndarray:
+    """Indices of the top-l eligible items, score descending, index ascending."""
+    return _ranked(model, u, l)[0]
 
 
 def recommend(model, u: int, l: int) -> RecommendationList:
-    items = top_items(model, u, l)
-    scores = model.scores_for(u)
-    return RecommendationList(u, tuple(int(i) for i in items),
-                              tuple(float(scores[i]) for i in items))
+    """``top_items`` with each item's score, from one scoring of u."""
+    items, scores = _ranked(model, u, l)
+    return RecommendationList(u, tuple(items.tolist()),
+                              tuple(scores.tolist()))
 
 
 def _top_lists(scores, cand, l):

@@ -77,6 +77,30 @@ def knn_predict(ds, u, i, k, kind="pearson"):
     return num / denom
 
 
+def dense_blend(ratings, mask, nbrs, sims, means, out):
+    """The kNN blend as a dense loop over neighbor rank: each rank adds its
+    neighbors' whole (masked) rating rows and |sim| weights to (rows, m)
+    sums, then the sums divide and unweighted entries take ``means``. The
+    package's scatter over rated triples must match it bit for bit."""
+    out[...] = 0.0
+    asum = np.zeros_like(out)
+    term = np.empty_like(out)
+    rated = np.empty(out.shape, dtype=bool)
+    for j in range(nbrs.shape[1]):
+        # mode="clip" lets take write into its out array unbuffered; the
+        # indices are in range
+        mask.take(nbrs[:, j], axis=0, out=rated, mode="clip")
+        ratings.take(nbrs[:, j], axis=0, out=term, mode="clip")
+        term *= sims[:, j, None]
+        term *= rated
+        out += term
+        np.multiply(np.abs(sims[:, j, None]), rated, out=term)
+        asum += term
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out /= asum
+    np.copyto(out, means, where=~(asum > 0))
+
+
 def top_l(scores_by_item, rated, eligible, l):
     """Top-l eligible unrated items: score desc, index asc."""
     cands = [i for i in sorted(scores_by_item)

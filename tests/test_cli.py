@@ -538,6 +538,56 @@ class TestMdsAndReport:
             doc["summary"]["influence_median"]
 
 
+class TestOneParserPerProcess:
+    # Options set by one call that a later call leaves unset: --seed and
+    # --sample-users (ingest), --k, --l and --no-masked (influence),
+    # --algo and --factors (the first train).
+    STAGES = [
+        ["ingest", "--input", "ratings.csv", "--format", "csv",
+         "--sample-users", "25", "--seed", "3", "--out-dir", "out"],
+        ["influence", "--dataset", "out/dataset.tsv", "--k", "3", "--l", "4",
+         "--top-k", "2,5", "--no-masked", "--out-dir", "out"],
+        ["train", "--dataset", "out/dataset.tsv", "--algo", "nmf",
+         "--factors", "2", "--iters", "5", "--out-dir", "out"],
+        ["train", "--dataset", "out/dataset.tsv", "--out-dir", "out/plain"],
+        ["influence", "--dataset", "out/dataset.tsv", "--top-k", "0",
+         "--out-dir", "out/bad"],
+    ]
+
+    @staticmethod
+    def _files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_calls_in_one_process_equal_separate_runs(self, tmp_path,
+                                                      monkeypatch):
+        assert build_parser() is build_parser()
+        ds = random_dataset(30, 50, 0.2, seed=12)
+        text = "".join(f"{ds.user_ids[u]},{ds.item_ids[i]},{v}\n"
+                       for u, i, v in zip(ds.user_idx, ds.item_idx,
+                                          ds.values))
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        for d in (together, apart):
+            d.mkdir()
+            (d / "ratings.csv").write_text(text)
+        monkeypatch.chdir(together)
+        codes = [main(argv) for argv in self.STAGES]
+        src = str(Path(recinfluence.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        separate = [subprocess.run(
+            [sys.executable, "-m", "recinfluence", *argv], cwd=apart,
+            env=env, capture_output=True, timeout=300).returncode
+            for argv in self.STAGES]
+        assert codes == separate == [0, 0, 0, 0, 2]
+        files = self._files(together / "out")
+        assert files == self._files(apart / "out")
+        plain = json.loads(files["plain/model.json.meta.json"])["config"]
+        assert (plain["algo"], plain["knn.k"], plain["seed"],
+                plain["list.length"], plain["data.sample_users"],
+                plain["nmf.masked"]) == ("knn", 20, 0, 10, 0, True)
+
+
 class TestConfigResolution:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

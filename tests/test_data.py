@@ -254,6 +254,40 @@ class TestRoundTrip:
         back = load_dataset(save_dataset(ds, tmp_path / "d.tsv"))
         assert np.array_equal(back.values, ds.values)
 
+    def test_round_trip_keeps_every_bit_of_extreme_floats(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mask = rng.random((30, 40)) < 0.3
+        u, i = np.nonzero(mask)
+        values = (rng.standard_normal(len(u))
+                  * 10.0 ** rng.integers(-300, 300, len(u)))
+        values[:3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        ds = RatingsDataset.build([f"u{j}" for j in range(30)],
+                                  [f"i{j}" for j in range(40)], u, i, values)
+        back = load_dataset(save_dataset(ds, tmp_path / "d.tsv"))
+        assert np.array_equal(back.user_idx, ds.user_idx)
+        assert np.array_equal(back.item_idx, ds.item_idx)
+        assert back.user_idx.dtype == back.item_idx.dtype == np.int64
+        assert np.array_equal(back.values.view(np.int64),
+                              ds.values.view(np.int64))
+
+    @pytest.mark.parametrize("line", [
+        "1\t2", "1\t2\t3.0\t4", "1\t2\tx", "1.5\t2\t3.0", "1e30\t2\t3.0",
+        "#\t2\t3.0", "  ", "1\t2\t3.0\t"])
+    def test_bad_row_reports_its_line_number(self, tmp_path, toy, line):
+        path = save_dataset(toy, tmp_path / "dump.tsv")
+        lines = path.read_text().splitlines()
+        lines[2] = ""               # empty lines are skipped but counted
+        lines[5] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r"dump.tsv: line 6: bad dump"):
+            load_dataset(path)
+
+    def test_empty_dump_is_an_empty_dataset(self, tmp_path, toy):
+        path = save_dataset(toy, tmp_path / "dump.tsv")
+        path.write_text("\n")
+        with pytest.raises(DatasetError, match="empty dataset"):
+            load_dataset(path)
+
 
 class TestDropUser:
     def test_keeps_item_axis(self, toy):

@@ -681,7 +681,7 @@ class TestOnePassParts:
             means = model.item_means.copy()
             means[ds.user_items(u)] = engine._means_without(u)
             out = np.empty((n - 1, 1))
-            recommender._blend(*ds.dense, nbrs, sims, means, out)
+            recommender._blend(ds, nbrs, sims, means, out)
             retrained = np.array([predict_knn(reduced, v, 0)
                                   for v in range(n - 1)])
             assert np.array_equal(out[:, 0].view(np.int64),

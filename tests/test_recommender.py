@@ -346,6 +346,132 @@ class TestPredictKnn:
         assert negative_blends > 0 and fallbacks > 0
 
 
+# The acceptance criteria's random suite (tests/test_acceptance.py).
+ACCEPTANCE_SUITE = [(50, 100, 0.10, 100 + seed) for seed in range(20)]
+
+
+def _blend_pair(ds, nbrs, sims, means):
+    """``_blend`` and the dense reference loop on the same block, as int64
+    views so that signed zeros and NaN payloads count."""
+    got = np.empty((len(nbrs), ds.n_items))
+    want = np.empty_like(got)
+    recommender._blend(ds, nbrs, sims, means, got)
+    oracles.dense_blend(*ds.dense, nbrs, sims, means, want)
+    return got.view(np.int64), want.view(np.int64)
+
+
+def _one_item_dataset(n=12, seed=4):
+    rng = np.random.default_rng(seed)
+    raters = n - 3
+    return RatingsDataset.build(
+        [f"u{j}" for j in range(n)], ["x"], np.arange(raters),
+        np.zeros(raters, dtype=int), 1 + 4 * rng.random(raters))
+
+
+class TestBlendMatchesDenseReference:
+    """The scatter over rated (row, rank, item) triples adds each entry's
+    terms in rank order, as the dense loop over ranks does, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    def test_acceptance_random_suite(self, kind):
+        for n, m, d, seed in ACCEPTANCE_SUITE:
+            ds = random_dataset(n, m, d, seed=seed)
+            for k in (1, 5, n - 1):
+                model = train_knn(ds, k, kind)
+                rows = np.random.default_rng(seed).permutation(n)[:n // 2]
+                for block in (np.arange(n), rows, rows[:1]):
+                    got, want = _blend_pair(
+                        ds, model.neighbors[block],
+                        model.neighbor_sims[block], model.item_means)
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(GRID_DATASETS))
+    def test_edge_datasets(self, name):
+        # one-rater items, users who rated everything, ratings of 0 and
+        # negative ratings, and k up to n - 1
+        ds = GRID_DATASETS[name]()
+        n = ds.n_users
+        ks = sorted({k for k in (1, 3, n - 1) if 1 <= k < n})
+        for kind, k in itertools.product(("pearson", "cosine"), ks):
+            model = train_knn(ds, k, kind)
+            got, want = _blend_pair(ds, model.neighbors,
+                                    model.neighbor_sims, model.item_means)
+            assert np.array_equal(got, want)
+
+    def test_no_neighbors_gives_the_means(self):
+        ds = random_dataset(6, 9, 0.4, seed=1)
+        means = np.linspace(1.0, 5.0, ds.n_items)
+        got, want = _blend_pair(ds, np.empty((6, 0), dtype=np.int64),
+                                np.empty((6, 0)), means)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.broadcast_to(means, (6, 9))
+                              .view(np.int64))
+
+    def test_signed_and_zero_similarities(self):
+        # negative weights, +0 and -0 weights, weights that cancel, rows
+        # with only zero weights, and -inf fallback means
+        ds = _grid_dataset(40, 60, 0.2, 6, np.arange(-6, 7) / 2)
+        rng = np.random.default_rng(6)
+        model = train_knn(ds, 8, "pearson")
+        choices = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+        sims = rng.choice(choices, size=model.neighbor_sims.shape)
+        sims[:5] = rng.choice([0.0, -0.0], size=(5, 8))
+        sims[5:10, :2] = [0.5, -0.5]
+        means = model.item_means.copy()
+        means[::7] = -np.inf
+        got, want = _blend_pair(ds, model.neighbors, sims, means)
+        assert np.array_equal(got, want)
+        assert np.signbit(sims).any() and not np.all(sims)
+
+    @pytest.mark.parametrize("k", [1, 8, 11])
+    def test_one_item(self, k):
+        ds = _one_item_dataset()
+        model = train_knn(ds, k, "cosine")
+        got, want = _blend_pair(ds, model.neighbors, model.neighbor_sims,
+                                model.item_means)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cap", ["one", "split"])
+    def test_sub_blocks_split_mid_block(self, cap, monkeypatch):
+        ds = hub_dataset(30, 60, seed=2)
+        model = train_knn(ds, 6, "pearson")
+        want = np.empty((ds.n_users, ds.n_items))
+        model.score_rows(np.arange(ds.n_users), want)
+        _, want_thr = recommender.top_lists(model, 5)
+        triples = ds.user_counts[model.neighbors].sum(axis=1)
+        # "split" cuts both the one-block pass and each list chunk
+        limit = 1 if cap == "one" else int(triples[:4].sum()) - 1
+        assert limit < triples.sum()
+        monkeypatch.setattr(recommender, "_BLEND_TRIPLES", limit)
+        got = np.empty_like(want)
+        model.score_rows(np.arange(ds.n_users), got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got_block, dense_block = _blend_pair(
+            ds, model.neighbors, model.neighbor_sims, model.item_means)
+        assert np.array_equal(got_block, dense_block)
+        _, thr = recommender.top_lists(model, 5)
+        assert np.array_equal(thr.view(np.int64), want_thr.view(np.int64))
+
+    def test_scratch_stays_near_the_triple_cap(self):
+        ds = random_dataset(300, 600, 0.05, seed=9)
+        model = train_knn(ds, 20, "cosine")
+        rows = np.arange(40)
+        out = np.empty((len(rows), ds.n_items))
+        nbrs, sims = model.neighbors[rows], model.neighbor_sims[rows]
+        assert ds.user_counts[nbrs].sum(axis=1).max() <= \
+            recommender._BLEND_TRIPLES
+        tracemalloc.start()
+        try:
+            recommender._blend(ds, nbrs, sims, model.item_means, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two (rows, m) sums, about five 8-byte arrays of triples, and
+        # the per-neighbor CSR bounds
+        assert peak <= (2 * out.nbytes + 48 * recommender._BLEND_TRIPLES
+                        + 4 * nbrs.nbytes)
+
+
 class TestTrainNmf:
     def test_rank1_exact_recovery(self):
         rng = np.random.default_rng(0)
@@ -628,6 +754,26 @@ class TestRecommend:
         model = train_knn(toy, 2)
         with pytest.raises(ValueError):
             recommend(model, 0, 0)
+
+    @pytest.mark.parametrize("algorithm", ["knn", "nmf"])
+    def test_scores_the_user_once(self, algorithm, monkeypatch):
+        ds = random_dataset(20, 40, 0.2, seed=5)
+        model = ModelConfig(algorithm, k=4, factors=3, n_iters=20).train(ds)
+        expected = {u: (top_items(model, u, 6), model.scores_for(u))
+                    for u in range(ds.n_users)}
+        calls = []
+        real = type(model).scores_for
+
+        def counted(self, u):
+            calls.append(u)
+            return real(self, u)
+
+        monkeypatch.setattr(type(model), "scores_for", counted)
+        for u, (items, scores) in expected.items():
+            out = recommend(model, u, 6)
+            assert out.items == tuple(items.tolist())
+            assert out.scores == tuple(scores[items].tolist())
+        assert calls == list(expected)
 
 
 class TestEvaluate:
