@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingsDataset
-from .influence import InfluenceReport
+from .influence import _rank_users
 from .similarity import user_distance_matrix
 
 
@@ -114,19 +114,20 @@ def mds_embed(ds: RatingsDataset, distance: str = "cosine",
     return MdsEmbedding(coords, stress, distance, chosen)
 
 
-def influence_ranking_curve(report: InfluenceReport) -> list[tuple[int, float]]:
+def influence_ranking_curve(influence: np.ndarray) -> list[tuple[int, float]]:
     """(rank, influence) pairs, most influential first, ranks 1-based."""
-    return [(rank + 1, float(report.influence[u]))
-            for rank, u in enumerate(report.ranking)]
+    return [(rank + 1, float(influence[u]))
+            for rank, u in enumerate(_rank_users(influence))]
 
 
-def segment_by_influence(report: InfluenceReport,
+def segment_by_influence(influence: np.ndarray,
                          n_segments: int) -> np.ndarray:
     """Contiguous rank-quantile segment label per user; 0 = most influential."""
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
-    labels = np.empty(report.n_users, dtype=np.int64)
-    for seg, chunk in enumerate(np.array_split(report.ranking, n_segments)):
+    labels = np.empty(len(influence), dtype=np.int64)
+    for seg, chunk in enumerate(np.array_split(_rank_users(influence),
+                                               n_segments)):
         labels[chunk] = seg
     return labels
 

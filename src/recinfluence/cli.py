@@ -221,9 +221,10 @@ def cmd_influence(args, cfg: dict, out: Path) -> int:
     if any(t < 1 for t in top_ks):
         raise ValueError(f"influence.top_k must be at least 1, got "
                          f"{cfg['influence.top_k']!r}")
-    if cfg["influence.warm_iters"] < 1:
-        raise ValueError(f"influence.warm_iters must be at least 1, got "
-                         f"{cfg['influence.warm_iters']!r}")
+    for key in ("list.length", "influence.warm_iters") + (
+            ("knn.k",) if cfg["algo"] == "knn" else ()):
+        if cfg[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {cfg[key]!r}")
     ds = _load(cfg, args.dataset)
     report = influence.influence_all(
         ds, model_config(cfg), cfg["list.length"],
@@ -307,9 +308,7 @@ def cmd_mds(args, cfg: dict, out: Path) -> int:
                                    max_points=cfg["mds.max_points"],
                                    seed=cfg["seed"],
                                    refine_iters=cfg["mds.refine_iters"])
-    loaded = influence.InfluenceReport(model_config(cfg), cfg["list.length"],
-                                       infl, influence._rank_users(infl), ())
-    labels = analysis.segment_by_influence(loaded, cfg["mds.segments"])
+    labels = analysis.segment_by_influence(infl, cfg["mds.segments"])
     embedding = replace(embedding,
                         segments=labels[embedding.user_indices])
     ds_hash = artifacts.dataset_hash(ds)

@@ -51,7 +51,7 @@ class RatingsDataset:
     @classmethod
     def build(cls, user_ids, item_ids, user_idx, item_idx, values,
               r_min=None, r_max=None) -> "RatingsDataset":
-        """Sort triplets canonically, freeze arrays, and validate bounds."""
+        """Sort triplets, freeze arrays, validate index ranges and bounds."""
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -59,6 +59,12 @@ class RatingsDataset:
             raise DatasetError("triplet arrays have mismatched lengths")
         if len(values) == 0:
             raise DatasetError("empty dataset")
+        for name, idx, ids in (("user", user_idx, user_ids),
+                               ("item", item_idx, item_ids)):
+            if idx.min() < 0 or idx.max() >= len(ids):
+                bad = idx[(idx < 0) | (idx >= len(ids))][0]
+                raise DatasetError(f"{name} index {bad} out of range "
+                                   f"[0, {len(ids)})")
         pairs = user_idx * (item_idx.max() + 1) + item_idx
         order = np.argsort(pairs, kind="stable")
         user_idx, item_idx, values = user_idx[order], item_idx[order], values[order]
@@ -249,6 +255,16 @@ def compute_stats(ds: RatingsDataset) -> DatasetStats:
                         tuple(int(c) for c in ds.item_counts))
 
 
+def _restrict(ds: RatingsDataset, keep, users, items) -> RatingsDataset:
+    """The ratings ``keep`` marks, each index renumbered to its place in
+    ``users`` or ``items``: the kept axes' old indices, ascending."""
+    return RatingsDataset.build(
+        [ds.user_ids[u] for u in users], [ds.item_ids[i] for i in items],
+        np.searchsorted(users, ds.user_idx[keep]),
+        np.searchsorted(items, ds.item_idx[keep]), ds.values[keep],
+        r_min=ds.r_min, r_max=ds.r_max)
+
+
 def sample_users(ds: RatingsDataset, count: int, seed: int) -> RatingsDataset:
     """Seeded uniform user subset without replacement; items re-pruned."""
     if not 1 <= count <= ds.n_users:
@@ -257,14 +273,7 @@ def sample_users(ds: RatingsDataset, count: int, seed: int) -> RatingsDataset:
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(ds.n_users, size=count, replace=False))
     keep = np.isin(ds.user_idx, chosen)
-    new_u = np.searchsorted(chosen, ds.user_idx[keep])
-    old_items = ds.item_idx[keep]
-    kept_items = np.unique(old_items)
-    new_i = np.searchsorted(kept_items, old_items)
-    return RatingsDataset.build(
-        [ds.user_ids[u] for u in chosen],
-        [ds.item_ids[i] for i in kept_items],
-        new_u, new_i, ds.values[keep], r_min=ds.r_min, r_max=ds.r_max)
+    return _restrict(ds, keep, chosen, np.unique(ds.item_idx[keep]))
 
 
 def sample_items(ds: RatingsDataset, count: int, mode: str = "random",
@@ -287,14 +296,7 @@ def sample_items(ds: RatingsDataset, count: int, mode: str = "random",
     else:
         raise DatasetError(f"unknown item sampling mode {mode!r}")
     keep = np.isin(ds.item_idx, chosen)
-    new_i = np.searchsorted(chosen, ds.item_idx[keep])
-    old_users = ds.user_idx[keep]
-    kept_users = np.unique(old_users)
-    new_u = np.searchsorted(kept_users, old_users)
-    return RatingsDataset.build(
-        [ds.user_ids[u] for u in kept_users],
-        [ds.item_ids[i] for i in chosen],
-        new_u, new_i, ds.values[keep], r_min=ds.r_min, r_max=ds.r_max)
+    return _restrict(ds, keep, np.unique(ds.user_idx[keep]), chosen)
 
 
 def drop_user(ds: RatingsDataset, u: int) -> RatingsDataset:
@@ -308,12 +310,9 @@ def drop_user(ds: RatingsDataset, u: int) -> RatingsDataset:
         raise DatasetError(f"user index {u} out of range")
     if ds.n_users < 2:
         raise DatasetError("cannot remove the only user")
-    keep = ds.user_idx != u
-    new_u = ds.user_idx[keep] - (ds.user_idx[keep] > u)
-    user_ids = ds.user_ids[:u] + ds.user_ids[u + 1:]
-    return RatingsDataset.build(user_ids, ds.item_ids, new_u,
-                                ds.item_idx[keep], ds.values[keep],
-                                r_min=ds.r_min, r_max=ds.r_max)
+    return _restrict(ds, ds.user_idx != u,
+                     np.delete(np.arange(ds.n_users), u),
+                     np.arange(ds.n_items))
 
 
 def _dump_text(ds: RatingsDataset) -> str:

@@ -40,15 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingsDataset
-from .recommender import KnnModel
-from .similarity import (SHRINK_COUNT, _bounded_ratio, _pearson_parts,
-                         _similarity_rows, item_distance_submatrix,
-                         user_distance_matrix, user_similarity_matrix)
+from .recommender import KnnModel, _row_chunks
+from .similarity import (SHRINK_COUNT, _bounded_ratio, _on_half_grid,
+                         _pearson_parts, _similarity_rows,
+                         item_distance_submatrix, user_distance_matrix,
+                         user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
-# Rows per chunk keep each (rows, n_users) float buffer near this many bytes.
-_CHUNK_BYTES = 64 * 1024
 # The doubled-rating Gram is exact while n * max|2r|**2 stays below this.
 _GRAM_LIMIT = 2.0 ** 24
 # Item pairs per batch of beta8 profiles.
@@ -139,7 +138,7 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     counts = np.float32 if m < 2 ** 24 else np.float64
     listed = listed.astype(counts)
     _, rated = ds.dense
-    for rows in _row_chunks(n):
+    for rows in _row_chunks(np.arange(n), n):
         shared = _drop_self(rated[rows].astype(counts) @ listed.T,
                             rows).astype(np.int64)
         union = (ds.user_counts[rows, None]
@@ -208,14 +207,6 @@ def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
     return epsilon
 
 
-def _row_chunks(n: int):
-    """Consecutive user index ranges whose (rows, n) float rows fill about
-    ``_CHUNK_BYTES``."""
-    step = max(1, _CHUNK_BYTES // (8 * n))
-    for lo in range(0, n, step):
-        yield np.arange(lo, min(lo + step, n))
-
-
 def _drop_self(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``block`` (one row per user in ``rows``, one column per user) without
     each row's own column: row r is ``np.delete(block[r], rows[r])``, as one
@@ -265,7 +256,7 @@ def _cosine_gram(ds: RatingsDataset) -> np.ndarray | None:
     float64 column product ``item_distance_submatrix`` forms.
     """
     doubled = ds.values * 2
-    if not (np.array_equal(np.rint(doubled), doubled)
+    if not (_on_half_grid(ds.values)
             and ds.n_users * float(np.abs(doubled).max()) ** 2
             < _GRAM_LIMIT):
         return None
@@ -359,7 +350,7 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
     values[:, 0] = ds.user_counts
     values[:, 1] = 0.0
     if n > 1:
-        for rows in _row_chunks(n):
+        for rows in _row_chunks(np.arange(n), n):
             values[rows, 1] = _drop_self(sim_matrix[rows], rows).mean(axis=1)
     values[:, 2] = np.bincount(knn_model.neighbors.ravel(), minlength=n)
     for users, pos in _size_groups(ds):

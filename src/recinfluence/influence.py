@@ -53,8 +53,8 @@ class InfluenceReport:
     ranking: np.ndarray            # all users, influence desc, index asc
     failures: tuple[int, ...]
     # (n, n): row u holds each user's list distance after removing u, NaN
-    # where that removal failed; None for reports rebuilt from a CSV
-    distances: np.ndarray | None = None
+    # where that removal failed
+    distances: np.ndarray
     # top-l lists the removals rebuilt, and the NMF iterations and early
     # stops of their retrains; kept out of to_meta so artifacts stay free
     # of run statistics
@@ -269,6 +269,14 @@ class LeaveOneOutEngine:
         return dists
 
 
+def _retrained(ds: RatingsDataset, config: ModelConfig, u: int):
+    """The oracles' retrain step: the model trained on ``ds`` from scratch,
+    and the one retrained from scratch on ``ds`` without user ``u``."""
+    if not 0 <= u < ds.n_users:
+        raise ValueError(f"user index {u} out of range")
+    return config.train(ds), config.train(drop_user(ds, u))
+
+
 def influence_oracle(ds: RatingsDataset, config: ModelConfig, u: int,
                      l: int) -> float:
     """Naive reference: retrain everything from scratch and sum distances.
@@ -277,15 +285,11 @@ def influence_oracle(ds: RatingsDataset, config: ModelConfig, u: int,
     with the same seed and hyperparameters, and sums the per-user Jaccard
     distances between the before and after top-l lists.
     """
-    if not 0 <= u < ds.n_users:
-        raise ValueError(f"user index {u} out of range")
-    full_model = config.train(ds)
-    reduced = drop_user(ds, u)
-    reduced_model = config.train(reduced)
+    full_model, reduced_model = _retrained(ds, config, u)
     # Same n-length layout and reduction as the engine, so the two routes
     # agree bit for bit.
     dists = np.zeros(ds.n_users)
-    for v_red in range(reduced.n_users):
+    for v_red in range(ds.n_users - 1):
         v = v_red if v_red < u else v_red + 1
         before = frozenset(int(i) for i in top_items(full_model, v, l))
         after = frozenset(int(i) for i in top_items(reduced_model, v_red, l))
@@ -332,9 +336,6 @@ def group_influence(report: InfluenceReport, top_k: int,
     distances are the rows ``influence_all`` stored in the report.
     """
     n = report.n_users
-    if report.distances is None:
-        raise ValueError("report holds no distance rows; group curves need "
-                         "the report influence_all returns")
     if not 1 <= top_k <= n:
         raise ValueError(f"top_k {top_k} out of range [1, {n}]")
     top = report.ranking[:top_k]
@@ -361,15 +362,11 @@ def prediction_shift_oracle(ds: RatingsDataset, config: ModelConfig,
     items that never crack a top-l list move this number but not
     list influence.
     """
-    if not 0 <= u < ds.n_users:
-        raise ValueError(f"user index {u} out of range")
-    full_model = config.train(ds)
-    reduced = drop_user(ds, u)
-    reduced_model = config.train(reduced)
+    full_model, reduced_model = _retrained(ds, config, u)
     _, mask = ds.dense
     total = 0.0
     count = 0
-    for v_red in range(reduced.n_users):
+    for v_red in range(ds.n_users - 1):
         v = v_red if v_red < u else v_red + 1
         unrated = ~mask[v]
         before = full_model.scores_for(v)[unrated]

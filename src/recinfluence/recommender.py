@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset
+from .data import RatingsDataset, _restrict
 from .similarity import SIMILARITIES, user_similarity_matrix
 
 
@@ -210,8 +210,8 @@ def predict_knn(model: KnnModel, u: int, i: int) -> float:
 
 
 _EPS = 1e-12
-# Rows per list-building chunk keep each (rows, n_items) float buffer near
-# this many bytes.
+# Rows per chunk (``_row_chunks``) keep each (rows, width) float buffer
+# near this many bytes.
 _CHUNK_BYTES = 64 * 1024
 # Most (row, rank, item) triples one ``_blend`` sub-block holds, so its
 # scratch (four or five 8-byte values a triple) stays near two score
@@ -399,9 +399,9 @@ def _top_lists(scores, cand, l):
 
     ``scores`` (rows, m) is overwritten; ``cand`` marks each row's
     candidates. Returns the (rows, m) bool indicator of the lists and each
-    row's l-th score (-inf for a row with fewer than l candidates). Only
-    the entries at or above that score are sorted, so ties at the cut keep
-    their index order.
+    row's l-th score (-inf for a row with fewer than l candidates). A list
+    holds every candidate above that score, then the candidates at it in
+    index order until it has l, so nothing is sorted.
     """
     rows, m = scores.shape
     scores[~cand] = -np.inf
@@ -410,13 +410,19 @@ def _top_lists(scores, cand, l):
         thr = np.partition(scores, m - l, axis=1)[:, m - l].copy()
     else:
         thr = np.full(rows, -np.inf)
-    r, c = np.nonzero(cand & (scores >= thr[:, None]))
-    order = np.lexsort((c, -scores[r, c], r))
-    r, c = r[order], c[order]
-    keep = np.arange(len(r)) - np.searchsorted(r, r) < l
-    lists = np.zeros((rows, m), dtype=bool)
-    lists[r[keep], c[keep]] = True
+    lists = cand & (scores > thr[:, None])
+    tied = cand & (scores == thr[:, None])
+    room = l - np.count_nonzero(lists, axis=1)
+    lists |= tied & (np.cumsum(tied, axis=1) <= room[:, None])
     return lists, thr
+
+
+def _row_chunks(rows, width: int):
+    """Consecutive slices of ``rows`` whose (len(slice), width) float
+    buffers fill about ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    for lo in range(0, len(rows), step):
+        yield rows[lo:lo + step]
 
 
 def _list_chunks(ds: RatingsDataset, rows, score, live, l: int):
@@ -427,11 +433,8 @@ def _list_chunks(ds: RatingsDataset, rows, score, live, l: int):
     rated. Each chunk is ranked by ``_top_lists``.
     """
     _, mask = ds.dense
-    step = max(1, _CHUNK_BYTES // (8 * ds.n_items))
-    buf = np.empty((min(step, len(rows)), ds.n_items))
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo:lo + step]
-        scores = buf[:len(chunk)]
+    for chunk in _row_chunks(rows, ds.n_items):
+        scores = np.empty((len(chunk), ds.n_items))
         score(chunk, scores)
         cand = ~mask[chunk] & live
         yield (chunk, *_top_lists(scores, cand, l))
@@ -513,9 +516,7 @@ def train_test_split(ds: RatingsDataset, test_fraction: float = 0.2,
         held = lo + perm[:n_test]
         keep[held] = False
         test[u] = {int(ds.item_idx[j]): float(ds.values[j]) for j in held}
-    train = RatingsDataset.build(ds.user_ids, ds.item_ids, ds.user_idx[keep],
-                                 ds.item_idx[keep], ds.values[keep],
-                                 r_min=ds.r_min, r_max=ds.r_max)
+    train = _restrict(ds, keep, np.arange(ds.n_users), np.arange(ds.n_items))
     return train, test
 
 

@@ -55,6 +55,15 @@ _EXACT_LIMIT = 2.0 ** 51
 SIMILARITIES = ("pearson", "cosine")
 
 
+def _on_half_grid(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is a multiple of 0.5. nan is not, inf
+    is (callers bound the magnitude). Holds one temporary the size of x."""
+    halves = x * 2
+    np.rint(halves, out=halves)
+    halves *= 0.5
+    return np.array_equal(halves, x)
+
+
 def _exact_sums(a: np.ndarray, a_mask: np.ndarray, b: np.ndarray,
                 b_mask: np.ndarray) -> bool:
     """Whether every per-pair sum over ``a`` and ``b`` is an exact float64.
@@ -67,13 +76,9 @@ def _exact_sums(a: np.ndarray, a_mask: np.ndarray, b: np.ndarray,
     top = 0.0
     same = b is a and b_mask is a_mask
     for x, mask in ((a, a_mask),) if same else ((a, a_mask), (b, b_mask)):
-        halves = x * 2
-        np.rint(halves, out=halves)
-        halves *= 0.5
-        if not (np.array_equal(halves, x)
+        if not (_on_half_grid(x)
                 and np.count_nonzero(x) == np.count_nonzero(x[mask])):
             return False
-        del halves
         top = max(top, float(np.abs(x).max(initial=0.0)))
     return a.shape[1] * top * top < _EXACT_LIMIT
 

@@ -256,3 +256,76 @@ def tree_structures_match(package_node, oracle_node, tol=1e-9):
     return (tree_structures_match(package_node.left, oracle_node["left"], tol)
             and tree_structures_match(package_node.right,
                                       oracle_node["right"], tol))
+
+
+def restricted(ds, triples, users, items):
+    """The fields of a dataset cut to ``triples`` (old user, old item,
+    value), with the kept user and item axes ``users`` and ``items`` (old
+    indices in their new order), each index renumbered by a dict lookup and
+    the triples sorted by (user, item)."""
+    umap = {u: j for j, u in enumerate(users)}
+    imap = {i: j for j, i in enumerate(items)}
+    rows = sorted((umap[u], imap[i], v) for u, i, v in triples)
+    return {"user_ids": tuple(ds.user_ids[u] for u in users),
+            "item_ids": tuple(ds.item_ids[i] for i in items),
+            "user_idx": [u for u, _, _ in rows],
+            "item_idx": [i for _, i, _ in rows],
+            "values": [v for _, _, v in rows],
+            "r_min": ds.r_min, "r_max": ds.r_max}
+
+
+def rating_triples(ds):
+    return list(zip(ds.user_idx.tolist(), ds.item_idx.tolist(),
+                    ds.values.tolist()))
+
+
+def drop_user_fields(ds, u):
+    """``drop_user``: u's ratings go, every other user keeps its order and
+    every item stays, rated or not."""
+    triples = [t for t in rating_triples(ds) if t[0] != u]
+    return restricted(ds, triples, [v for v in range(ds.n_users) if v != u],
+                      list(range(ds.n_items)))
+
+
+def sample_users_fields(ds, count, seed):
+    """``sample_users``: the seeded draw of users, and the items they rated."""
+    chosen = sorted(np.random.default_rng(seed).choice(
+        ds.n_users, size=count, replace=False).tolist())
+    triples = [t for t in rating_triples(ds) if t[0] in chosen]
+    return restricted(ds, triples, chosen, sorted({i for _, i, _ in triples}))
+
+
+def sample_items_fields(ds, count, mode, seed):
+    """``sample_items``: the seeded draw or the ``count`` items with most
+    raters (lower index first on ties), and the users who rated them."""
+    if mode == "random":
+        chosen = sorted(np.random.default_rng(seed).choice(
+            ds.n_items, size=count, replace=False).tolist())
+    else:
+        raters = [0] * ds.n_items
+        for _, i, _ in rating_triples(ds):
+            raters[i] += 1
+        chosen = sorted(sorted(range(ds.n_items),
+                               key=lambda i: (-raters[i], i))[:count])
+    triples = [t for t in rating_triples(ds) if t[1] in chosen]
+    return restricted(ds, triples, sorted({u for u, _, _ in triples}),
+                      chosen)
+
+
+def train_test_split_fields(ds, test_fraction, seed):
+    """``train_test_split``: per user in order, the seeded permutation's
+    first floor(fraction * count) profile positions are held out. Returns
+    (train fields, {user: {item: rating}})."""
+    rng = np.random.default_rng(seed)
+    held, test = set(), {}
+    for u in range(ds.n_users):
+        profile = [(i, v) for w, i, v in rating_triples(ds) if w == u]
+        n_test = int(np.floor(test_fraction * len(profile)))
+        if n_test == 0:
+            continue
+        perm = rng.permutation(len(profile))
+        test[u] = {profile[j][0]: profile[j][1] for j in perm[:n_test]}
+        held |= {(u, profile[j][0]) for j in perm[:n_test]}
+    triples = [t for t in rating_triples(ds) if t[:2] not in held]
+    return (restricted(ds, triples, list(range(ds.n_users)),
+                       list(range(ds.n_items))), test)

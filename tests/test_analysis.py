@@ -8,31 +8,37 @@ from recinfluence.analysis import (MdsEmbedding, centrality_dispersion,
                                    mds_embed, pairwise_euclidean,
                                    segment_by_influence, smacof_refine,
                                    stress_of)
-from recinfluence.influence import InfluenceReport, influence_all
+from recinfluence.influence import influence_all
 from recinfluence.recommender import ModelConfig
 from recinfluence.similarity import user_distance_matrix
 
 from conftest import build_dataset, random_dataset
 
 
-def make_report(influence):
-    influence = np.asarray(influence, dtype=float)
-    key = np.where(np.isnan(influence), -np.inf, influence)
-    ranking = np.lexsort((np.arange(len(influence)), -key))
-    return InfluenceReport(ModelConfig("knn", k=2), 3, influence, ranking, ())
+def ranking_of(influence):
+    """Users by influence descending, index ascending, NaN last."""
+    return sorted(range(len(influence)),
+                  key=lambda u: (np.isnan(influence[u]),
+                                 -np.nan_to_num(influence[u]), u))
 
 
 class TestRankingCurve:
     def test_flat_curve_for_equal_influence(self):
-        curve = influence_ranking_curve(make_report([2.0] * 6))
+        curve = influence_ranking_curve(np.full(6, 2.0))
         assert [r for r, _ in curve] == [1, 2, 3, 4, 5, 6]
         assert all(v == 2.0 for _, v in curve)
 
     def test_toy_sorted_pairs_match_sort_oracle(self, toy):
         report = influence_all(toy, ModelConfig("knn", k=2), 2)
-        curve = influence_ranking_curve(report)
+        curve = influence_ranking_curve(report.influence)
         expected = sorted(report.influence.tolist(), reverse=True)
         assert [v for _, v in curve] == expected
+
+    def test_failed_removals_rank_last(self):
+        influence = np.array([1.0, np.nan, 3.0, np.nan, 1.0])
+        curve = influence_ranking_curve(influence)
+        assert [v for _, v in curve[:3]] == [3.0, 1.0, 1.0]
+        assert all(np.isnan(v) for _, v in curve[3:])
 
 
 class TestClassicalMds:
@@ -143,39 +149,39 @@ class TestPairwiseEuclidean:
 
 class TestSegments:
     def test_single_segment(self):
-        labels = segment_by_influence(make_report([3.0, 1.0, 2.0]), 1)
+        labels = segment_by_influence(np.array([3.0, 1.0, 2.0]), 1)
         assert labels.tolist() == [0, 0, 0]
 
     def test_hundred_users_four_even_segments(self):
         rng = np.random.default_rng(4)
-        labels = segment_by_influence(make_report(rng.random(100)), 4)
+        labels = segment_by_influence(rng.random(100), 4)
         counts = np.bincount(labels)
         assert counts.tolist() == [25, 25, 25, 25]
 
     def test_toy_five_segments_one_user_each(self, toy):
         report = influence_all(toy, ModelConfig("knn", k=2), 1)
-        labels = segment_by_influence(report, 5)
+        labels = segment_by_influence(report.influence, 5)
         assert sorted(labels.tolist()) == [0, 1, 2, 3, 4]
         for seg in range(5):
             user = int(np.flatnonzero(labels == seg)[0])
             assert user == report.ranking[seg]
 
     def test_labels_depend_only_on_ranking(self):
-        a = make_report([5.0, 1.0, 3.0, 2.0])
-        b = make_report([50.0, 10.0, 30.0, 20.0])
+        a = np.array([5.0, 1.0, 3.0, 2.0])
         assert np.array_equal(segment_by_influence(a, 2),
-                              segment_by_influence(b, 2))
+                              segment_by_influence(10 * a, 2))
 
     def test_invalid_segments(self):
         with pytest.raises(ValueError):
-            segment_by_influence(make_report([1.0, 2.0]), 0)
+            segment_by_influence(np.array([1.0, 2.0]), 0)
 
-    @given(st.lists(st.floats(0, 100), min_size=2, max_size=40),
+    @given(st.lists(st.floats(0, 100) | st.just(float("nan")), min_size=2,
+                    max_size=40),
            st.integers(1, 10))
     def test_segments_are_contiguous_rank_blocks(self, values, n_segments):
-        report = make_report(values)
-        labels = segment_by_influence(report, n_segments)
-        ordered = labels[report.ranking]
+        influence = np.array(values)
+        labels = segment_by_influence(influence, n_segments)
+        ordered = labels[ranking_of(influence)]
         assert np.all(np.diff(ordered) >= 0)       # blocks in rank order
         sizes = np.bincount(labels, minlength=n_segments)
         nonempty = sizes[sizes > 0]
@@ -204,7 +210,7 @@ class TestDispersion:
     def test_toy_statistics_match_direct_arithmetic(self, toy):
         report = influence_all(toy, ModelConfig("knn", k=2), 2)
         emb = mds_embed(toy)
-        labels = segment_by_influence(report, 2)
+        labels = segment_by_influence(report.influence, 2)
         out = centrality_dispersion(emb, labels)
         for entry in out:
             pts = emb.coordinates[labels == entry["segment"]]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import recinfluence
-from recinfluence import artifacts, predictor, similarity
+from recinfluence import artifacts, influence, predictor, similarity
 from recinfluence.cli import (DEFAULTS, build_parser, main,
                               parse_config_file, resolve_config)
 from recinfluence.data import load_dataset
@@ -208,6 +208,25 @@ class TestInfluenceCommand:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "influence computed for 5 users (0 failures; 20 of 20 lists "
             "rebuilt; 75 NMF iterations, 0 early stops)")
+
+    @pytest.mark.parametrize("field,index", [(0, "999"), (0, "-1"),
+                                             (1, "6")])
+    def test_dump_index_outside_its_axis_exits_2(self, tmp_path, capsys,
+                                                 field, index):
+        out = ingest_toy(tmp_path)
+        dump = out / "dataset.tsv"
+        lines = dump.read_text().splitlines()
+        parts = lines[4].split("\t")
+        parts[field] = index
+        lines[4] = "\t".join(parts)
+        dump.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["influence", "--dataset", str(dump), "--algo", "knn",
+                     "--k", "2", "--l", "2", "--out-dir", str(out)]) == 2
+        name, size = ("user", 5) if field == 0 else ("item", 6)
+        assert capsys.readouterr().err == (
+            f"error: {name} index {index} out of range [0, {size})\n")
+        assert not (out / "influence.csv").exists()
 
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_warm_iters_below_one_exits_2_before_audit(self, tmp_path,
@@ -738,11 +757,18 @@ class TestGroupOptionsCheckedFirst:
         (["--top-k", "2,y"],
          "influence.top_k expects comma-separated numbers, got '2,y'"),
         (["--top-k", "0"], "influence.top_k must be at least 1, got '0'"),
-    ], ids=["thetas-word", "top-k-word", "top-k-zero"])
+        (["--l", "0"], "list.length must be at least 1, got 0"),
+        (["--k", "0"], "knn.k must be at least 1, got 0"),
+    ], ids=["thetas-word", "top-k-word", "top-k-zero", "l-zero", "k-zero"])
     def test_bad_option_exits_2_before_audit(self, tmp_path, capsys,
-                                             option, message):
+                                             monkeypatch, option, message):
         out = ingest_toy(tmp_path)
         capsys.readouterr()
+
+        def no_audit(*args, **kwargs):
+            raise AssertionError("the audit started")
+
+        monkeypatch.setattr(influence, "user_similarity_matrix", no_audit)
         assert main(["influence", "--dataset", str(out / "dataset.tsv"),
                      "--algo", "knn", "--k", "2", "--l", "2", *option,
                      "--out-dir", str(out)]) == 2

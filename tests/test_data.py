@@ -4,8 +4,11 @@ import pytest
 from recinfluence.data import (DatasetError, RatingsDataset, compute_stats,
                                drop_user, load_dataset, load_ratings,
                                sample_items, sample_users, save_dataset)
+from recinfluence.recommender import train_test_split
 
-from conftest import build_dataset, random_dataset, toy_dataset
+import oracles
+from conftest import (build_dataset, clone_users_dataset, hub_dataset,
+                      random_dataset, toy_dataset)
 
 
 class TestLoadRatings:
@@ -137,6 +140,17 @@ class TestBuild:
             self.build([0, 1], [0, 1], [1.0, 6.0], r_min=1.0, r_max=5.0)
         with pytest.raises(DatasetError, match="outside declared scale"):
             self.build([0, 1], [0, 1], [0.5, 3.0], r_min=1.0, r_max=5.0)
+
+    @pytest.mark.parametrize("u_idx,i_idx,message", [
+        ([0, 3], [0, 1], "user index 3 out of range \\[0, 3\\)"),
+        ([0, -1], [0, 1], "user index -1 out of range \\[0, 3\\)"),
+        ([0, 1], [999, 1], "item index 999 out of range \\[0, 3\\)"),
+        ([0, 1], [0, -2], "item index -2 out of range \\[0, 3\\)"),
+    ], ids=["user-past-end", "user-negative", "item-past-end",
+            "item-negative"])
+    def test_index_outside_its_axis(self, u_idx, i_idx, message):
+        with pytest.raises(DatasetError, match=message):
+            self.build(u_idx, i_idx, [1.0, 2.0])
 
     def test_shuffled_input_sorted_with_values_kept(self):
         ref = random_dataset(25, 40, 0.2, seed=12)
@@ -308,3 +322,109 @@ class TestDropUser:
         ds = build_dataset([("a", "x", 1.0)])
         with pytest.raises(DatasetError):
             drop_user(ds, 0)
+
+
+def only_rater_dataset():
+    """a alone rates "solo" and c alone rates "last"; b shares "x" with
+    both; the declared scale is wider than the ratings."""
+    rows = [("a", "solo", 2.5), ("a", "x", 4.0), ("b", "x", 3.0),
+            ("b", "y", 1.0), ("c", "x", 5.0), ("c", "last", 0.5)]
+    return build_dataset(rows, r_min=0.0, r_max=10.0)
+
+
+def off_grid_dataset():
+    ds = random_dataset(12, 20, 0.3, seed=5)
+    values = np.random.default_rng(5).random(ds.n_ratings) * 4 + 1
+    return RatingsDataset.build(ds.user_ids, ds.item_ids, ds.user_idx,
+                                ds.item_idx, values, r_min=0.0, r_max=6.0)
+
+
+CUT_DATASETS = {
+    **{f"suite{s}": (lambda s=s: random_dataset(50, 100, 0.10, seed=s))
+       for s in range(100, 120)},
+    "toy": toy_dataset,
+    "only-rater": only_rater_dataset,
+    "off-grid": off_grid_dataset,
+    "hub": lambda: hub_dataset(20, 40, seed=1),
+    "clones": lambda: clone_users_dataset(n_users=4, n_items=6),
+    "one-user": lambda: build_dataset([("a", "x", 1.0), ("a", "y", 2.0)]),
+}
+
+
+def assert_fields(ds, expected):
+    """Ids, index arrays, values (as bits) and scale bounds, one by one."""
+    assert ds.user_ids == expected["user_ids"]
+    assert ds.item_ids == expected["item_ids"]
+    for name in ("user_idx", "item_idx"):
+        got = getattr(ds, name)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected[name]
+    want = np.array(expected["values"], dtype=np.float64)
+    assert ds.values.dtype == np.float64
+    assert np.array_equal(ds.values.view(np.int64), want.view(np.int64))
+    assert (ds.r_min, ds.r_max) == (expected["r_min"], expected["r_max"])
+
+
+class TestCutsMatchLiteralOracles:
+    """Every dataset cut against a per-rating replay in ``oracles``."""
+
+    @pytest.mark.parametrize("name", sorted(CUT_DATASETS))
+    def test_drop_user(self, name):
+        ds = CUT_DATASETS[name]()
+        if ds.n_users < 2:
+            with pytest.raises(DatasetError, match="only user"):
+                drop_user(ds, 0)
+            return
+        users = range(ds.n_users) if ds.n_users <= 20 else \
+            (0, 1, ds.n_users // 2, ds.n_users - 1)
+        for u in users:
+            assert_fields(drop_user(ds, u), oracles.drop_user_fields(ds, u))
+
+    @pytest.mark.parametrize("name", sorted(CUT_DATASETS))
+    def test_sample_users(self, name):
+        ds = CUT_DATASETS[name]()
+        for count in sorted({1, (ds.n_users + 1) // 2, ds.n_users}):
+            for seed in (0, 7):
+                assert_fields(sample_users(ds, count, seed),
+                              oracles.sample_users_fields(ds, count, seed))
+
+    @pytest.mark.parametrize("mode", ["random", "popularity"])
+    @pytest.mark.parametrize("name", sorted(CUT_DATASETS))
+    def test_sample_items(self, name, mode):
+        ds = CUT_DATASETS[name]()
+        for count in sorted({1, 2, (ds.n_items + 1) // 2, ds.n_items}):
+            if count > ds.n_items:
+                continue
+            for seed in (0, 7):
+                assert_fields(
+                    sample_items(ds, count, mode=mode, seed=seed),
+                    oracles.sample_items_fields(ds, count, mode, seed))
+
+    @pytest.mark.parametrize("name", sorted(CUT_DATASETS))
+    def test_train_test_split(self, name):
+        ds = CUT_DATASETS[name]()
+        for fraction, seed in ((0.2, 0), (0.5, 3), (0.9, 1)):
+            train, test = train_test_split(ds, fraction, seed)
+            want_train, want_test = oracles.train_test_split_fields(
+                ds, fraction, seed)
+            assert_fields(train, want_train)
+            assert test == want_test
+
+    def test_popularity_ties_at_the_cut_keep_lower_indices(self, toy):
+        # i1..i3 have 3 raters and i4..i6 2: the fourth slot goes to i4
+        out = sample_items(toy, 4, mode="popularity")
+        assert out.item_ids == ("i1", "i2", "i3", "i4")
+        assert_fields(out, oracles.sample_items_fields(toy, 4, "popularity",
+                                                       0))
+
+    def test_only_raters_removed(self):
+        ds = only_rater_dataset()
+        a = ds.user_ids.index("a")
+        dropped = drop_user(ds, a)
+        assert dropped.item_ids == ds.item_ids
+        assert dropped.item_counts[ds.item_ids.index("solo")] == 0
+        for seed in range(6):
+            kept = sample_users(ds, 2, seed=seed)
+            for user, item in (("a", "solo"), ("c", "last")):
+                assert (item in kept.item_ids) == (user in kept.user_ids)
+            assert (kept.r_min, kept.r_max) == (0.0, 10.0)

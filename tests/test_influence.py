@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,11 +223,6 @@ class TestGroupInfluence:
         report = influence_all(toy, KNN2, 2)
         with pytest.raises(ValueError):
             group_influence(report, 6)
-
-    def test_report_without_rows_refused(self, toy):
-        report = replace(influence_all(toy, KNN2, 2), distances=None)
-        with pytest.raises(ValueError):
-            group_influence(report, 1)
 
     @pytest.mark.parametrize("data,cfg,l,warm", [
         ("toy", KNN2, 2, False),

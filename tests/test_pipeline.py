@@ -64,7 +64,7 @@ def test_full_stage_chain_is_consistent():
     for row in table.values:
         assert lo <= predict_tree(tree, row) <= hi
     embedding = mds_embed(ds)
-    labels = segment_by_influence(report, 4)
+    labels = segment_by_influence(report.influence, 4)
     stats = centrality_dispersion(embedding, labels)
     assert {s["segment"] for s in stats} == set(range(4))
     assert all(s["mean_radius"] >= 0 for s in stats)

@@ -707,6 +707,31 @@ class TestLeanNmfLoop:
         self.assert_one_buffer(masked, density)
 
 
+class TestTopListsMatchSortOracle:
+    """``_top_lists`` selects without sorting; ``oracles.top_l`` sorts."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_tie_heavy_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, m = int(rng.integers(4, 12)), int(rng.integers(1, 25))
+        # few distinct values, signed zeros among them, so most rows tie
+        scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, 3.0], size=(rows, m))
+        cand = rng.random((rows, m)) < rng.random()
+        cand[0] = False             # no candidates
+        cand[1] = True              # every item a candidate, all tied
+        scores[1] = 2.0
+        cand[2] = False             # one candidate
+        cand[2, rng.integers(m)] = True
+        for l in sorted({1, 2, (m + 1) // 2, m, m + 3}):
+            lists, thr = recommender._top_lists(scores.copy(), cand, l)
+            for r in range(rows):
+                want = oracles.top_l(dict(enumerate(scores[r].tolist())),
+                                     set(), set(np.flatnonzero(cand[r])), l)
+                assert np.flatnonzero(lists[r]).tolist() == sorted(want)
+                assert thr[r] == (scores[r, want[-1]] if len(want) == l
+                                  else -np.inf)
+
+
 class TestRecommend:
     def test_forced_single_choice(self):
         rows = [("a", "x", 5.0), ("a", "y", 4.0),
