@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset
+from .data import RatingsDataset, _restrict
 from .influence import _rank_users
 from .similarity import user_distance_matrix
 
@@ -24,7 +24,6 @@ class MdsEmbedding:
     stress: float
     distance_config: str
     user_indices: np.ndarray      # rows of the source dataset that were embedded
-    segments: np.ndarray | None = None
 
 
 def pairwise_euclidean(coords: np.ndarray) -> np.ndarray:
@@ -90,8 +89,9 @@ def mds_embed(ds: RatingsDataset, distance: str = "cosine",
               refine_iters: int = 0) -> MdsEmbedding:
     """Embed users in 2-D from their pairwise profile distances.
 
-    Datasets larger than ``max_points`` are subsampled, seeded. Classical
-    scaling runs first; ``refine_iters`` > 0 adds majorization steps.
+    Datasets larger than ``max_points`` are subsampled, seeded, before any
+    distance is computed. Classical scaling runs first; ``refine_iters`` > 0
+    adds majorization steps.
     """
     if max_points < 3:
         raise ValueError(f"mds.max_points must be >= 3, got {max_points}")
@@ -102,7 +102,10 @@ def mds_embed(ds: RatingsDataset, distance: str = "cosine",
     if n > max_points:
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(n, size=max_points, replace=False))
-    dist = user_distance_matrix(ds, kind=distance)[np.ix_(chosen, chosen)]
+        # every item kept: a pair's distance reads only its two rows
+        ds = _restrict(ds, np.isin(ds.user_idx, chosen), chosen,
+                       np.arange(ds.n_items))
+    dist = user_distance_matrix(ds, kind=distance)
     coords = classical_mds(dist)
     stress = stress_of(coords, dist)
     if refine_iters > 0:

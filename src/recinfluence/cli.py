@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,12 +138,11 @@ def model_config(cfg: dict) -> ModelConfig:
 
 
 def feature_config(cfg: dict) -> features.FeatureConfig:
-    epsilon = cfg["features.epsilon"] or None
     return features.FeatureConfig(
         similarity=cfg["features.similarity"],
         user_distance=cfg["features.user_distance"],
         item_distance=cfg["features.item_distance"],
-        epsilon=epsilon,
+        epsilon=cfg["features.epsilon"] or None,
         epsilon_quantile=cfg["features.epsilon_quantile"],
         seed=cfg["seed"])
 
@@ -158,18 +156,17 @@ def _numbers(cfg: dict, key: str, kind) -> tuple:
                          f"{cfg[key]!r}") from None
 
 
-def _subsample(cfg: dict, ds):
-    if cfg["data.sample_users"]:
-        ds = sample_users(ds, cfg["data.sample_users"], cfg["seed"])
-    if cfg["data.sample_items"]:
-        ds = sample_items(ds, cfg["data.sample_items"],
-                          mode=cfg["data.item_sample_mode"],
-                          seed=cfg["seed"])
-    return ds
+_MODEL_KEYS = {"knn": ("knn.k",), "nmf": ("nmf.factors", "nmf.iters")}
 
 
-def _load(cfg: dict, dataset_path):
-    return _subsample(cfg, load_dataset(dataset_path))
+def _check_options(cfg: dict, *keys: str) -> None:
+    """Refuse a count below 1 or a quantile outside [0, 1] among ``keys``."""
+    for key in keys:
+        if key == "features.epsilon_quantile":
+            if not 0 <= cfg[key] <= 1:
+                raise ValueError(f"{key} must lie in [0, 1], got {cfg[key]!r}")
+        elif any(v < 1 for v in _numbers(cfg, key, int)):
+            raise ValueError(f"{key} must be at least 1, got {cfg[key]!r}")
 
 
 def cmd_ingest(args, cfg: dict, out: Path) -> int:
@@ -177,7 +174,11 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
                       sep=cfg["data.sep"],
                       columns=tuple(cfg["data.columns"].split(",")),
                       has_header=cfg["data.has_header"])
-    ds = _subsample(cfg, ds)
+    if cfg["data.sample_users"]:
+        ds = sample_users(ds, cfg["data.sample_users"], cfg["seed"])
+    if cfg["data.sample_items"]:
+        ds = sample_items(ds, cfg["data.sample_items"],
+                          mode=cfg["data.item_sample_mode"], seed=cfg["seed"])
     text = _dump_text(ds)
     path = save_dataset(ds, out / "dataset.tsv", text)
     stats = compute_stats(ds)
@@ -189,7 +190,8 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_train(args, cfg: dict, out: Path) -> int:
-    ds = _load(cfg, args.dataset)
+    _check_options(cfg, *_MODEL_KEYS.get(cfg["algo"], ()))
+    ds = load_dataset(args.dataset)
     model = model_config(cfg).train(ds)
     ds_hash = artifacts.dataset_hash(ds)
     artifacts.save_model(model, out / "model", ds_hash)
@@ -199,7 +201,8 @@ def cmd_train(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_evaluate(args, cfg: dict, out: Path) -> int:
-    ds = _load(cfg, args.dataset)
+    _check_options(cfg, "list.length", *_MODEL_KEYS.get(cfg["algo"], ()))
+    ds = load_dataset(args.dataset)
     train, test = train_test_split(ds, cfg["eval.test_fraction"], cfg["seed"])
     model = model_config(cfg).train(train)
     metrics = evaluate(model, test, cfg["list.length"],
@@ -215,17 +218,11 @@ def cmd_evaluate(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_influence(args, cfg: dict, out: Path) -> int:
-    # refuse bad options before the audit runs
     thetas = _numbers(cfg, "influence.thetas", float)
+    _check_options(cfg, "influence.top_k", "list.length",
+                   "influence.warm_iters", *_MODEL_KEYS.get(cfg["algo"], ()))
     top_ks = _numbers(cfg, "influence.top_k", int)
-    if any(t < 1 for t in top_ks):
-        raise ValueError(f"influence.top_k must be at least 1, got "
-                         f"{cfg['influence.top_k']!r}")
-    for key in ("list.length", "influence.warm_iters") + (
-            ("knn.k",) if cfg["algo"] == "knn" else ()):
-        if cfg[key] < 1:
-            raise ValueError(f"{key} must be at least 1, got {cfg[key]!r}")
-    ds = _load(cfg, args.dataset)
+    ds = load_dataset(args.dataset)
     report = influence.influence_all(
         ds, model_config(cfg), cfg["list.length"],
         warm_start=cfg["influence.warm_start"],
@@ -251,7 +248,10 @@ def cmd_influence(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_features(args, cfg: dict, out: Path) -> int:
-    ds = _load(cfg, args.dataset)
+    # beta3 always reads a kNN model, so knn.k is checked for NMF runs too
+    _check_options(cfg, "list.length", "knn.k", "features.epsilon_quantile",
+                   *_MODEL_KEYS.get(cfg["algo"], ()))
+    ds = load_dataset(args.dataset)
     mc, fc = model_config(cfg), feature_config(cfg)
     # one similarity pass serves beta2 and, when the kinds agree, the kNN fit
     sims = user_similarity_matrix(ds, kind=fc.similarity)
@@ -300,7 +300,8 @@ def cmd_fit_tree(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_mds(args, cfg: dict, out: Path) -> int:
-    ds = _load(cfg, args.dataset)
+    _check_options(cfg, "mds.segments")
+    ds = load_dataset(args.dataset)
     ids, infl = artifacts.read_influence_csv(args.influence)
     if list(ids) != list(ds.user_ids):
         raise DatasetError("influence report does not match the dataset")
@@ -309,13 +310,10 @@ def cmd_mds(args, cfg: dict, out: Path) -> int:
                                    seed=cfg["seed"],
                                    refine_iters=cfg["mds.refine_iters"])
     labels = analysis.segment_by_influence(infl, cfg["mds.segments"])
-    embedding = replace(embedding,
-                        segments=labels[embedding.user_indices])
     ds_hash = artifacts.dataset_hash(ds)
     epath = artifacts.write_embedding_csv(embedding, ds, infl, labels,
                                           out / "embedding.csv")
-    artifacts.write_sidecar(epath, cfg, ds_hash,
-                            {"stress": embedding.stress})
+    artifacts.write_sidecar(epath, cfg, ds_hash, {"stress": embedding.stress})
     stats = analysis.centrality_dispersion(embedding, labels)
     dpath = artifacts.write_dispersion_csv(stats, out / "dispersion.csv")
     artifacts.write_sidecar(dpath, cfg, ds_hash)
@@ -375,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--masked", dest="nmf.masked",
                        action=argparse.BooleanOptionalAction)
     model.add_argument("--l", dest="list.length", type=int)
-    model.add_argument("--sample-users", dest="data.sample_users", type=int)
 
     parser = argparse.ArgumentParser(
         prog="recinfluence",

@@ -291,8 +291,7 @@ def sample_items(ds: RatingsDataset, count: int, mode: str = "random",
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(ds.n_items, size=count, replace=False))
     elif mode == "popularity":
-        order = np.lexsort((np.arange(ds.n_items), -ds.item_counts))
-        chosen = np.sort(order[:count])
+        chosen = np.sort(np.argsort(-ds.item_counts, kind="stable")[:count])
     else:
         raise DatasetError(f"unknown item sampling mode {mode!r}")
     keep = np.isin(ds.item_idx, chosen)

@@ -81,8 +81,8 @@ class GroupInfluenceCurve:
 
 
 def _rank_users(influence: np.ndarray) -> np.ndarray:
-    key = np.where(np.isnan(influence), -np.inf, influence)
-    return np.lexsort((np.arange(len(influence)), -key))
+    # a stable sort puts NaN (failed removals) last, ties in index order
+    return np.argsort(-influence, kind="stable")
 
 
 def _jaccard_rows(a, b) -> np.ndarray:

@@ -162,13 +162,13 @@ class RecommendationList:
 
 def _neighbor_order(sim_matrix: np.ndarray, depth: int) -> np.ndarray:
     """Each user's first ``depth`` other users by similarity descending,
-    ties broken by ascending user index; (n, depth) int."""
+    ties (-0.0 and 0.0 alike) left in ascending user index by one stable
+    sort; (n, depth) int."""
     n = len(sim_matrix)
-    idx = np.arange(n)
-    order = np.lexsort((np.broadcast_to(idx, (n, n)), -sim_matrix), axis=-1)
+    order = np.argsort(-sim_matrix, axis=1, kind="stable")
     # each row holds its own index exactly once
     return np.ascontiguousarray(
-        order[order != idx[:, None]].reshape(n, n - 1)[:, :depth])
+        order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :depth])
 
 
 def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",

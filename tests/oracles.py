@@ -329,3 +329,14 @@ def train_test_split_fields(ds, test_fraction, seed):
     triples = [t for t in rating_triples(ds) if t[:2] not in held]
     return (restricted(ds, triples, list(range(ds.n_users)),
                        list(range(ds.n_items))), test)
+
+
+def neighbor_order_lexsort(sim_matrix, depth):
+    """``recommender._neighbor_order`` as a two-key lexsort: similarity
+    descending, then user index ascending, each row's own index dropped."""
+    n = len(sim_matrix)
+    idx = np.arange(n)
+    order = np.lexsort((np.broadcast_to(idx, (n, n)), -sim_matrix), axis=-1)
+    return np.array([[v for v in row if v != u][:depth]
+                     for u, row in enumerate(order.tolist())],
+                    dtype=np.int64).reshape(n, min(depth, n - 1))

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from recinfluence import analysis, similarity
 from recinfluence.analysis import (MdsEmbedding, centrality_dispersion,
                                    classical_mds, influence_ranking_curve,
                                    mds_embed, pairwise_euclidean,
                                    segment_by_influence, smacof_refine,
                                    stress_of)
+from recinfluence.data import RatingsDataset
 from recinfluence.influence import influence_all
 from recinfluence.recommender import ModelConfig
 from recinfluence.similarity import user_distance_matrix
@@ -135,6 +137,72 @@ class TestMdsEmbed:
         emb = mds_embed(ds, refine_iters=100)
         dist = user_distance_matrix(ds, kind="cosine")
         assert emb.stress == stress_of(emb.coordinates, dist)
+
+
+def _revalued(ds, values):
+    return RatingsDataset.build(ds.user_ids, ds.item_ids, ds.user_idx,
+                                ds.item_idx, values)
+
+
+class TestMdsSampleMatchesFullMatrix:
+    """Above ``max_points`` only the chosen users' distances are computed;
+    they are the full matrix's entries, bit for bit."""
+
+    N, POINTS, SEED = 40, 12, 4
+
+    def dataset(self, data):
+        ds = random_dataset(self.N, 60, 0.2, seed=9)
+        rng = np.random.default_rng(1)
+        if data == "half-star":
+            return _revalued(ds, ds.values
+                             - 0.5 * rng.integers(0, 2, ds.n_ratings))
+        off_grid = ds.values + rng.random(ds.n_ratings)
+        if data == "continuous":
+            return _revalued(ds, off_grid)
+        # off-grid only outside the sample: the full matrix takes the loop
+        # path, the sampled rows the matrix-product path
+        chosen = np.sort(np.random.default_rng(self.SEED).choice(
+            self.N, size=self.POINTS, replace=False))
+        return _revalued(ds, np.where(np.isin(ds.user_idx, chosen),
+                                      ds.values, off_grid))
+
+    @pytest.mark.parametrize("refine_iters", [0, 5])
+    @pytest.mark.parametrize("kind", ["cosine", "pearson"])
+    @pytest.mark.parametrize("data", ["half-star", "continuous",
+                                      "off-grid-outside-sample"])
+    def test_sampled_distances_are_the_full_slice(self, monkeypatch, data,
+                                                  kind, refine_iters):
+        ds = self.dataset(data)
+        full = user_distance_matrix(ds, kind=kind)
+        rows, dists = [], []
+        real_rows = similarity._similarity_rows
+        real_mds = analysis.classical_mds
+
+        def counting(kind, a, *rest, **kwargs):
+            rows.append(a.shape[0])
+            return real_rows(kind, a, *rest, **kwargs)
+
+        def capturing(dist, *args, **kwargs):
+            dists.append(dist)
+            return real_mds(dist, *args, **kwargs)
+
+        monkeypatch.setattr(similarity, "_similarity_rows", counting)
+        monkeypatch.setattr(analysis, "classical_mds", capturing)
+        emb = mds_embed(ds, distance=kind, max_points=self.POINTS,
+                        seed=self.SEED, refine_iters=refine_iters)
+        monkeypatch.undo()
+        assert rows == [self.POINTS]
+        want = full[np.ix_(emb.user_indices, emb.user_indices)]
+        assert np.array_equal(dists[0].view(np.int64), want.view(np.int64))
+        coords = classical_mds(want)
+        stress = stress_of(coords, want)
+        if refine_iters:
+            refined = smacof_refine(coords, want, n_iters=refine_iters)
+            if stress_of(refined, want) < stress:
+                coords, stress = refined, stress_of(refined, want)
+        assert np.array_equal(emb.coordinates.view(np.int64),
+                              coords.view(np.int64))
+        assert emb.stress == stress
 
 
 class TestPairwiseEuclidean:

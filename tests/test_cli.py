@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import recinfluence
-from recinfluence import artifacts, influence, predictor, similarity
+from recinfluence import (analysis, artifacts, cli, features, influence,
+                          predictor, recommender, similarity)
 from recinfluence.cli import (DEFAULTS, build_parser, main,
                               parse_config_file, resolve_config)
 from recinfluence.data import load_dataset
@@ -643,6 +645,47 @@ class TestConfigResolution:
         assert meta["config"]["list.length"] == 2
 
 
+class TestSamplingOnlyAtIngest:
+    def test_one_config_file_runs_the_whole_pipeline(self, tmp_path, capsys):
+        # sampling 12 items prunes users, so the dump holds fewer than the
+        # 20 sampled users; the later stages read it as it is
+        ds = random_dataset(40, 60, 0.1, seed=3)
+        raw = tmp_path / "ratings.csv"
+        raw.write_text("".join(
+            f"{ds.user_ids[u]},{ds.item_ids[i]},{v}\n"
+            for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values)))
+        out = tmp_path / "work"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            "data.format = csv\ndata.sample_users = 20\n"
+            "data.sample_items = 12\nknn.k = 3\nlist.length = 2\n"
+            f"influence.top_k = 2\nmds.segments = 2\nout_dir = {out}\n")
+        cfg = ["--config", str(cfgfile)]
+        dataset = ["--dataset", str(out / "dataset.tsv")]
+        influence_csv = ["--influence", str(out / "influence.csv")]
+        stages = [["ingest", "--input", str(raw)], ["influence", *dataset],
+                  ["features", *dataset],
+                  ["fit-tree", "--features", str(out / "features.csv"),
+                   *influence_csv],
+                  ["mds", *dataset, *influence_csv], ["report"]]
+        assert [main([*argv, *cfg]) for argv in stages] == [0] * 6, \
+            capsys.readouterr().err
+        n = load_dataset(out / "dataset.tsv").n_users
+        assert n < 20
+        for name in ("influence", "features", "embedding"):
+            assert len(artifacts.read_csv(out / f"{name}.csv")[1]) == n
+        meta = json.loads((out / "features.csv.meta.json").read_text())
+        assert meta["config"]["data.sample_users"] == 20
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "influence",
+                                         "features", "mds"])
+    def test_stage_refuses_sample_users(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED[command], "--sample-users", "5"])
+        assert exc.value.code == 2
+        assert "--sample-users" in capsys.readouterr().err
+
+
 # Each subcommand's required arguments, so that one option can be parsed.
 REQUIRED = {
     "ingest": ["--input", "r.csv"],
@@ -655,8 +698,24 @@ REQUIRED = {
     "report": [],
 }
 
+# Options of every subcommand, and of the four that fit a model.
+COMMON_CASES = [
+    (["--seed", "11"], "seed", 11),
+    (["--out-dir", "elsewhere"], "out_dir", "elsewhere"),
+]
+MODEL_CASES = [
+    (["--algo", "nmf"], "algo", "nmf"),
+    (["--k", "3"], "knn.k", 3),
+    (["--similarity", "cosine"], "knn.similarity", "cosine"),
+    (["--factors", "4"], "nmf.factors", 4),
+    (["--iters", "30"], "nmf.iters", 30),
+    (["--no-masked"], "nmf.masked", False),
+    (["--l", "4"], "list.length", 4),
+]
+MODEL_STAGES = ("train", "evaluate", "influence", "features")
+
 # (subcommand, option and value, config key, resolved value): one row per
-# config-backed option, each value off its key's default.
+# config-backed option of each subcommand, each value off its key's default.
 FLAG_CASES = [
     ("ingest", ["--format", "csv"], "data.format", "csv"),
     ("ingest", ["--sep", ";"], "data.sep", ";"),
@@ -667,16 +726,6 @@ FLAG_CASES = [
     ("ingest", ["--sample-items", "9"], "data.sample_items", 9),
     ("ingest", ["--item-sample-mode", "popularity"],
      "data.item_sample_mode", "popularity"),
-    ("train", ["--sample-users", "7"], "data.sample_users", 7),
-    ("train", ["--algo", "nmf"], "algo", "nmf"),
-    ("train", ["--k", "3"], "knn.k", 3),
-    ("train", ["--similarity", "cosine"], "knn.similarity", "cosine"),
-    ("train", ["--factors", "4"], "nmf.factors", 4),
-    ("train", ["--iters", "30"], "nmf.iters", 30),
-    ("train", ["--no-masked"], "nmf.masked", False),
-    ("train", ["--seed", "11"], "seed", 11),
-    ("train", ["--l", "4"], "list.length", 4),
-    ("train", ["--out-dir", "elsewhere"], "out_dir", "elsewhere"),
     ("influence", ["--warm-start"], "influence.warm_start", True),
     ("influence", ["--warm-iters", "5"], "influence.warm_iters", 5),
     ("influence", ["--top-k", "1,2"], "influence.top_k", "1,2"),
@@ -695,7 +744,14 @@ FLAG_CASES = [
     ("evaluate", ["--test-fraction", "0.3"], "eval.test_fraction", 0.3),
     ("evaluate", ["--relevance-threshold", "3.5"],
      "eval.relevance_threshold", 3.5),
-]
+] + [(command, *case) for command in REQUIRED for case in COMMON_CASES] + [
+    (command, *case) for command in MODEL_STAGES for case in MODEL_CASES]
+
+
+def _subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 class TestFlagKeys:
@@ -708,6 +764,17 @@ class TestFlagKeys:
         assert cfg[key] == value
         assert type(cfg[key]) is type(value)
         assert {k for k in cfg if cfg[k] != DEFAULTS[k]} == {key}
+
+    def test_table_lists_every_config_option(self):
+        # adding or removing a config-backed flag fails until FLAG_CASES
+        # lists it
+        exposed = {(command, action.dest)
+                   for command, sub in _subcommands().items()
+                   for action in sub._actions if action.dest in DEFAULTS}
+        listed = [(c[0], c[2]) for c in FLAG_CASES]
+        assert len(set(listed)) == len(listed)
+        assert exposed == set(listed)
+        assert set(_subcommands()) == set(REQUIRED)
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_help_exits_0(self, command, capsys):
@@ -750,6 +817,55 @@ class TestConfigValueTypes:
         assert type(parsed["features.epsilon"]) is int
 
 
+# (stage, bad option, message): each stage refuses these before it reads
+# the dataset.
+STAGE_CASES = [
+    ("train", ["--k", "0"], "knn.k must be at least 1, got 0"),
+    ("train", ["--algo", "nmf", "--factors", "0"],
+     "nmf.factors must be at least 1, got 0"),
+    ("train", ["--algo", "nmf", "--iters", "0"],
+     "nmf.iters must be at least 1, got 0"),
+    ("evaluate", ["--l", "0"], "list.length must be at least 1, got 0"),
+    ("evaluate", ["--k", "-1"], "knn.k must be at least 1, got -1"),
+    ("evaluate", ["--algo", "nmf", "--factors", "0"],
+     "nmf.factors must be at least 1, got 0"),
+    ("influence", ["--algo", "nmf", "--factors", "0"],
+     "nmf.factors must be at least 1, got 0"),
+    ("influence", ["--algo", "nmf", "--iters", "0"],
+     "nmf.iters must be at least 1, got 0"),
+    ("influence", ["--warm-iters", "0"],
+     "influence.warm_iters must be at least 1, got 0"),
+    ("features", ["--l", "0"], "list.length must be at least 1, got 0"),
+    ("features", ["--k", "0"], "knn.k must be at least 1, got 0"),
+    ("features", ["--algo", "nmf", "--k", "0"],
+     "knn.k must be at least 1, got 0"),
+    ("features", ["--algo", "nmf", "--factors", "0"],
+     "nmf.factors must be at least 1, got 0"),
+    ("features", ["--algo", "nmf", "--iters", "0"],
+     "nmf.iters must be at least 1, got 0"),
+    ("features", ["--epsilon-quantile", "2"],
+     "features.epsilon_quantile must lie in [0, 1], got 2.0"),
+    ("features", ["--epsilon-quantile", "-0.5"],
+     "features.epsilon_quantile must lie in [0, 1], got -0.5"),
+    ("mds", ["--segments", "0"], "mds.segments must be at least 1, got 0"),
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every call that reads the dataset or computes on it raises."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the stage read or computed on the data")
+
+    names = ("load_dataset", "user_similarity_matrix", "train_knn",
+             "train_nmf", "mds_embed")
+    for module in (cli, analysis, features, influence, recommender,
+                   similarity):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+
+
 class TestGroupOptionsCheckedFirst:
     @pytest.mark.parametrize("option,message", [
         (["--thetas", "0.1,x"],
@@ -761,17 +877,29 @@ class TestGroupOptionsCheckedFirst:
         (["--k", "0"], "knn.k must be at least 1, got 0"),
     ], ids=["thetas-word", "top-k-word", "top-k-zero", "l-zero", "k-zero"])
     def test_bad_option_exits_2_before_audit(self, tmp_path, capsys,
-                                             monkeypatch, option, message):
+                                             no_work, option, message):
         out = ingest_toy(tmp_path)
         capsys.readouterr()
-
-        def no_audit(*args, **kwargs):
-            raise AssertionError("the audit started")
-
-        monkeypatch.setattr(influence, "user_similarity_matrix", no_audit)
         assert main(["influence", "--dataset", str(out / "dataset.tsv"),
                      "--algo", "knn", "--k", "2", "--l", "2", *option,
                      "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "influence.csv").exists()
         assert not (out / "influence.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("command,option,message", STAGE_CASES,
+                             ids=[f"{c[0]}{''.join(c[1])}"
+                                  for c in STAGE_CASES])
+    def test_every_stage_exits_2_before_reading_data(self, tmp_path, capsys,
+                                                     no_work, command,
+                                                     option, message):
+        out = ingest_toy(tmp_path)
+        before = sorted(out.iterdir())
+        capsys.readouterr()
+        argv = [command, "--dataset", str(out / "dataset.tsv"),
+                "--out-dir", str(out), *option]
+        if command == "mds":
+            argv += ["--influence", str(out / "influence.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(out.iterdir()) == before

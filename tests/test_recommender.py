@@ -732,6 +732,35 @@ class TestTopListsMatchSortOracle:
                                   else -np.inf)
 
 
+class TestNeighborOrderMatchesLexsort:
+    """``_neighbor_order`` is one stable sort; ``oracles`` keeps the
+    two-key lexsort it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 121])
+    def test_tie_heavy_matrices(self, n):
+        rng = np.random.default_rng(n)
+        # few distinct values, signed zeros among them, so most rows tie
+        sim = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0], size=(n, n))
+        if n > 2:
+            sim[1] = 0.0            # one row tied throughout
+            sim[2] = -0.0
+            sim[2, ::2] = 0.0       # and one with the two zeros interleaved
+        for depth in sorted({1, max(1, (n - 1) // 2), max(1, n - 1)}):
+            got = recommender._neighbor_order(sim, depth)
+            want = oracles.neighbor_order_lexsort(sim, depth)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_similarity_matrices(self):
+        for seed in range(5):
+            ds = random_dataset(60, 40, 0.15, seed=seed)
+            for kind in ("pearson", "cosine"):
+                sim = user_similarity_matrix(ds, kind=kind)
+                assert np.array_equal(
+                    recommender._neighbor_order(sim, 59),
+                    oracles.neighbor_order_lexsort(sim, 59))
+
+
 class TestRecommend:
     def test_forced_single_choice(self):
         rows = [("a", "x", 5.0), ("a", "y", 4.0),
