@@ -71,10 +71,8 @@ def write_influence_csv(report: InfluenceReport, ds: RatingsDataset,
 
 
 def write_group_curves_csv(curves: list[GroupInfluenceCurve], path) -> Path:
-    rows = []
-    for curve in curves:
-        for theta, frac in zip(curve.thresholds, curve.influenced_fraction):
-            rows.append((curve.top_set_size, theta, frac))
+    rows = [(curve.top_set_size, theta, frac) for curve in curves
+            for theta, frac in zip(curve.thresholds, curve.influenced_fraction)]
     return write_csv(path, ["top_k", "theta", "fraction_influenced"], rows)
 
 
@@ -104,13 +102,9 @@ def read_influence_csv(path) -> tuple[list[str], np.ndarray]:
 
 def write_embedding_csv(embedding, ds: RatingsDataset, influence: np.ndarray,
                         labels: np.ndarray, path) -> Path:
-    rows = []
-    for row, u in enumerate(embedding.user_indices):
-        rows.append((ds.user_ids[u],
-                     float(embedding.coordinates[row, 0]),
-                     float(embedding.coordinates[row, 1]),
-                     int(labels[u]),
-                     float(influence[u])))
+    rows = [(ds.user_ids[u], float(x), float(y), int(labels[u]),
+             float(influence[u]))
+            for u, (x, y) in zip(embedding.user_indices, embedding.coordinates)]
     return write_csv(path, ["user_id", "x", "y", "segment", "influence"], rows)
 
 

@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, artifacts, features, influence, predictor
-from .data import (FORMATS, DatasetError, _dump_text, compute_stats,
-                   load_dataset, load_ratings, sample_items, sample_users,
-                   save_dataset)
+from .data import (FORMATS, ITEM_SAMPLE_MODES, DatasetError, _dump_text,
+                   compute_stats, load_dataset, load_ratings, sample_items,
+                   sample_users, save_dataset)
 # top_items is unused here but stays bound: the benchmark's tracer test
 # checks that every binding of it is wrapped
 from .recommender import (ModelConfig, TrainingError, top_items, top_lists,
                           train_knn, train_test_split, evaluate)
-from .similarity import user_similarity_matrix
+from .similarity import SIMILARITIES, user_similarity_matrix
 
 
 class ConfigError(ValueError):
@@ -53,7 +53,7 @@ DEFAULTS = {
     "influence.warm_start": False,
     "influence.warm_iters": 20,
     "influence.top_k": "10",
-    "influence.thetas": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+    "influence.thetas": ",".join(map(repr, influence.DEFAULT_THETA_GRID)),
     "features.similarity": "pearson",
     "features.user_distance": "cosine",
     "features.item_distance": "cosine",
@@ -156,20 +156,39 @@ def _numbers(cfg: dict, key: str, kind) -> tuple:
                          f"{cfg[key]!r}") from None
 
 
-_MODEL_KEYS = {"knn": ("knn.k",), "nmf": ("nmf.factors", "nmf.iters")}
+_MODEL_KEYS = {"knn": ("knn.k", "knn.similarity"),
+               "nmf": ("nmf.factors", "nmf.iters")}
+# Each name-valued key's names; a key whose default is a kind takes any kind.
+_CHOICES = {**{key: SIMILARITIES for key, value in DEFAULTS.items()
+               if value in SIMILARITIES},
+            "data.item_sample_mode": ITEM_SAMPLE_MODES}
+_FLOORS = {"features.epsilon": 0, "mds.max_points": 3, "mds.refine_iters": 0}
 
 
 def _check_options(cfg: dict, *keys: str) -> None:
-    """Refuse a count below 1 or a quantile outside [0, 1] among ``keys``."""
+    """Refuse among ``keys`` a name outside ``_CHOICES``, a fraction outside
+    its interval, or a number (each list entry) below its floor: 1 unless
+    ``_FLOORS`` says otherwise."""
     for key in keys:
-        if key == "features.epsilon_quantile":
-            if not 0 <= cfg[key] <= 1:
-                raise ValueError(f"{key} must lie in [0, 1], got {cfg[key]!r}")
-        elif any(v < 1 for v in _numbers(cfg, key, int)):
-            raise ValueError(f"{key} must be at least 1, got {cfg[key]!r}")
+        value, names = cfg[key], _CHOICES.get(key)
+        if names:
+            ok, rule = value in names, "be one of " + ", ".join(names)
+        elif key == "features.epsilon_quantile":
+            ok, rule = 0 <= value <= 1, "lie in [0, 1]"
+        elif key == "eval.test_fraction":
+            ok, rule = 0 < value < 1, "lie in (0, 1)"
+        else:
+            floor = _FLOORS.get(key, 1)
+            kind = float if isinstance(DEFAULTS[key], float) else int
+            ok = all(v >= floor for v in _numbers(cfg, key, kind))
+            rule = f"be at least {floor}"
+        if not ok:
+            raise ValueError(f"{key} must {rule}, got {value!r}")
 
 
 def cmd_ingest(args, cfg: dict, out: Path) -> int:
+    if cfg["data.sample_items"]:
+        _check_options(cfg, "data.item_sample_mode")
     ds = load_ratings(args.input, format=cfg["data.format"],
                       sep=cfg["data.sep"],
                       columns=tuple(cfg["data.columns"].split(",")),
@@ -190,9 +209,10 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_train(args, cfg: dict, out: Path) -> int:
-    _check_options(cfg, *_MODEL_KEYS.get(cfg["algo"], ()))
+    mc = model_config(cfg)
+    _check_options(cfg, *_MODEL_KEYS[mc.algorithm])
     ds = load_dataset(args.dataset)
-    model = model_config(cfg).train(ds)
+    model = mc.train(ds)
     ds_hash = artifacts.dataset_hash(ds)
     artifacts.save_model(model, out / "model", ds_hash)
     artifacts.write_sidecar(out / "model.json", cfg, ds_hash)
@@ -201,10 +221,12 @@ def cmd_train(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_evaluate(args, cfg: dict, out: Path) -> int:
-    _check_options(cfg, "list.length", *_MODEL_KEYS.get(cfg["algo"], ()))
+    mc = model_config(cfg)
+    _check_options(cfg, "list.length", "eval.test_fraction",
+                   *_MODEL_KEYS[mc.algorithm])
     ds = load_dataset(args.dataset)
     train, test = train_test_split(ds, cfg["eval.test_fraction"], cfg["seed"])
-    model = model_config(cfg).train(train)
+    model = mc.train(train)
     metrics = evaluate(model, test, cfg["list.length"],
                        cfg["eval.relevance_threshold"])
     payload = {"config": cfg, "dataset_sha256": artifacts.dataset_hash(ds),
@@ -219,12 +241,13 @@ def cmd_evaluate(args, cfg: dict, out: Path) -> int:
 
 def cmd_influence(args, cfg: dict, out: Path) -> int:
     thetas = _numbers(cfg, "influence.thetas", float)
+    mc = model_config(cfg)
     _check_options(cfg, "influence.top_k", "list.length",
-                   "influence.warm_iters", *_MODEL_KEYS.get(cfg["algo"], ()))
+                   "influence.warm_iters", *_MODEL_KEYS[mc.algorithm])
     top_ks = _numbers(cfg, "influence.top_k", int)
     ds = load_dataset(args.dataset)
     report = influence.influence_all(
-        ds, model_config(cfg), cfg["list.length"],
+        ds, mc, cfg["list.length"],
         warm_start=cfg["influence.warm_start"],
         warm_iters=cfg["influence.warm_iters"])
     ds_hash = artifacts.dataset_hash(ds)
@@ -248,11 +271,13 @@ def cmd_influence(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_features(args, cfg: dict, out: Path) -> int:
-    # beta3 always reads a kNN model, so knn.k is checked for NMF runs too
-    _check_options(cfg, "list.length", "knn.k", "features.epsilon_quantile",
-                   *_MODEL_KEYS.get(cfg["algo"], ()))
-    ds = load_dataset(args.dataset)
     mc, fc = model_config(cfg), feature_config(cfg)
+    # beta3 always reads a kNN model, so its keys are checked for NMF too
+    _check_options(cfg, "list.length", *_MODEL_KEYS["knn"],
+                   *_MODEL_KEYS[mc.algorithm], "features.similarity",
+                   "features.user_distance", "features.item_distance",
+                   "features.epsilon", "features.epsilon_quantile")
+    ds = load_dataset(args.dataset)
     # one similarity pass serves beta2 and, when the kinds agree, the kNN fit
     sims = user_similarity_matrix(ds, kind=fc.similarity)
     shared = sims if mc.similarity == fc.similarity else None
@@ -300,7 +325,8 @@ def cmd_fit_tree(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_mds(args, cfg: dict, out: Path) -> int:
-    _check_options(cfg, "mds.segments")
+    _check_options(cfg, "mds.distance", "mds.max_points", "mds.segments",
+                   "mds.refine_iters")
     ds = load_dataset(args.dataset)
     ids, infl = artifacts.read_influence_csv(args.influence)
     if list(ids) != list(ds.user_ids):
@@ -367,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--algo", choices=("knn", "nmf"))
     model.add_argument("--k", dest="knn.k", type=int)
     model.add_argument("--similarity", dest="knn.similarity",
-                       choices=("pearson", "cosine"))
+                       choices=SIMILARITIES)
     model.add_argument("--factors", dest="nmf.factors", type=int)
     model.add_argument("--iters", dest="nmf.iters", type=int)
     model.add_argument("--masked", dest="nmf.masked",
@@ -391,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-users", dest="data.sample_users", type=int)
     p.add_argument("--sample-items", dest="data.sample_items", type=int)
     p.add_argument("--item-sample-mode", dest="data.item_sample_mode",
-                   choices=("random", "popularity"))
+                   choices=ITEM_SAMPLE_MODES)
 
     p = sub.add_parser("train", parents=[common, model],
                        help="fit a model and dump it")
@@ -434,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="2-D embedding with influence segments")
     p.add_argument("--dataset", required=True)
     p.add_argument("--influence", required=True)
-    p.add_argument("--distance", dest="mds.distance",
-                   choices=("pearson", "cosine"))
+    p.add_argument("--distance", dest="mds.distance", choices=SIMILARITIES)
     p.add_argument("--max-points", dest="mds.max_points", type=int)
     p.add_argument("--segments", dest="mds.segments", type=int)
     p.add_argument("--refine-iters", dest="mds.refine_iters", type=int)

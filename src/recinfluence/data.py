@@ -27,6 +27,7 @@ FORMATS = {
     "tsv": {"sep": "\t"},
     "movielens-dat": {"sep": "::", "columns": ("user", "item", "rating", "timestamp")},
 }
+ITEM_SAMPLE_MODES = ("random", "popularity")
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,9 @@ all users in whole-array passes that give the same bits:
   beta4 counts a whole distance row and subtracts its zero diagonal.
 - beta6 and beta7 group users by profile size t and gather each group as
   a (users, t) array; a row sum over t contiguous values adds in the same
-  pairwise order as ``np.sum`` over one profile.
+  pairwise order as ``np.sum`` over one profile. beta7 pairs those rows
+  with their item means in ``similarity._sums_against``, the row loop's
+  sums, and scores them with ``similarity._scores``, as the reference does.
 - beta8 with item cosine, when every rating is a multiple of 0.5 and
   n * max|2r|**2 < 2**24, slices one float32 Gram matrix h.T @ h of the
   doubled ratings h = 2r (m * m * 4 bytes). Every partial sum is an integer
@@ -41,10 +43,9 @@ import numpy as np
 
 from .data import RatingsDataset
 from .recommender import KnnModel, _row_chunks
-from .similarity import (SHRINK_COUNT, _bounded_ratio, _on_half_grid,
-                         _pearson_parts, _similarity_rows,
-                         item_distance_submatrix, user_distance_matrix,
-                         user_similarity_matrix)
+from .similarity import (SHRINK_COUNT, _on_half_grid, _scores, _sums_against,
+                         _similarity_rows, item_distance_submatrix,
+                         user_distance_matrix, user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
@@ -225,28 +226,6 @@ def _size_groups(ds: RatingsDataset):
         yield users, ds._user_ptr[users, None] + np.arange(t)
 
 
-def _centroid_similarities(x: np.ndarray, y: np.ndarray,
-                           similarity: str) -> np.ndarray:
-    """beta7 of the rows of ``x`` (users, t) against their item means ``y``.
-
-    The sums are ``_similarity_loop``'s for one fully observed pair, each a
-    row sum over t contiguous values, so every score is
-    ``centroid_similarity``'s to the bit.
-    """
-    if similarity == "pearson":
-        nc = np.full(len(x), x.shape[1])
-        num, denom, ok = _pearson_parts(
-            nc, np.sum(x, axis=1), np.sum(y, axis=1), np.sum(x * x, axis=1),
-            np.sum(y * y, axis=1), np.sum(x * y, axis=1))
-        return _bounded_ratio(num, denom, ok, nc, SHRINK_COUNT)
-    if similarity != "cosine":
-        raise ValueError(f"unknown similarity {similarity!r}")
-    num = np.sum(x * y, axis=1)
-    denom = (np.sqrt(np.sum(x * x, axis=1))
-             * np.sqrt(np.sum(y * y, axis=1)))
-    return _bounded_ratio(num, denom, denom > 0)
-
-
 def _cosine_gram(ds: RatingsDataset) -> np.ndarray | None:
     """h.T @ h as float32 for the doubled ratings h = 2r, or None unless
     every rating is a multiple of 0.5 and n * max|2r|**2 < 2**24.
@@ -305,8 +284,7 @@ def _intra_profile_distances(ds: RatingsDataset,
             if item_distance == "cosine":
                 num = gram[a, b].astype(np.float64)
                 num *= 0.25
-                denom = norms[a] * norms[b]
-                scores = _bounded_ratio(num, denom, denom > 0)
+                scores = _scores("cosine", (num, norms[a] * norms[b]))
             else:
                 scores = sims[a, b]
             # 1 - similarity, as similarity._distances gives it off the
@@ -357,8 +335,10 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
         items = ds.item_idx[pos]
         values[users, 5] = np.median(ds.item_counts[items], axis=1)
         means = ds.item_sums[items] / ds.item_counts[items]
-        values[users, 6] = _centroid_similarities(ds.values[pos], means,
-                                                  config.similarity)
+        rated = np.ones(means.shape, dtype=bool)
+        sums = _sums_against(config.similarity, means, rated)
+        values[users, 6] = _scores(config.similarity,
+                                   sums(ds.values[pos], rated), SHRINK_COUNT)
     values[:, 7] = _intra_profile_distances(ds, config.item_distance)
     values.flags.writeable = False
     snapshot = {

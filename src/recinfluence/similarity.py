@@ -3,37 +3,32 @@
 Pearson runs over co-rated items only, with a significance shrink of
 min(co_rated, SHRINK_COUNT) / SHRINK_COUNT; cosine runs over the raw sparse
 vectors. Pairs with no co-rated items, and degenerate (zero-variance)
-correlations, score 0.
+correlations, score 0. ``SIMILARITIES`` lists the kinds.
 
-User similarities and distances (``user_similarity_matrix``,
-``user_distance_matrix``), item Pearson distances (``item_distance_submatrix``)
-and the beta7 centroid score (``features.centroid_similarity``) all go through
-the one routine ``_similarity_rows``. Leave-one-out retrains reuse cached user
-similarities, so a pair's value must depend only on that pair's profiles,
-bit for bit.
+One step, ``_scores``, turns per-pair sums into every score: Pearson's six
+sums through ``_pearson_parts`` and the shrink, cosine's dot and norm
+product through the same ratio and clip. The sums are formed three ways:
 
-``_similarity_rows`` takes one of two paths, chosen from its input:
+- ``_similarity_rows`` serves user similarities and distances, item
+  Pearson distances and the beta7 reference. Leave-one-out retrains reuse
+  cached user similarities, so a pair's value must depend only on that
+  pair's rows, bit for bit. When ``_exact_sums`` holds (every value finite
+  and a multiple of 0.5, 0 where its mask is False, and m * max|value|**2
+  < 2**51), ``_similarity_blocks`` forms the sums as matrix products over
+  blocks of ``_BLOCK`` rows of ``a``: every partial sum is then a multiple
+  of 0.25 below 2**51, an exact float64 in any order BLAS adds in.
+  Half-star and implicit ratings take this path. Any other input
+  (continuous ratings, beta7's item means) takes ``_similarity_loop``,
+  the tests' reference, which reduces each pair with the elementwise
+  products and np.sum of ``_sums_against``. Both paths give the same bits
+  wherever the first applies.
+- ``features.extract_all`` calls ``_sums_against`` on paired (users, t)
+  rows, so each beta7 score is the loop's for that one pair.
+- Item cosine sums are one ``cols.T @ cols`` product (beta8 slices a
+  float32 Gram instead): item distances are never reused across removals,
+  so they carry no per-pair order guarantee.
 
-- When ``_exact_sums`` holds (every value finite and a multiple of 0.5, every
-  value 0 where its mask is False, and m * max|value|**2 < 2**51), the
-  per-pair sums (co-rated count, sums, sums of squares, cross products; for
-  cosine the dot product) are matrix products over blocks of ``_BLOCK`` rows
-  of ``a``. Each term is then a multiple of 0.25 and every partial sum is a
-  multiple of 0.25 below 2**51, hence an exact float64, so the totals do not
-  depend on the order BLAS adds in. Half-star and implicit ratings take this
-  path.
-- Any other input (continuous ratings, beta7's per-item means) takes
-  ``_similarity_loop``, which reduces row by row with elementwise products
-  and np.sum over the pair's two rows. It is also the tests' reference.
-
-Both paths run the same arithmetic after the sums (``_pearson_parts`` and
-``_bounded_ratio``), so they return the same bits on every input the
-products path accepts.
-
-Item cosine distances are one ``cols.T @ cols`` matrix product instead, with
-the ratio and clip of ``_bounded_ratio``: item distances are never reused
-across removals, so they carry no per-pair order guarantee. Every distance,
-user or item, is 1 - unshrunk similarity with a zero diagonal (``_distances``).
+Every distance is 1 - unshrunk similarity, zero diagonal (``_distances``).
 """
 
 from __future__ import annotations
@@ -93,47 +88,58 @@ def _pearson_parts(nc, su, sv, suu, svv, suv):
     return num, denom, (nc > 0) & (denom > _DEGENERATE)
 
 
-def _bounded_ratio(num, denom, ok, nc=None, shrink=None) -> np.ndarray:
-    """num / denom where ``ok`` (else 0), clipped to [-1, 1], then shrunk
-    by min(nc, shrink) / shrink when ``nc`` is given and shrink is set."""
+def _bounded_ratio(num, denom, ok) -> np.ndarray:
+    """num / denom where ``ok`` (else 0), clipped to [-1, 1]."""
     out = np.zeros(num.shape)
     out[ok] = num[ok] / denom[ok]
     np.clip(out, -1.0, 1.0, out=out)
-    if nc is not None and shrink:
-        out *= np.minimum(nc, shrink) / shrink
     return out
+
+
+def _scores(kind: str, sums: tuple, shrink: int | None = None) -> np.ndarray:
+    """Scores from per-pair sums, elementwise: Pearson's six (co-rated
+    count, two sums, two sums of squares, cross product), shrunk by
+    min(count, shrink) / shrink when ``shrink`` is set, or cosine's (dot
+    product, norm product), never shrunk."""
+    if kind == "pearson":
+        out = _bounded_ratio(*_pearson_parts(*sums))
+        if shrink:
+            out *= np.minimum(sums[0], shrink) / shrink
+        return out
+    if kind == "cosine":
+        dot, norms = sums
+        return _bounded_ratio(dot, norms, norms > 0)
+    raise ValueError(f"unknown similarity {kind!r}")
+
+
+def _sums_against(kind: str, b: np.ndarray, b_mask: np.ndarray):
+    """The sums ``_scores`` reads, as a function of (x, x_mask) against the
+    rows of ``b``: np.sums over the last axis, so x may be one row or rows
+    paired with b's. Pearson sums entries both masks mark; cosine reads
+    raw vectors. b's squares (Pearson) or norms (cosine) are formed once."""
+    if kind == "cosine":
+        norms = np.sqrt(np.sum(b * b, axis=-1))
+        return lambda x, x_mask: (np.sum(x * b, axis=-1),
+                                  np.sqrt(np.sum(x * x, axis=-1)) * norms)
+    sq = b * b
+
+    def sums(x, x_mask):
+        co = x_mask & b_mask
+        return (co.sum(axis=-1), np.sum(x * co, axis=-1),
+                np.sum(b * co, axis=-1), np.sum((x * x) * co, axis=-1),
+                np.sum(sq * co, axis=-1), np.sum((x * b) * co, axis=-1))
+    return sums
 
 
 def _similarity_loop(kind: str, a: np.ndarray, a_mask: np.ndarray,
                      b: np.ndarray, b_mask: np.ndarray,
                      shrink: int | None = SHRINK_COUNT) -> np.ndarray:
-    """``_similarity_rows`` one row of ``a`` at a time, reduced with np.sum.
-
-    Exact to the pair on any values: a pair's value is reduced with np.sum
-    over its two rows alone.
-    """
-    pearson = kind == "pearson"
+    """``_similarity_rows`` one row of ``a`` at a time; exact to the pair on
+    any values, as each pair is reduced with np.sum over its two rows."""
+    sums = _sums_against(kind, b, b_mask)
     sims = np.zeros((a.shape[0], b.shape[0]))
-    if pearson:
-        sq = b * b
-    else:
-        norms_a = np.sqrt(np.sum(a * a, axis=1))
-        norms_b = np.sqrt(np.sum(b * b, axis=1))
     for u in range(a.shape[0]):
-        ru = a[u]
-        if pearson:
-            co = a_mask[u] & b_mask
-            nc = co.sum(axis=1)
-            num, denom, ok = _pearson_parts(
-                nc, np.sum(ru * co, axis=1), np.sum(b * co, axis=1),
-                np.sum((ru * ru) * co, axis=1), np.sum(sq * co, axis=1),
-                np.sum((ru * b) * co, axis=1))
-        else:
-            nc = None
-            num = np.sum(ru * b, axis=1)
-            denom = norms_a[u] * norms_b
-            ok = denom > 0
-        sims[u] = _bounded_ratio(num, denom, ok, nc, shrink)
+        sims[u] = _scores(kind, sums(a[u], a_mask[u]), shrink)
     return sims
 
 
@@ -155,16 +161,11 @@ def _similarity_blocks(kind: str, a: np.ndarray, a_mask: np.ndarray,
         ra = a[rows]
         if pearson:
             am = a_mask[rows].astype(np.float64)
-            nc = am @ bm.T
-            num, denom, ok = _pearson_parts(
-                nc, ra @ bm.T, am @ b.T, (ra * ra) @ bm.T, am @ sq.T,
-                ra @ b.T)
+            sums = (am @ bm.T, ra @ bm.T, am @ b.T, (ra * ra) @ bm.T,
+                    am @ sq.T, ra @ b.T)
         else:
-            nc = None
-            num = ra @ b.T
-            denom = norms_a[rows, None] * norms_b
-            ok = denom > 0
-        sims[rows] = _bounded_ratio(num, denom, ok, nc, shrink)
+            sums = ra @ b.T, norms_a[rows, None] * norms_b
+        sims[rows] = _scores(kind, sums, shrink)
     return sims
 
 
@@ -178,8 +179,6 @@ def _similarity_rows(kind: str, a: np.ndarray, a_mask: np.ndarray,
     A pair's value depends on its two rows alone, bit for bit; see the
     module docstring for the two paths that guarantee it.
     """
-    if kind not in SIMILARITIES:
-        raise ValueError(f"unknown similarity {kind!r}")
     if _exact_sums(a, a_mask, b, b_mask):
         return _similarity_blocks(kind, a, a_mask, b, b_mask, shrink)
     return _similarity_loop(kind, a, a_mask, b, b_mask, shrink)
@@ -213,8 +212,8 @@ def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
     cols = ratings[:, items]
     if kind == "cosine":
         norms = np.sqrt(np.sum(cols * cols, axis=0))
-        denom = np.outer(norms, norms)
-        return _distances(_bounded_ratio(cols.T @ cols, denom, denom > 0))
+        return _distances(_scores(kind, (cols.T @ cols,
+                                         np.outer(norms, norms))))
     rows = np.ascontiguousarray(cols.T)
     observed = np.ascontiguousarray(mask[:, items].T)
     return _distances(_similarity_rows(kind, rows, observed, rows, observed,

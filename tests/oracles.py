@@ -340,3 +340,22 @@ def neighbor_order_lexsort(sim_matrix, depth):
     return np.array([[v for v in row if v != u][:depth]
                      for u, row in enumerate(order.tolist())],
                     dtype=np.int64).reshape(n, min(depth, n - 1))
+
+
+def item_cosine_distances(ds, items):
+    """``similarity.item_distance_submatrix`` with item cosine, written out:
+    one column product, divided by the outer product of the column norms
+    where that is positive (else 0), clipped to [-1, 1], taken from 1, with
+    a zero diagonal. The kernel must match it bit for bit."""
+    ratings, _ = ds.dense
+    cols = ratings[:, items]
+    norms = np.sqrt(np.sum(cols * cols, axis=0))
+    denom = np.outer(norms, norms)
+    num = cols.T @ cols
+    sims = np.zeros(num.shape)
+    ok = denom > 0
+    sims[ok] = num[ok] / denom[ok]
+    np.clip(sims, -1.0, 1.0, out=sims)
+    dist = 1.0 - sims
+    np.fill_diagonal(dist, 0.0)
+    return dist

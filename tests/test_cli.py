@@ -848,6 +848,15 @@ STAGE_CASES = [
     ("features", ["--epsilon-quantile", "-0.5"],
      "features.epsilon_quantile must lie in [0, 1], got -0.5"),
     ("mds", ["--segments", "0"], "mds.segments must be at least 1, got 0"),
+    ("evaluate", ["--test-fraction", "1.5"],
+     "eval.test_fraction must lie in (0, 1), got 1.5"),
+    ("evaluate", ["--test-fraction", "0"],
+     "eval.test_fraction must lie in (0, 1), got 0.0"),
+    ("features", ["--epsilon", "-1"],
+     "features.epsilon must be at least 0, got -1.0"),
+    ("mds", ["--max-points", "2"], "mds.max_points must be at least 3, got 2"),
+    ("mds", ["--refine-iters", "-3"],
+     "mds.refine_iters must be at least 0, got -3"),
 ]
 
 
@@ -858,7 +867,7 @@ def no_work(monkeypatch):
         raise AssertionError("the stage read or computed on the data")
 
     names = ("load_dataset", "user_similarity_matrix", "train_knn",
-             "train_nmf", "mds_embed")
+             "train_nmf", "top_lists", "mds_embed")
     for module in (cli, analysis, features, influence, recommender,
                    similarity):
         for name in names:
@@ -903,3 +912,88 @@ class TestGroupOptionsCheckedFirst:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(out.iterdir()) == before
+
+
+# The stages that read each key whose default is a similarity kind.
+KIND_STAGES = {
+    "knn.similarity": ("train", "evaluate", "influence", "features"),
+    "features.similarity": ("features",),
+    "features.user_distance": ("features",),
+    "features.item_distance": ("features",),
+    "mds.distance": ("mds",),
+}
+KIND_KEYS = [key for key, value in DEFAULTS.items()
+             if value in similarity.SIMILARITIES]
+
+
+def run_with_config(tmp_path, capsys, command, lines):
+    """``command`` on the toy dump with ``lines`` in a config file: its exit
+    code, its stderr and the names of the files it wrote."""
+    tmp_path.mkdir(exist_ok=True)
+    out = ingest_toy(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{line}\n" for line in lines))
+    before = set(out.iterdir())
+    capsys.readouterr()
+    argv = [command, *REQUIRED[command], "--config", str(cfgfile),
+            "--out-dir", str(out)]
+    argv[argv.index("--dataset") + 1] = str(out / "dataset.tsv")
+    code = main(argv)
+    wrote = {path.name for path in set(out.iterdir()) - before}
+    return code, capsys.readouterr().err, wrote
+
+
+class TestNamesCheckedFirst:
+    @pytest.mark.parametrize("key", KIND_KEYS)
+    def test_unknown_kind_exits_2_at_every_stage_that_reads_it(
+            self, tmp_path, capsys, no_work, key):
+        # a new kind key fails here until KIND_STAGES lists its stages
+        for command in KIND_STAGES[key]:
+            assert run_with_config(tmp_path / command, capsys, command,
+                                   [f"{key} = foo"]) == (
+                2, f"error: {key} must be one of pearson, cosine, got 'foo'\n",
+                set())
+
+    def test_every_kind_key_is_listed(self):
+        assert set(KIND_KEYS) == set(KIND_STAGES)
+
+    def test_kind_options_offer_exactly_the_kinds(self):
+        # a new kind name reaches every flag that takes one
+        offered = {(command, action.dest): tuple(action.choices)
+                   for command, sub in _subcommands().items()
+                   for action in sub._actions if action.dest in KIND_KEYS}
+        assert {dest for _, dest in offered} == {"knn.similarity",
+                                                 "mds.distance"}
+        assert set(offered.values()) == {similarity.SIMILARITIES}
+
+    @pytest.mark.parametrize("command", MODEL_STAGES)
+    def test_unknown_algorithm_exits_2_before_reading_data(
+            self, tmp_path, capsys, no_work, command):
+        assert run_with_config(tmp_path, capsys, command, ["algo = foo"]) == (
+            2, "error: unknown algorithm 'foo'\n", set())
+
+    def test_nmf_run_ignores_knn_similarity(self, tmp_path, capsys):
+        # only the algorithm's own keys are checked where no kNN model runs
+        assert run_with_config(
+            tmp_path, capsys, "train",
+            ["algo = nmf", "nmf.iters = 3", "knn.similarity = foo"]) == (
+            0, "", {"model.json", "model.tsv", "model.json.meta.json"})
+
+    def test_unknown_item_sample_mode_exits_2_before_parsing(
+            self, tmp_path, capsys, monkeypatch):
+        raw = write_toy_csv(tmp_path)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the input was parsed")
+
+        monkeypatch.setattr(cli, "load_ratings", refused)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("data.sample_items = 3\n"
+                           "data.item_sample_mode = foo\n")
+        assert main(["ingest", "--input", str(raw), "--format", "csv",
+                     "--config", str(cfgfile),
+                     "--out-dir", str(tmp_path / "work")]) == 2
+        assert capsys.readouterr().err == (
+            "error: data.item_sample_mode must be one of random, "
+            "popularity, got 'foo'\n")
+        assert not (tmp_path / "work" / "dataset.tsv").exists()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from recinfluence import features
+from recinfluence import features, similarity
 from recinfluence.data import RatingsDataset
 from recinfluence.features import (FEATURE_NAMES, FeatureConfig, centrality,
                                    centroid_similarity, extract_all,
@@ -652,3 +652,120 @@ class TestFeatureMemory:
         batched()
         limit = peak(reference) + ds.n_items ** 2 * 4
         assert peak(batched) <= limit
+
+
+def with_values(ds, values):
+    """``ds`` with its ratings replaced by ``values``, in rating order."""
+    return RatingsDataset.build(ds.user_ids, ds.item_ids, ds.user_idx,
+                                ds.item_idx, values)
+
+
+def shifted(ds, by):
+    """``ds`` with every rating lowered by ``by``."""
+    return with_values(ds, ds.values - by)
+
+
+def half_star_means_dataset():
+    """Integer ratings with one or two raters per item, so every item mean
+    is a multiple of 0.5."""
+    rng = np.random.default_rng(21)
+    rows = [(f"u{u:02d}", f"i{i:02d}", float(rng.integers(1, 6)))
+            for i in range(60)
+            for u in rng.choice(15, size=rng.integers(1, 3), replace=False)]
+    return build_dataset(rows)
+
+
+def constant_profiles_dataset():
+    """Every third user rates all of its items alike."""
+    ds = graded_dataset(30, 50, 0.2, 22, "half")
+    values = ds.values.copy()
+    flat = ds.user_idx % 3 == 0
+    values[flat] = 1.0 + ds.user_idx[flat] % 5
+    return with_values(ds, values)
+
+
+CENTROID_DATASETS = {
+    "half_star_means": half_star_means_dataset,
+    "off_grid": lambda: graded_dataset(30, 60, 0.15, 23, "continuous"),
+    "one_item_profiles": lambda: graded_dataset(40, 60, 0.02, 5),
+    "constant_profiles": constant_profiles_dataset,
+    "negative_half_stars": lambda: shifted(
+        graded_dataset(25, 50, 0.2, 24, "half"), 3.0),
+    "negative_off_grid": lambda: shifted(
+        graded_dataset(25, 50, 0.2, 25, "continuous"), 3.5),
+}
+
+
+class TestCentroidColumn:
+    """beta7 from ``extract_all`` (paired (users, t) rows through
+    ``similarity._sums_against``) against ``centroid_similarity``, which
+    scores one user at a time through ``similarity._similarity_rows``."""
+
+    @staticmethod
+    def column(ds, kind):
+        cfg = FeatureConfig(similarity=kind, epsilon=0.5)
+        model, listed, sims = feature_inputs(ds, cfg, k=1, l=1)
+        return extract_all(ds, model, listed, sims, cfg).values[:, 6]
+
+    @staticmethod
+    def reference(ds, kind):
+        return np.array([centroid_similarity(ds, u, kind)
+                         for u in range(ds.n_users)])
+
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    @pytest.mark.parametrize("name", sorted(CENTROID_DATASETS))
+    def test_equals_one_user_reference(self, name, kind):
+        ds = CENTROID_DATASETS[name]()
+        got, want = self.column(ds, kind), self.reference(ds, kind)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cases_cover_their_edges(self):
+        data = {name: make() for name, make in CENTROID_DATASETS.items()}
+        assert np.any(data["one_item_profiles"].user_counts == 1)
+        assert np.any(data["constant_profiles"].user_counts > 1)
+        for name in ("negative_half_stars", "negative_off_grid"):
+            assert data[name].values.min() < 0
+        ds = data["off_grid"]
+        assert not similarity._on_half_grid(ds.item_sums / ds.item_counts)
+        ds = data["half_star_means"]
+        assert similarity._on_half_grid(ds.item_sums / ds.item_counts)
+
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    def test_half_star_means_reference_takes_the_products_path(
+            self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("row loop taken")
+
+        ds = half_star_means_dataset()
+        monkeypatch.setattr(similarity, "_similarity_loop", refuse)
+        got, want = self.column(ds, kind), self.reference(ds, kind)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_unknown_kind_refused(self, toy):
+        cfg = FeatureConfig(epsilon=0.5)
+        model, listed, sims = feature_inputs(toy, cfg)
+        with pytest.raises(ValueError, match="unknown similarity"):
+            extract_all(toy, model, listed, sims,
+                        FeatureConfig(similarity="foo", epsilon=0.5))
+
+
+class TestItemCosineDistances:
+    @pytest.mark.parametrize("grade", ["int", "half", "continuous"])
+    def test_equals_literal_formula(self, grade):
+        ds = graded_dataset(30, 45, 0.2, 26, grade)
+        for items in (np.arange(ds.n_items), ds.user_items(0),
+                      np.array([3, 3, 7])):
+            got = item_distance_submatrix(ds, items, kind="cosine")
+            want = oracles.item_cosine_distances(ds, items)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_rating_less_item_is_at_distance_one(self):
+        ds = graded_dataset(12, 20, 0.3, 27)
+        keep = ds.item_idx != 4
+        cut = RatingsDataset.build(ds.user_ids, ds.item_ids,
+                                   ds.user_idx[keep], ds.item_idx[keep],
+                                   ds.values[keep])
+        got = item_distance_submatrix(cut, np.arange(6), kind="cosine")
+        want = oracles.item_cosine_distances(cut, np.arange(6))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(got[4, np.arange(6) != 4] == 1.0)
