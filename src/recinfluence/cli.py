@@ -162,19 +162,21 @@ _MODEL_KEYS = {"knn": ("knn.k", "knn.similarity"),
 _CHOICES = {**{key: SIMILARITIES for key, value in DEFAULTS.items()
                if value in SIMILARITIES},
             "data.item_sample_mode": ITEM_SAMPLE_MODES}
-_FLOORS = {"features.epsilon": 0, "mds.max_points": 3, "mds.refine_iters": 0}
+_FLOORS = {"data.sample_users": 0, "data.sample_items": 0,
+           "features.epsilon": 0, "mds.max_points": 3, "mds.refine_iters": 0}
 
 
 def _check_options(cfg: dict, *keys: str) -> None:
-    """Refuse among ``keys`` a name outside ``_CHOICES``, a fraction outside
-    its interval, or a number (each list entry) below its floor: 1 unless
-    ``_FLOORS`` says otherwise."""
+    """Refuse among ``keys`` a name outside ``_CHOICES``, or a fraction
+    outside its interval or a number below its floor (1 unless ``_FLOORS``
+    says otherwise), checking each entry of a list."""
     for key in keys:
         value, names = cfg[key], _CHOICES.get(key)
         if names:
             ok, rule = value in names, "be one of " + ", ".join(names)
-        elif key == "features.epsilon_quantile":
-            ok, rule = 0 <= value <= 1, "lie in [0, 1]"
+        elif key in ("features.epsilon_quantile", "influence.thetas"):
+            ok = all(0 <= v <= 1 for v in _numbers(cfg, key, float))
+            rule = "lie in [0, 1]"
         elif key == "eval.test_fraction":
             ok, rule = 0 < value < 1, "lie in (0, 1)"
         else:
@@ -187,6 +189,7 @@ def _check_options(cfg: dict, *keys: str) -> None:
 
 
 def cmd_ingest(args, cfg: dict, out: Path) -> int:
+    _check_options(cfg, "data.sample_users", "data.sample_items")
     if cfg["data.sample_items"]:
         _check_options(cfg, "data.item_sample_mode")
     ds = load_ratings(args.input, format=cfg["data.format"],
@@ -242,7 +245,7 @@ def cmd_evaluate(args, cfg: dict, out: Path) -> int:
 def cmd_influence(args, cfg: dict, out: Path) -> int:
     thetas = _numbers(cfg, "influence.thetas", float)
     mc = model_config(cfg)
-    _check_options(cfg, "influence.top_k", "list.length",
+    _check_options(cfg, "influence.thetas", "influence.top_k", "list.length",
                    "influence.warm_iters", *_MODEL_KEYS[mc.algorithm])
     top_ks = _numbers(cfg, "influence.top_k", int)
     ds = load_dataset(args.dataset)

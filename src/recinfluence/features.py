@@ -26,10 +26,11 @@ all users in whole-array passes that give the same bits:
   with their item means in ``similarity._sums_against``, the row loop's
   sums, and scores them with ``similarity._scores``, as the reference does.
 - beta8 with item cosine, when every rating is a multiple of 0.5 and
-  n * max|2r|**2 < 2**24, slices one float32 Gram matrix h.T @ h of the
-  doubled ratings h = 2r (m * m * 4 bytes). Every partial sum is an integer
-  below 2**24, so each entry is exact whatever order or thread count BLAS
-  uses, and 0.25 times it is the float64 product the reference forms.
+  n * max|2r|**2 < 2**24 (``similarity._exact_dtype`` gives float32),
+  slices one float32 Gram matrix h.T @ h of the doubled ratings h = 2r
+  (m * m * 4 bytes). Every partial sum is an integer below 2**24, so each
+  entry is exact whatever order or thread count BLAS uses, and 0.25 times
+  it is the float64 product the reference forms.
   Other ratings keep the reference's per-profile product and column norms.
 - beta8 with item Pearson scores every item pair once and looks up each
   profile's pairs: a pair's value depends on its two columns alone.
@@ -43,14 +44,13 @@ import numpy as np
 
 from .data import RatingsDataset
 from .recommender import KnnModel, _row_chunks
-from .similarity import (SHRINK_COUNT, _on_half_grid, _scores, _sums_against,
-                         _similarity_rows, item_distance_submatrix,
-                         user_distance_matrix, user_similarity_matrix)
+from .similarity import (SHRINK_COUNT, _exact_dtype, _on_half_grid, _scores,
+                         _sums_against, _similarity_rows,
+                         item_distance_submatrix, user_distance_matrix,
+                         user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
-# The doubled-rating Gram is exact while n * max|2r|**2 stays below this.
-_GRAM_LIMIT = 2.0 ** 24
 # Item pairs per batch of beta8 profiles.
 _BATCH_ENTRIES = 2 ** 15
 
@@ -136,7 +136,7 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     if n < 2:
         return out
     sizes = np.count_nonzero(listed, axis=1)
-    counts = np.float32 if m < 2 ** 24 else np.float64
+    counts = _exact_dtype(m)
     listed = listed.astype(counts)
     _, rated = ds.dense
     for rows in _row_chunks(np.arange(n), n):
@@ -228,19 +228,20 @@ def _size_groups(ds: RatingsDataset):
 
 def _cosine_gram(ds: RatingsDataset) -> np.ndarray | None:
     """h.T @ h as float32 for the doubled ratings h = 2r, or None unless
-    every rating is a multiple of 0.5 and n * max|2r|**2 < 2**24.
+    every rating is a multiple of 0.5 and ``_exact_dtype`` gives float32
+    for n * max|h|**2.
 
-    Under that bound every entry and partial sum is an integer below 2**24,
-    so the product is exact in any order; 0.25 times an entry is the
-    float64 column product ``item_distance_submatrix`` forms.
+    Then every entry and partial sum is an integer below 2**24, so the
+    product is exact in any order; 0.25 times an entry is the float64
+    column product ``item_distance_submatrix`` forms.
     """
-    doubled = ds.values * 2
-    if not (_on_half_grid(ds.values)
-            and ds.n_users * float(np.abs(doubled).max()) ** 2
-            < _GRAM_LIMIT):
+    top = 2 * float(np.abs(ds.values).max(initial=0.0))
+    if (_exact_dtype(ds.n_users * top * top) is not np.float32
+            or not _on_half_grid(ds.values)):
         return None
     h = np.zeros((ds.n_users, ds.n_items), dtype=np.float32)
-    h[ds.user_idx, ds.item_idx] = doubled
+    h[ds.user_idx, ds.item_idx] = ds.values
+    h *= 2
     return h.T @ h
 
 

@@ -12,11 +12,17 @@ product through the same ratio and clip. The sums are formed three ways:
 - ``_similarity_rows`` serves user similarities and distances, item
   Pearson distances and the beta7 reference. Leave-one-out retrains reuse
   cached user similarities, so a pair's value must depend only on that
-  pair's rows, bit for bit. When ``_exact_sums`` holds (every value finite
-  and a multiple of 0.5, 0 where its mask is False, and m * max|value|**2
-  < 2**51), ``_similarity_blocks`` forms the sums as matrix products over
-  blocks of ``_BLOCK`` rows of ``a``: every partial sum is then a multiple
-  of 0.25 below 2**51, an exact float64 in any order BLAS adds in.
+  pair's rows, bit for bit. When every value is finite, a multiple of
+  0.5 and 0 where its mask is False, the doubled values h = 2x are
+  integers, and ``_exact_sums`` gives the type in which every partial sum
+  of h, h * h and mask counts is an exact integer: float32 while
+  m * max(1, max|h|)**2 < 2**24, float64 below 2**53 (``_exact_dtype``).
+  ``_similarity_blocks`` then forms each sum as one matrix product in that
+  type over a block of rows of ``a``, exact in any order BLAS adds in,
+  converts it to float64 and scales it by the exact factor 0.5 or 0.25.
+  Every score is bitwise symmetric in its two rows (the arithmetic after
+  the sums only multiplies commuting pairs), so when ``a is b`` only the
+  blocks on or above the diagonal are formed and each is mirrored.
   Half-star and implicit ratings take this path. Any other input
   (continuous ratings, beta7's item means) takes ``_similarity_loop``,
   the tests' reference, which reduces each pair with the elementwise
@@ -39,13 +45,17 @@ from .data import RatingsDataset
 
 SHRINK_COUNT = 50
 _DEGENERATE = 1e-12
-# Rows of ``a`` per block of matrix products. A block holds about a dozen
-# (_BLOCK x len(b)) temporaries: at 120 x 240, 16-row blocks keep the
-# allocation peak below the row loop's and 32-row blocks do not. Fewer rows
-# cost BLAS speed: on one OpenBLAS thread of an Intel Xeon VM, a 1500 x 2000
-# Pearson matrix took 8.7 s with 4-row blocks and 3.0 s with 16-row blocks.
+# Rows of ``a`` per block of matrix products: max(_BLOCK, m // _BLOCK_ITEMS)
+# for m columns. A block holds about a dozen float64 (rows x len(b))
+# temporaries, against the n x m operands' 12 bytes an entry (float32 mask,
+# h and h * h; 4 for cosine's h), so these stay within about a quarter of
+# the operands. At 120 x 240, 16-row blocks keep the allocation peak below
+# the row loop's and 32-row blocks do not. Fewer rows cost BLAS speed: on
+# one OpenBLAS thread of a 2-vCPU Intel Xeon VM, a 1500 x 2000 float32
+# upper-triangle Pearson matrix took 1.2-1.4 s with 16-row blocks and
+# 0.52-0.57 s with 62-row blocks.
 _BLOCK = 16
-_EXACT_LIMIT = 2.0 ** 51
+_BLOCK_ITEMS = 32
 
 SIMILARITIES = ("pearson", "cosine")
 
@@ -59,23 +69,35 @@ def _on_half_grid(x: np.ndarray) -> bool:
     return np.array_equal(halves, x)
 
 
-def _exact_sums(a: np.ndarray, a_mask: np.ndarray, b: np.ndarray,
-                b_mask: np.ndarray) -> bool:
-    """Whether every per-pair sum over ``a`` and ``b`` is an exact float64.
+def _exact_dtype(top: float):
+    """The float type in which integers whose magnitudes sum to at most
+    ``top`` add exactly in any order: float32 while top < 2**24, float64
+    while top < 2**53, else None."""
+    if top < 2.0 ** 24:
+        return np.float32
+    return np.float64 if top < 2.0 ** 53 else None
 
-    True when every value is finite and a multiple of 0.5, every value is 0
-    wherever its mask is False (so a product with the other mask sums over
-    co-rated entries only), and m * max|value|**2 < 2**51. Each check holds
-    at most one (n x m) temporary; nan fails the grid test and inf the bound.
+
+def _exact_sums(a: np.ndarray, a_mask: np.ndarray, b: np.ndarray,
+                b_mask: np.ndarray):
+    """The float type in which every per-pair sum over the doubled values
+    h = 2a and 2b is exact, or None when there is none.
+
+    Every value must be finite and a multiple of 0.5 (so h holds integers)
+    and 0 wherever its mask is False (so a product with the other mask sums
+    over co-rated entries only). Each sum of h, h * h or mask counts over m
+    columns is then at most m * max(1, max|h|)**2, which ``_exact_dtype``
+    bounds. Each check holds at most one (n x m) temporary; nan fails the
+    grid test and inf the bound.
     """
     top = 0.0
     same = b is a and b_mask is a_mask
     for x, mask in ((a, a_mask),) if same else ((a, a_mask), (b, b_mask)):
         if not (_on_half_grid(x)
                 and np.count_nonzero(x) == np.count_nonzero(x[mask])):
-            return False
+            return None
         top = max(top, float(np.abs(x).max(initial=0.0)))
-    return a.shape[1] * top * top < _EXACT_LIMIT
+    return _exact_dtype(a.shape[1] * max(1.0, 2 * top) ** 2)
 
 
 def _pearson_parts(nc, su, sv, suu, svv, suv):
@@ -143,29 +165,54 @@ def _similarity_loop(kind: str, a: np.ndarray, a_mask: np.ndarray,
     return sims
 
 
+def _doubled(x: np.ndarray, dtype) -> np.ndarray:
+    """2 * x as ``dtype``: cast, then doubled in place, so no float64
+    temporary the size of x is made."""
+    h = x.astype(dtype)
+    h *= 2
+    return h
+
+
 def _similarity_blocks(kind: str, a: np.ndarray, a_mask: np.ndarray,
                        b: np.ndarray, b_mask: np.ndarray,
-                       shrink: int | None = SHRINK_COUNT) -> np.ndarray:
-    """``_similarity_rows`` with each sum a matrix product over a block of
-    ``_BLOCK`` rows of ``a``; exact only where ``_exact_sums`` holds."""
+                       shrink: int | None, dtype) -> np.ndarray:
+    """``_similarity_rows`` with each sum one matrix product in ``dtype``
+    of doubled values (or masks) over a block of rows of ``a``, scaled
+    back in float64; exact only where ``_exact_sums`` gives ``dtype``.
+    When ``a is b`` only the blocks on or above the diagonal are formed,
+    and each is mirrored into the lower triangle."""
     pearson = kind == "pearson"
-    sims = np.empty((a.shape[0], b.shape[0]))
-    if pearson:
-        bm = b_mask.astype(np.float64)
-        sq = b * b
-    else:
+    same = a is b and a_mask is b_mask
+    if not pearson:     # before sims and the copies, as a * a is n x m
         norms_a = np.sqrt(np.sum(a * a, axis=1))
-        norms_b = np.sqrt(np.sum(b * b, axis=1))
-    for lo in range(0, a.shape[0], _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        ra = a[rows]
+        norms_b = norms_a if same else np.sqrt(np.sum(b * b, axis=1))
+    sims = np.empty((a.shape[0], b.shape[0]))
+    hb = _doubled(b, dtype)
+    if pearson:
+        mb = b_mask.astype(dtype)
+        hb2 = hb * hb
+    step = max(_BLOCK, a.shape[1] // _BLOCK_ITEMS)
+    for lo in range(0, a.shape[0], step):
+        rows = slice(lo, lo + step)
+        cols = slice(lo if same else 0, None)
+        ha = hb[rows] if same else _doubled(a[rows], dtype)
         if pearson:
-            am = a_mask[rows].astype(np.float64)
-            sums = (am @ bm.T, ra @ bm.T, am @ b.T, (ra * ra) @ bm.T,
-                    am @ sq.T, ra @ b.T)
+            ma = mb[rows] if same else a_mask[rows].astype(dtype)
+            ha2 = hb2[rows] if same else ha * ha
+            m_t, h_t, h2_t = mb[cols].T, hb[cols].T, hb2[cols].T
+            sums = (np.asarray(ma @ m_t, dtype=np.float64),
+                    np.multiply(ha @ m_t, 0.5, dtype=np.float64),
+                    np.multiply(ma @ h_t, 0.5, dtype=np.float64),
+                    np.multiply(ha2 @ m_t, 0.25, dtype=np.float64),
+                    np.multiply(ma @ h2_t, 0.25, dtype=np.float64),
+                    np.multiply(ha @ h_t, 0.25, dtype=np.float64))
         else:
-            sums = ra @ b.T, norms_a[rows, None] * norms_b
-        sims[rows] = _scores(kind, sums, shrink)
+            sums = (np.multiply(ha @ hb[cols].T, 0.25, dtype=np.float64),
+                    norms_a[rows, None] * norms_b[cols])
+        block = _scores(kind, sums, shrink)
+        sims[rows, cols] = block
+        if same:
+            sims[cols, rows] = block.T
     return sims
 
 
@@ -179,8 +226,9 @@ def _similarity_rows(kind: str, a: np.ndarray, a_mask: np.ndarray,
     A pair's value depends on its two rows alone, bit for bit; see the
     module docstring for the two paths that guarantee it.
     """
-    if _exact_sums(a, a_mask, b, b_mask):
-        return _similarity_blocks(kind, a, a_mask, b, b_mask, shrink)
+    dtype = _exact_sums(a, a_mask, b, b_mask)
+    if dtype:
+        return _similarity_blocks(kind, a, a_mask, b, b_mask, shrink, dtype)
     return _similarity_loop(kind, a, a_mask, b, b_mask, shrink)
 
 

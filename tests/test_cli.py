@@ -884,7 +884,11 @@ class TestGroupOptionsCheckedFirst:
         (["--top-k", "0"], "influence.top_k must be at least 1, got '0'"),
         (["--l", "0"], "list.length must be at least 1, got 0"),
         (["--k", "0"], "knn.k must be at least 1, got 0"),
-    ], ids=["thetas-word", "top-k-word", "top-k-zero", "l-zero", "k-zero"])
+        (["--thetas=-1,7"], "influence.thetas must lie in [0, 1], got '-1,7'"),
+        (["--thetas=0,1.5"],
+         "influence.thetas must lie in [0, 1], got '0,1.5'"),
+    ], ids=["thetas-word", "top-k-word", "top-k-zero", "l-zero", "k-zero",
+            "thetas-outside", "thetas-above-one"])
     def test_bad_option_exits_2_before_audit(self, tmp_path, capsys,
                                              no_work, option, message):
         out = ingest_toy(tmp_path)
@@ -978,6 +982,23 @@ class TestNamesCheckedFirst:
             tmp_path, capsys, "train",
             ["algo = nmf", "nmf.iters = 3", "knn.similarity = foo"]) == (
             0, "", {"model.json", "model.tsv", "model.json.meta.json"})
+
+    @pytest.mark.parametrize("flag,key", [
+        ("--sample-users", "data.sample_users"),
+        ("--sample-items", "data.sample_items")])
+    def test_negative_sample_count_exits_2_before_parsing(
+            self, tmp_path, capsys, monkeypatch, flag, key):
+        raw = write_toy_csv(tmp_path)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the input was parsed")
+
+        monkeypatch.setattr(cli, "load_ratings", refused)
+        assert main(["ingest", "--input", str(raw), "--format", "csv",
+                     flag, "-1", "--out-dir", str(tmp_path / "work")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} must be at least 0, got -1\n")
+        assert not (tmp_path / "work" / "dataset.tsv").exists()
 
     def test_unknown_item_sample_mode_exits_2_before_parsing(
             self, tmp_path, capsys, monkeypatch):

@@ -224,6 +224,101 @@ class TestSimilarity:
             assert np.array_equal(m1.neighbors, m2.neighbors)
 
 
+def assert_same_int64(got, want):
+    """Equal as raw bits, the sign of every zero included."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _bounded_dense(top):
+    """Half stars over 30 items plus two users who rated every item with
+    magnitudes up to ``top``, so the largest per-pair sums come near the
+    bound 30 * (2 * top)**2."""
+    ratings, mask = _grid_dataset(20, 30, 0.3, 4, HALF_STARS).dense
+    ratings, mask = ratings.copy(), mask.copy()
+    ratings[0] = top
+    ratings[1] = np.where(np.arange(30) % 2, -top, top - 0.5)
+    mask[:2] = True
+    return ratings, mask
+
+
+# Cases for the float32 route: n against the 16-row blocks (one row, fewer
+# than a block, a partial last block), 700 items (21-row blocks), one-rater
+# items, users who rated every item, negative half stars, and sums up to
+# 30 * 747**2, just under 2**24.
+FLOAT32_CASES = {
+    "n1": lambda: _grid_dataset(1, 30, 0.3, 1, HALF_STARS).dense,
+    "n11": lambda: _grid_dataset(11, 30, 0.3, 11, HALF_STARS).dense,
+    "n37": lambda: _grid_dataset(37, 30, 0.3, 37, HALF_STARS).dense,
+    "wide_blocks": lambda: _grid_dataset(45, 700, 0.05, 5, HALF_STARS).dense,
+    "single_rater_items": lambda: _single_rater_dataset().dense,
+    "full_profiles": lambda: _edge_users_dataset().dense,
+    "negative_half_stars": lambda: _grid_dataset(
+        30, 50, 0.2, 3, np.arange(-6, 7) / 2).dense,
+    "under_float32_bound": lambda: _bounded_dense(373.5),
+}
+
+
+class TestExactKernel:
+    """The product kernel against the row loop, compared as int64 views."""
+
+    @pytest.mark.parametrize("top,dtype", [
+        (0.0, np.float32), (2.0 ** 24 - 1, np.float32),
+        (2.0 ** 24, np.float64), (2.0 ** 53 - 1, np.float64),
+        (2.0 ** 53, None), (np.inf, None), (np.nan, None)])
+    def test_exact_dtype_at_its_edges(self, top, dtype):
+        assert similarity._exact_dtype(top) is dtype
+
+    @pytest.mark.parametrize("shrink", [50, None])
+    @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
+    @pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+    def test_float32_products_equal_row_loop(self, name, kind, shrink):
+        ratings, mask = FLOAT32_CASES[name]()
+        assert similarity._exact_sums(ratings, mask, ratings,
+                                      mask) is np.float32
+        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask,
+                                          shrink)
+        assert_same_int64(got, similarity._similarity_loop(
+            kind, ratings, mask, ratings, mask, shrink))
+        assert_same_int64(got, got.T)
+
+    @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
+    def test_float64_products_just_over_the_float32_bound(self, kind):
+        ratings, mask = _bounded_dense(374.0)    # 30 * 748**2 >= 2**24
+        assert similarity._exact_sums(ratings, mask, ratings,
+                                      mask) is np.float64
+        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask)
+        assert_same_int64(got, similarity._similarity_loop(
+            kind, ratings, mask, ratings, mask))
+        assert_same_int64(got, got.T)
+
+    @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
+    def test_full_rectangle_equals_mirrored_triangle(self, kind):
+        # equal rows in a second array take the non-symmetric route
+        ratings, mask = _grid_dataset(37, 30, 0.3, 37, HALF_STARS).dense
+        assert_same_int64(
+            similarity._similarity_rows(kind, ratings, mask, ratings.copy(),
+                                        mask.copy()),
+            similarity._similarity_rows(kind, ratings, mask, ratings, mask))
+
+    @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
+    def test_square_call_scores_only_the_upper_blocks(self, kind,
+                                                      monkeypatch):
+        ratings, mask = _grid_dataset(40, 30, 0.3, 40, HALF_STARS).dense
+        shapes, score = [], similarity._scores
+
+        def spy(kind, sums, shrink=None):
+            shapes.append(sums[0].shape)
+            return score(kind, sums, shrink)
+
+        monkeypatch.setattr(similarity, "_scores", spy)
+        similarity._similarity_rows(kind, ratings, mask, ratings, mask)
+        assert shapes == [(16, 40), (16, 24), (8, 8)]
+        shapes.clear()
+        similarity._similarity_rows(kind, ratings, mask, ratings.copy(), mask)
+        assert shapes == [(16, 40), (16, 40), (8, 40)]
+
+
 class TestTrainKnn:
     def test_toy_top2_neighbors_of_u1(self, toy):
         # Oracle: explicit pairwise Pearson over co-rated items.
