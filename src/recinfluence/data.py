@@ -3,6 +3,11 @@
 Reads delimited rating logs into a dense-indexed, immutable dataset and
 provides sampling, summary statistics and a canonical on-disk dump that
 round-trips bit-exactly.
+
+A dataset holds its ratings as one entry per rating and caches a single
+n x m array, its bool ``mask``. The float64 n x m ratings are built on
+demand by ``RatingsDataset.ratings`` and owned by the caller, so a kNN
+audit on half-star data never holds them.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ class RatingsDataset:
     """Immutable user x item rating table with dense contiguous indices.
 
     ``user_idx`` / ``item_idx`` / ``values`` hold one entry per rating,
-    sorted by (user, item). Ingestion guarantees every user and item index
-    carries at least one rating; derived datasets (leave-one-out, train
-    splits) may contain rating-less items, which downstream candidate
-    selection treats as ineligible.
+    sorted by (user, item). ``mask`` is the one cached n x m array; the
+    float64 ratings come from ``ratings()`` and are not cached. Ingestion
+    guarantees every user and item index carries at least one rating;
+    derived datasets (leave-one-out, train splits) may contain rating-less
+    items, which downstream candidate selection treats as ineligible.
     """
 
     user_ids: tuple[str, ...]
@@ -96,15 +102,25 @@ class RatingsDataset:
         return len(self.values)
 
     @cached_property
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ratings, mask) dense views; zeros where no rating exists."""
-        ratings = np.zeros((self.n_users, self.n_items))
+    def mask(self) -> np.ndarray:
+        """(n_users, n_items) bool, True where a rating exists; read-only.
+        The one n x m array the dataset caches."""
         mask = np.zeros((self.n_users, self.n_items), dtype=bool)
-        ratings[self.user_idx, self.item_idx] = self.values
         mask[self.user_idx, self.item_idx] = True
-        ratings.flags.writeable = False
         mask.flags.writeable = False
-        return ratings, mask
+        return mask
+
+    def ratings(self) -> np.ndarray:
+        """(n_users, n_items) float64 ratings, zeros where no rating exists.
+
+        Built afresh on every call and not cached: the caller owns the
+        n * m * 8 bytes and frees them. Only the readers of float64 n x m
+        values call it: an NMF fit, the similarity row loop on off-grid
+        ratings and the test oracles.
+        """
+        ratings = np.zeros((self.n_users, self.n_items))
+        ratings[self.user_idx, self.item_idx] = self.values
+        return ratings
 
     @cached_property
     def _user_ptr(self) -> np.ndarray:
@@ -264,6 +280,15 @@ def _restrict(ds: RatingsDataset, keep, users, items) -> RatingsDataset:
         np.searchsorted(users, ds.user_idx[keep]),
         np.searchsorted(items, ds.item_idx[keep]), ds.values[keep],
         r_min=ds.r_min, r_max=ds.r_max)
+
+
+def _transposed(ds: RatingsDataset) -> RatingsDataset:
+    """``ds`` with its axes swapped: one user per item of ``ds``, whose
+    ratings sit in the columns of that item's raters. Item similarities
+    are the user similarities of this dataset."""
+    return RatingsDataset.build(ds.item_ids, ds.user_ids, ds.item_idx,
+                                ds.user_idx, ds.values, r_min=ds.r_min,
+                                r_max=ds.r_max)
 
 
 def sample_users(ds: RatingsDataset, count: int, seed: int) -> RatingsDataset:

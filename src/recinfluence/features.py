@@ -31,7 +31,8 @@ all users in whole-array passes that give the same bits:
   (m * m * 4 bytes). Every partial sum is an integer below 2**24, so each
   entry is exact whatever order or thread count BLAS uses, and 0.25 times
   it is the float64 product the reference forms.
-  Other ratings keep the reference's per-profile product and column norms.
+  Other ratings build the float64 ratings once and keep the reference's
+  per-profile product and column norms.
 - beta8 with item Pearson scores every item pair once and looks up each
   profile's pairs: a pair's value depends on its two columns alone.
 """
@@ -42,10 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset
+from .data import RatingsDataset, _transposed
 from .recommender import KnnModel, _row_chunks
-from .similarity import (SHRINK_COUNT, _exact_dtype, _on_half_grid, _scores,
-                         _sums_against, _similarity_rows,
+from .similarity import (SHRINK_COUNT, _cosine_distances, _doubled,
+                         _doubled_top, _exact_dtype, _scores,
+                         _similarity_loop, _similarity_rows, _sums_against,
                          item_distance_submatrix, user_distance_matrix,
                          user_similarity_matrix)
 
@@ -138,7 +140,7 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     sizes = np.count_nonzero(listed, axis=1)
     counts = _exact_dtype(m)
     listed = listed.astype(counts)
-    _, rated = ds.dense
+    rated = ds.mask
     for rows in _row_chunks(np.arange(n), n):
         shared = _drop_self(rated[rows].astype(counts) @ listed.T,
                             rows).astype(np.int64)
@@ -168,7 +170,7 @@ def centroid_similarity(ds: RatingsDataset, u: int,
     x = ds.user_values(u)
     y = ds.item_sums[items] / ds.item_counts[items]
     observed = np.ones((1, len(x)), dtype=bool)
-    return float(_similarity_rows(similarity, x[None, :], observed,
+    return float(_similarity_loop(similarity, x[None, :], observed,
                                   y[None, :], observed)[0, 0])
 
 
@@ -179,9 +181,12 @@ def intra_profile_distance(ds: RatingsDataset, u: int,
     t = len(items)
     if t < 2:
         return 0.0
-    dist = item_distance_submatrix(ds, items, kind=item_distance)
-    iu = np.triu_indices(t, k=1)
-    return float(np.mean(dist[iu]))
+    return _upper_mean(item_distance_submatrix(ds, items, kind=item_distance))
+
+
+def _upper_mean(dist: np.ndarray) -> float:
+    """Mean of the entries above the diagonal of a square matrix."""
+    return float(np.mean(dist[np.triu_indices(len(dist), k=1)]))
 
 
 def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
@@ -235,13 +240,10 @@ def _cosine_gram(ds: RatingsDataset) -> np.ndarray | None:
     product is exact in any order; 0.25 times an entry is the float64
     column product ``item_distance_submatrix`` forms.
     """
-    top = 2 * float(np.abs(ds.values).max(initial=0.0))
-    if (_exact_dtype(ds.n_users * top * top) is not np.float32
-            or not _on_half_grid(ds.values)):
+    top = _doubled_top(ds.values)
+    if top is None or _exact_dtype(ds.n_users * top * top) is not np.float32:
         return None
-    h = np.zeros((ds.n_users, ds.n_items), dtype=np.float32)
-    h[ds.user_idx, ds.item_idx] = ds.values
-    h *= 2
+    h = _doubled(ds, np.float32)
     return h.T @ h
 
 
@@ -249,9 +251,10 @@ def _intra_profile_distances(ds: RatingsDataset,
                              item_distance: str) -> np.ndarray:
     """beta8 of every user, bit-identical to ``intra_profile_distance``.
 
-    Item cosine slices ``_cosine_gram`` when it exists and otherwise runs
-    the reference per profile. Item Pearson scores all item pairs once; a
-    pair's value depends on its two columns alone, on either kernel path.
+    Item cosine slices ``_cosine_gram`` when it exists; otherwise it builds
+    the float64 ratings once and forms the reference's column product per
+    profile. Item Pearson scores all item pairs once; a pair's value
+    depends on its two columns alone, on either kernel path.
     Profiles of one size t go together, about ``_BATCH_ENTRIES`` item
     pairs at a time: row r of a batch holds user r's t(t-1)/2 pairs in
     ``np.triu_indices`` order, one contiguous row that ``np.mean`` reduces
@@ -261,17 +264,14 @@ def _intra_profile_distances(ds: RatingsDataset,
     if item_distance == "cosine":
         gram = _cosine_gram(ds)
         if gram is None:
+            ratings = ds.ratings()
             for u in np.flatnonzero(ds.user_counts >= 2):
-                out[u] = intra_profile_distance(ds, u, "cosine")
+                out[u] = _upper_mean(_cosine_distances(
+                    ratings[:, ds.user_items(u)]))
             return out
         norms = np.sqrt(np.diagonal(gram).astype(np.float64) * 0.25)
     else:
-        ratings, mask = ds.dense
-        columns = np.ascontiguousarray(ratings.T)
-        rated = np.ascontiguousarray(mask.T)
-        sims = _similarity_rows(item_distance, columns, rated, columns,
-                                rated, shrink=None)
-        del columns, rated
+        sims = _similarity_rows(item_distance, _transposed(ds), shrink=None)
     for users, pos in _size_groups(ds):
         t = pos.shape[1]
         if t < 2:

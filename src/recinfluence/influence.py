@@ -151,7 +151,7 @@ class LeaveOneOutEngine:
         self.nmf_iters = 0
         self.nmf_early_stops = 0
         n = ds.n_users
-        _, mask = ds.dense
+        mask = ds.mask
         if config.algorithm == "knn":
             self.sim = user_similarity_matrix(ds, kind=config.similarity)
             full = train_knn(ds, config.k, config.similarity,
@@ -363,7 +363,7 @@ def prediction_shift_oracle(ds: RatingsDataset, config: ModelConfig,
     list influence.
     """
     full_model, reduced_model = _retrained(ds, config, u)
-    _, mask = ds.dense
+    mask = ds.mask
     total = 0.0
     count = 0
     for v_red in range(ds.n_users - 1):

@@ -233,8 +233,9 @@ def _nmf_iterate(m, mask, p, q, n_iters, rel_tol, history):
 
     ``mask`` is the bool mask of observed entries for a masked fit, or
     None to fit every entry. Precondition: ``m`` is +0 wherever ``mask``
-    is False (``_fit_nmf`` passes the dense ratings), so the updates read
-    ``m`` itself in place of ``w * m``, where ``w`` is the float weights.
+    is False (``_fit_nmf`` passes the float64 ratings it builds), so the
+    updates read ``m`` itself in place of ``w * m``, where ``w`` is the
+    float weights.
 
     The fit holds one (n, m) buffer, ``buf``, and allocates no (n, m)
     array per iteration. With a mask, each ``p @ q.T`` is multiplied in
@@ -315,11 +316,10 @@ def _nmf_iterate(m, mask, p, q, n_iters, rel_tol, history):
 
 def _fit_nmf(ds, p, q, seed, n_iters, rel_tol, masked) -> NmfModel:
     """Iterate from starting factors ``p``, ``q`` and freeze the result."""
-    ratings, mask = ds.dense
-    if not masked or ds.n_ratings == ratings.size:
-        mask = None
+    full = ds.n_ratings == ds.n_users * ds.n_items
+    mask = ds.mask if masked and not full else None
     history = []
-    p, q = _nmf_iterate(ratings, mask, p, q, n_iters, rel_tol, history)
+    p, q = _nmf_iterate(ds.ratings(), mask, p, q, n_iters, rel_tol, history)
     p.flags.writeable = False
     q.flags.writeable = False
     return NmfModel(ds, p.shape[1], seed, n_iters, masked, p, q,
@@ -372,7 +372,7 @@ def _ranked(model, u: int, l: int):
     if l < 1:
         raise ValueError("l must be >= 1")
     ds = model.dataset
-    _, mask = ds.dense
+    mask = ds.mask
     candidates = np.flatnonzero(~mask[u] & (ds.item_counts > 0))
     if len(candidates) == 0:
         return candidates, np.empty(0)
@@ -432,7 +432,7 @@ def _list_chunks(ds: RatingsDataset, rows, score, live, l: int):
     candidates are the ``live`` items (those with a rater) it has not
     rated. Each chunk is ranked by ``_top_lists``.
     """
-    _, mask = ds.dense
+    mask = ds.mask
     for chunk in _row_chunks(rows, ds.n_items):
         scores = np.empty((len(chunk), ds.n_items))
         score(chunk, scores)
@@ -529,7 +529,7 @@ def evaluate(model, test: dict[int, dict[int, float]], l: int,
     """
     if not test:
         raise ValueError("empty test set")
-    _, train_mask = model.dataset.dense
+    train_mask = model.dataset.mask
     listed, _ = top_lists(model, l)
     precisions, recalls = [], []
     for u, held in test.items():

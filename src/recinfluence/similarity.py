@@ -9,30 +9,37 @@ One step, ``_scores``, turns per-pair sums into every score: Pearson's six
 sums through ``_pearson_parts`` and the shrink, cosine's dot and norm
 product through the same ratio and clip. The sums are formed three ways:
 
-- ``_similarity_rows`` serves user similarities and distances, item
-  Pearson distances and the beta7 reference. Leave-one-out retrains reuse
-  cached user similarities, so a pair's value must depend only on that
-  pair's rows, bit for bit. When every value is finite, a multiple of
-  0.5 and 0 where its mask is False, the doubled values h = 2x are
-  integers, and ``_exact_sums`` gives the type in which every partial sum
-  of h, h * h and mask counts is an exact integer: float32 while
-  m * max(1, max|h|)**2 < 2**24, float64 below 2**53 (``_exact_dtype``).
-  ``_similarity_blocks`` then forms each sum as one matrix product in that
-  type over a block of rows of ``a``, exact in any order BLAS adds in,
-  converts it to float64 and scales it by the exact factor 0.5 or 0.25.
-  Every score is bitwise symmetric in its two rows (the arithmetic after
-  the sums only multiplies commuting pairs), so when ``a is b`` only the
-  blocks on or above the diagonal are formed and each is mirrored.
-  Half-star and implicit ratings take this path. Any other input
-  (continuous ratings, beta7's item means) takes ``_similarity_loop``,
-  the tests' reference, which reduces each pair with the elementwise
-  products and np.sum of ``_sums_against``. Both paths give the same bits
-  wherever the first applies.
-- ``features.extract_all`` calls ``_sums_against`` on paired (users, t)
-  rows, so each beta7 score is the loop's for that one pair.
-- Item cosine sums are one ``cols.T @ cols`` product (beta8 slices a
-  float32 Gram instead): item distances are never reused across removals,
-  so they carry no per-pair order guarantee.
+- ``_similarity_rows`` serves user similarities and distances, and item
+  Pearson distances as the user distances of ``data._transposed``.
+  Leave-one-out retrains reuse cached user similarities, so a pair's
+  value must depend only on that pair's rows, bit for bit. When every
+  rating is finite and a multiple of 0.5, the doubled values h = 2x are
+  integers, and ``_exact_sums`` reads the nnz ratings to give the type in
+  which every partial sum of h, h * h and mask counts is an exact
+  integer: float32 while m * max(1, max|h|)**2 < 2**24, float64 below
+  2**53 (``_exact_dtype``). ``_similarity_blocks`` then scatters h and
+  the 0/1 mask from the nnz arrays straight into operands of that type
+  (``_doubled``), forms each sum as one matrix product over a block of
+  users, exact in any order BLAS adds in, converts it to float64 and
+  scales it by the exact factor 0.5 or 0.25; cosine norms are per-user
+  sums of squares, exact there too. Every score is bitwise symmetric in
+  its two rows (the arithmetic after the sums only multiplies commuting
+  pairs), so only the blocks on or above the diagonal are formed and each
+  is mirrored. No float64 n x m array is made on this path. Half-star and
+  implicit ratings take it. Any other ratings (continuous, or past the
+  bound) build the float64 ratings once (``RatingsDataset.ratings``) and
+  take ``_similarity_loop``, the tests' reference, which reduces each
+  pair with the elementwise products and np.sum of ``_sums_against``.
+  Both paths give the same bits wherever the first applies.
+- ``_similarity_loop`` alone scores the one-pair references: beta7's
+  ``features.centroid_similarity`` and the per-profile item Pearson of
+  ``item_distance_submatrix``. ``features.extract_all`` calls
+  ``_sums_against`` on paired (users, t) rows, so each beta7 score is the
+  loop's for that one pair.
+- Item cosine sums are one ``cols.T @ cols`` product of columns gathered
+  from the nnz arrays (beta8 slices a float32 Gram instead): item
+  distances are never reused across removals, so they carry no per-pair
+  order guarantee.
 
 Every distance is 1 - unshrunk similarity, zero diagonal (``_distances``).
 """
@@ -45,10 +52,10 @@ from .data import RatingsDataset
 
 SHRINK_COUNT = 50
 _DEGENERATE = 1e-12
-# Rows of ``a`` per block of matrix products: max(_BLOCK, m // _BLOCK_ITEMS)
-# for m columns. A block holds about a dozen float64 (rows x len(b))
-# temporaries, against the n x m operands' 12 bytes an entry (float32 mask,
-# h and h * h; 4 for cosine's h), so these stay within about a quarter of
+# Users per block of matrix products: max(_BLOCK, m // _BLOCK_ITEMS) for
+# m items. A block holds about a dozen float64 (rows x n) temporaries,
+# against the n x m operands' 12 bytes an entry (float32 mask, h and
+# h * h; 4 for cosine's h), so these stay within about a quarter of
 # the operands. At 120 x 240, 16-row blocks keep the allocation peak below
 # the row loop's and 32-row blocks do not. Fewer rows cost BLAS speed: on
 # one OpenBLAS thread of a 2-vCPU Intel Xeon VM, a 1500 x 2000 float32
@@ -78,26 +85,41 @@ def _exact_dtype(top: float):
     return np.float64 if top < 2.0 ** 53 else None
 
 
-def _exact_sums(a: np.ndarray, a_mask: np.ndarray, b: np.ndarray,
-                b_mask: np.ndarray):
-    """The float type in which every per-pair sum over the doubled values
-    h = 2a and 2b is exact, or None when there is none.
+def _doubled_top(values: np.ndarray) -> float | None:
+    """max|2x| over ``values`` (0 for none) when every one is a multiple
+    of 0.5, else None; inf passes, nan does not."""
+    if not _on_half_grid(values):
+        return None
+    return 2 * float(np.abs(values).max(initial=0.0))
 
-    Every value must be finite and a multiple of 0.5 (so h holds integers)
-    and 0 wherever its mask is False (so a product with the other mask sums
-    over co-rated entries only). Each sum of h, h * h or mask counts over m
-    columns is then at most m * max(1, max|h|)**2, which ``_exact_dtype``
-    bounds. Each check holds at most one (n x m) temporary; nan fails the
-    grid test and inf the bound.
+
+def _doubled(ds: RatingsDataset, dtype) -> np.ndarray:
+    """The doubled ratings h = 2x of ``ds`` as an (n_users, n_items)
+    ``dtype`` array, zeros where no rating exists: the nnz ratings are
+    scattered into it and doubled in place, so no float64 n x m array is
+    made. Exact where ``_doubled_top`` gives a bound that ``_exact_dtype``
+    accepts."""
+    h = np.zeros((ds.n_users, ds.n_items), dtype=dtype)
+    h[ds.user_idx, ds.item_idx] = ds.values
+    h *= 2
+    return h
+
+
+def _exact_sums(ds: RatingsDataset):
+    """The float type in which every per-pair sum over the doubled ratings
+    h = 2x of the users of ``ds`` is exact, or None when there is none.
+
+    Every rating must be finite and a multiple of 0.5, so h holds integers;
+    an unrated entry is 0, so a product with the other user's 0/1 mask sums
+    over co-rated entries only. Each sum of h, h * h or mask counts over
+    n_items columns is then at most n_items * max(1, max|h|)**2, which
+    ``_exact_dtype`` bounds. Reads the nnz ratings only; nan fails the grid
+    test and inf the bound.
     """
-    top = 0.0
-    same = b is a and b_mask is a_mask
-    for x, mask in ((a, a_mask),) if same else ((a, a_mask), (b, b_mask)):
-        if not (_on_half_grid(x)
-                and np.count_nonzero(x) == np.count_nonzero(x[mask])):
-            return None
-        top = max(top, float(np.abs(x).max(initial=0.0)))
-    return _exact_dtype(a.shape[1] * max(1.0, 2 * top) ** 2)
+    top = _doubled_top(ds.values)
+    if top is None:
+        return None
+    return _exact_dtype(ds.n_items * max(1.0, top) ** 2)
 
 
 def _pearson_parts(nc, su, sv, suu, svv, suv):
@@ -165,71 +187,61 @@ def _similarity_loop(kind: str, a: np.ndarray, a_mask: np.ndarray,
     return sims
 
 
-def _doubled(x: np.ndarray, dtype) -> np.ndarray:
-    """2 * x as ``dtype``: cast, then doubled in place, so no float64
-    temporary the size of x is made."""
-    h = x.astype(dtype)
-    h *= 2
-    return h
-
-
-def _similarity_blocks(kind: str, a: np.ndarray, a_mask: np.ndarray,
-                       b: np.ndarray, b_mask: np.ndarray,
-                       shrink: int | None, dtype) -> np.ndarray:
+def _similarity_blocks(kind: str, ds: RatingsDataset, shrink: int | None,
+                       dtype) -> np.ndarray:
     """``_similarity_rows`` with each sum one matrix product in ``dtype``
-    of doubled values (or masks) over a block of rows of ``a``, scaled
-    back in float64; exact only where ``_exact_sums`` gives ``dtype``.
-    When ``a is b`` only the blocks on or above the diagonal are formed,
-    and each is mirrored into the lower triangle."""
+    of doubled ratings (or 0/1 masks) scattered from the nnz arrays, over
+    a block of users, scaled back in float64; exact only where
+    ``_exact_sums`` gives ``dtype``. Only the blocks on or above the
+    diagonal are formed, and each is mirrored into the lower triangle."""
     pearson = kind == "pearson"
-    same = a is b and a_mask is b_mask
-    if not pearson:     # before sims and the copies, as a * a is n x m
-        norms_a = np.sqrt(np.sum(a * a, axis=1))
-        norms_b = norms_a if same else np.sqrt(np.sum(b * b, axis=1))
-    sims = np.empty((a.shape[0], b.shape[0]))
-    hb = _doubled(b, dtype)
+    n = ds.n_users
+    if not pearson:
+        # each square is a multiple of 0.25 and every partial sum is exact,
+        # so these are the norms of the dense float64 rows, bit for bit
+        norms = np.sqrt(np.bincount(ds.user_idx, weights=np.square(ds.values),
+                                    minlength=n))
+    sims = np.empty((n, n))
+    h = _doubled(ds, dtype)
     if pearson:
-        mb = b_mask.astype(dtype)
-        hb2 = hb * hb
-    step = max(_BLOCK, a.shape[1] // _BLOCK_ITEMS)
-    for lo in range(0, a.shape[0], step):
-        rows = slice(lo, lo + step)
-        cols = slice(lo if same else 0, None)
-        ha = hb[rows] if same else _doubled(a[rows], dtype)
+        ones = np.zeros(h.shape, dtype=dtype)
+        ones[ds.user_idx, ds.item_idx] = 1
+        h2 = h * h
+    step = max(_BLOCK, ds.n_items // _BLOCK_ITEMS)
+    for lo in range(0, n, step):
+        rows, cols = slice(lo, lo + step), slice(lo, None)
         if pearson:
-            ma = mb[rows] if same else a_mask[rows].astype(dtype)
-            ha2 = hb2[rows] if same else ha * ha
-            m_t, h_t, h2_t = mb[cols].T, hb[cols].T, hb2[cols].T
-            sums = (np.asarray(ma @ m_t, dtype=np.float64),
-                    np.multiply(ha @ m_t, 0.5, dtype=np.float64),
-                    np.multiply(ma @ h_t, 0.5, dtype=np.float64),
-                    np.multiply(ha2 @ m_t, 0.25, dtype=np.float64),
-                    np.multiply(ma @ h2_t, 0.25, dtype=np.float64),
-                    np.multiply(ha @ h_t, 0.25, dtype=np.float64))
+            m_t, h_t, h2_t = ones[cols].T, h[cols].T, h2[cols].T
+            sums = (np.asarray(ones[rows] @ m_t, dtype=np.float64),
+                    np.multiply(h[rows] @ m_t, 0.5, dtype=np.float64),
+                    np.multiply(ones[rows] @ h_t, 0.5, dtype=np.float64),
+                    np.multiply(h2[rows] @ m_t, 0.25, dtype=np.float64),
+                    np.multiply(ones[rows] @ h2_t, 0.25, dtype=np.float64),
+                    np.multiply(h[rows] @ h_t, 0.25, dtype=np.float64))
         else:
-            sums = (np.multiply(ha @ hb[cols].T, 0.25, dtype=np.float64),
-                    norms_a[rows, None] * norms_b[cols])
+            sums = (np.multiply(h[rows] @ h[cols].T, 0.25, dtype=np.float64),
+                    norms[rows, None] * norms[cols])
         block = _scores(kind, sums, shrink)
         sims[rows, cols] = block
-        if same:
-            sims[cols, rows] = block.T
+        sims[cols, rows] = block.T
     return sims
 
 
-def _similarity_rows(kind: str, a: np.ndarray, a_mask: np.ndarray,
-                     b: np.ndarray, b_mask: np.ndarray,
+def _similarity_rows(kind: str, ds: RatingsDataset,
                      shrink: int | None = SHRINK_COUNT) -> np.ndarray:
-    """Score each row of ``a`` against every row of ``b`` (len(a) x len(b)).
+    """Score each user of ``ds`` against every user (n_users x n_users).
 
-    Rows are value vectors over the same columns; the masks mark observed
-    entries (Pearson only; cosine reads the raw vectors, zeros included).
-    A pair's value depends on its two rows alone, bit for bit; see the
-    module docstring for the two paths that guarantee it.
+    Item similarities are the user similarities of ``data._transposed``.
+    Pearson sums co-rated entries only; cosine reads the raw vectors,
+    zeros included. A pair's value depends on its two users' ratings
+    alone, bit for bit; see the module docstring for the two paths that
+    guarantee it. Only the row loop builds the float64 ratings.
     """
-    dtype = _exact_sums(a, a_mask, b, b_mask)
+    dtype = _exact_sums(ds)
     if dtype:
-        return _similarity_blocks(kind, a, a_mask, b, b_mask, shrink, dtype)
-    return _similarity_loop(kind, a, a_mask, b, b_mask, shrink)
+        return _similarity_blocks(kind, ds, shrink, dtype)
+    ratings = ds.ratings()
+    return _similarity_loop(kind, ratings, ds.mask, ratings, ds.mask, shrink)
 
 
 def _distances(sims: np.ndarray) -> np.ndarray:
@@ -242,27 +254,47 @@ def _distances(sims: np.ndarray) -> np.ndarray:
 def user_similarity_matrix(ds: RatingsDataset,
                            kind: str = "pearson") -> np.ndarray:
     """n x n shrunk user similarity matrix, self-similarity zeroed."""
-    sims = _similarity_rows(kind, *ds.dense, *ds.dense)
+    sims = _similarity_rows(kind, ds)
     np.fill_diagonal(sims, 0.0)
     return sims
 
 
 def user_distance_matrix(ds: RatingsDataset, kind: str = "cosine") -> np.ndarray:
     """n x n user distance matrix: 1 - unshrunk similarity, zero diagonal."""
-    return _distances(_similarity_rows(kind, *ds.dense, *ds.dense,
-                                       shrink=None))
+    return _distances(_similarity_rows(kind, ds, shrink=None))
+
+
+def _columns(ds: RatingsDataset, items: np.ndarray):
+    """(ratings, mask) of the columns ``items`` (repeats allowed), each
+    (n_users, len(items)), gathered from the nnz arrays."""
+    chosen, slot = np.unique(items, return_inverse=True)
+    keep = np.isin(ds.item_idx, chosen)
+    where = (ds.user_idx[keep], np.searchsorted(chosen, ds.item_idx[keep]))
+    ratings = np.zeros((ds.n_users, len(chosen)))
+    mask = np.zeros(ratings.shape, dtype=bool)
+    ratings[where] = ds.values[keep]
+    mask[where] = True
+    return ratings[:, slot], mask[:, slot]
+
+
+def _cosine_distances(cols: np.ndarray) -> np.ndarray:
+    """Pairwise cosine distances between the columns of ``cols`` (one row
+    per user), from one column product."""
+    norms = np.sqrt(np.sum(cols * cols, axis=0))
+    return _distances(_scores("cosine", (cols.T @ cols,
+                                         np.outer(norms, norms))))
 
 
 def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
                             kind: str = "cosine") -> np.ndarray:
-    """Pairwise distances between the rating columns of ``items``."""
-    ratings, mask = ds.dense
-    cols = ratings[:, items]
+    """Pairwise distances between the rating columns of ``items``, gathered
+    from the nnz ratings. Item Pearson runs the row loop on the columns, so
+    a pair's value is the one ``_similarity_rows`` gives it on
+    ``data._transposed``."""
+    cols, observed = _columns(ds, items)
     if kind == "cosine":
-        norms = np.sqrt(np.sum(cols * cols, axis=0))
-        return _distances(_scores(kind, (cols.T @ cols,
-                                         np.outer(norms, norms))))
+        return _cosine_distances(cols)
     rows = np.ascontiguousarray(cols.T)
-    observed = np.ascontiguousarray(mask[:, items].T)
-    return _distances(_similarity_rows(kind, rows, observed, rows, observed,
+    rated = np.ascontiguousarray(observed.T)
+    return _distances(_similarity_loop(kind, rows, rated, rows, rated,
                                        shrink=None))

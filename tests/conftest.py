@@ -28,6 +28,12 @@ def build_dataset(rows, users=None, items=None, r_min=None, r_max=None):
         r_min=r_min, r_max=r_max)
 
 
+def revalued(ds, values) -> RatingsDataset:
+    """``ds`` with the same ratings pattern and new rating values."""
+    return RatingsDataset.build(ds.user_ids, ds.item_ids, ds.user_idx,
+                                ds.item_idx, values)
+
+
 def toy_dataset() -> RatingsDataset:
     return build_dataset(TOY_ROWS, TOY_USERS, TOY_ITEMS)
 

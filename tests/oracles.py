@@ -19,7 +19,7 @@ def pearson_pair(ds, u, v, shrink=50):
     common = corated(ds, u, v)
     if len(common) == 0:
         return 0.0
-    ratings, _ = ds.dense
+    ratings = ds.ratings()
     x = np.array([ratings[u, i] for i in common])
     y = np.array([ratings[v, i] for i in common])
     xd = x - x.mean()
@@ -35,7 +35,7 @@ def pearson_pair(ds, u, v, shrink=50):
 
 
 def cosine_pair(ds, u, v):
-    ratings, mask = ds.dense
+    ratings, mask = ds.ratings(), ds.mask
     num = sum(ratings[u, i] * ratings[v, i] for i in corated(ds, u, v))
     nu = np.sqrt(sum(ratings[u, i] ** 2 for i in ds.user_items(u)))
     nv = np.sqrt(sum(ratings[v, i] ** 2 for i in ds.user_items(v)))
@@ -58,7 +58,7 @@ def neighbor_list(ds, u, k, kind="pearson"):
 
 
 def item_mean(ds, i):
-    ratings, mask = ds.dense
+    ratings, mask = ds.ratings(), ds.mask
     raters = np.nonzero(mask[:, i])[0]
     if len(raters) == 0:
         return float(ds.values.mean())
@@ -67,7 +67,7 @@ def item_mean(ds, i):
 
 def knn_predict(ds, u, i, k, kind="pearson"):
     """Literal weighted-average prediction with the documented fallbacks."""
-    ratings, mask = ds.dense
+    ratings, mask = ds.ratings(), ds.mask
     nbrs = neighbor_list(ds, u, k, kind)
     raters = [v for v in nbrs if mask[v, i]]
     denom = sum(abs(pair_similarity(ds, u, v, kind)) for v in raters)
@@ -110,7 +110,7 @@ def top_l(scores_by_item, rated, eligible, l):
 
 
 def knn_top_l(ds, u, k, l, kind="pearson"):
-    _, mask = ds.dense
+    mask = ds.mask
     rated = set(ds.user_items(u).tolist())
     eligible = {i for i in range(ds.n_items) if ds.item_counts[i] > 0}
     scores = {i: knn_predict(ds, u, i, k, kind)
@@ -180,7 +180,7 @@ def nmf_iterate(m, w, p, q, n_iters, rel_tol, history):
 
 def nmf_fit(ds, p, q, n_iters, rel_tol, masked=True):
     """(p, q, objective history) of ``nmf_iterate`` from the given start."""
-    ratings, mask = ds.dense
+    ratings, mask = ds.ratings(), ds.mask
     w = mask.astype(np.float64) if masked else np.ones_like(ratings)
     history = [nmf_objective(ratings, w, p @ q.T)]
     p, q = nmf_iterate(ratings, w, p, q, n_iters, rel_tol, history)
@@ -347,7 +347,7 @@ def item_cosine_distances(ds, items):
     one column product, divided by the outer product of the column norms
     where that is positive (else 0), clipped to [-1, 1], taken from 1, with
     a zero diagonal. The kernel must match it bit for bit."""
-    ratings, _ = ds.dense
+    ratings = ds.ratings()
     cols = ratings[:, items]
     norms = np.sqrt(np.sum(cols * cols, axis=0))
     denom = np.outer(norms, norms)

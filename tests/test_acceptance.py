@@ -83,7 +83,7 @@ def test_criterion_2_prediction_correctness(criterion):
                 got = predict_knn(model, u, i)
                 assert abs(got - expected) <= 1e-12
                 nbrs = model.neighbors[u]
-                _, mask = toy.dense
+                mask = toy.mask
                 if not mask[nbrs, i].any():
                     fallbacks += 1
         assert fallbacks > 0        # the item-mean fallback is exercised

@@ -178,9 +178,9 @@ class TestMdsSampleMatchesFullMatrix:
         real_rows = similarity._similarity_rows
         real_mds = analysis.classical_mds
 
-        def counting(kind, a, *rest, **kwargs):
-            rows.append(a.shape[0])
-            return real_rows(kind, a, *rest, **kwargs)
+        def counting(kind, rated, *rest, **kwargs):
+            rows.append(rated.n_users)
+            return real_rows(kind, rated, *rest, **kwargs)
 
         def capturing(dist, *args, **kwargs):
             dists.append(dist)

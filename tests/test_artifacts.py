@@ -116,7 +116,7 @@ class TestCsvFormats:
 class TestNmfModes:
     def test_unmasked_objective_covers_full_matrix(self, toy):
         model = train_nmf(toy, 2, seed=3, n_iters=60, masked=False)
-        ratings, _ = toy.dense
+        ratings = toy.ratings()
         resid = ratings - model.p @ model.q.T
         assert model.final_objective == pytest.approx(
             float(np.sum(resid ** 2)), rel=1e-9)
@@ -137,7 +137,7 @@ class TestNmfModes:
 
     def test_divergence_reported_as_failure(self, toy):
         from recinfluence.recommender import TrainingError, _nmf_iterate
-        ratings, mask = toy.dense
+        ratings, mask = toy.ratings(), toy.mask
         rng = np.random.default_rng(0)
         p = rng.random((5, 2))
         q = rng.random((6, 2))

@@ -434,10 +434,10 @@ class TestFeaturesShareOneSimilarityMatrix:
         calls = []
         real = similarity._similarity_rows
 
-        def counting(kind, a, *rest, **kwargs):
-            if kind == "pearson" and a.shape[0] == n:
+        def counting(kind, ds, *rest, **kwargs):
+            if kind == "pearson" and ds.n_users == n:
                 calls.append(kind)
-            return real(kind, a, *rest, **kwargs)
+            return real(kind, ds, *rest, **kwargs)
 
         monkeypatch.setattr(similarity, "_similarity_rows", counting)
         assert main(["features", "--dataset", str(out / "dataset.tsv"),

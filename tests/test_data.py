@@ -4,11 +4,18 @@ import pytest
 from recinfluence.data import (DatasetError, RatingsDataset, compute_stats,
                                drop_user, load_dataset, load_ratings,
                                sample_items, sample_users, save_dataset)
-from recinfluence.recommender import train_test_split
+from recinfluence.analysis import mds_embed
+from recinfluence.features import _intra_profile_distances
+from recinfluence.influence import influence_all
+from recinfluence.recommender import (ModelConfig, continue_nmf, train_nmf,
+                                      train_test_split)
+from recinfluence.similarity import (SIMILARITIES, item_distance_submatrix,
+                                     user_distance_matrix,
+                                     user_similarity_matrix)
 
 import oracles
 from conftest import (build_dataset, clone_users_dataset, hub_dataset,
-                      random_dataset, toy_dataset)
+                      random_dataset, revalued, toy_dataset)
 
 
 class TestLoadRatings:
@@ -19,7 +26,7 @@ class TestLoadRatings:
         assert ds.n_users == 2
         assert ds.n_items == 2
         assert ds.n_ratings == 3
-        ratings, mask = ds.dense
+        ratings, mask = ds.ratings(), ds.mask
         assert ratings[0, 0] == 5.0 and ratings[0, 1] == 4.0
         assert ratings[1, 0] == 3.0 and not mask[1, 1]
 
@@ -33,7 +40,7 @@ class TestLoadRatings:
         f.write_text("\n".join(f"{u},{i},{v}" for u, i, v in records) + "\n")
         ds = load_ratings(f, format="csv")
         assert ds.n_ratings == len(replay) == 2
-        ratings, _ = ds.dense
+        ratings = ds.ratings()
         assert ratings[0, 0] == replay[("u1", "i1")] == 5.0
 
     def test_movielens_dat_format(self, tmp_path):
@@ -428,3 +435,109 @@ class TestCutsMatchLiteralOracles:
             for user, item in (("a", "solo"), ("c", "last")):
                 assert (item in kept.item_ids) == (user in kept.user_ids)
             assert (kept.r_min, kept.r_max) == (0.0, 10.0)
+
+
+def _half_stars(n_users, n_items, seed):
+    ds = random_dataset(n_users, n_items, 0.15, seed=seed)
+    rng = np.random.default_rng(seed)
+    return revalued(ds, rng.integers(2, 11, ds.n_ratings) / 2)
+
+
+def _continuous(n_users, n_items, seed):
+    ds = random_dataset(n_users, n_items, 0.15, seed=seed)
+    rng = np.random.default_rng(seed)
+    return revalued(ds, 1 + 4 * rng.random(ds.n_ratings))
+
+
+class TestRatingsBuiltOnlyWhereRead:
+    """``RatingsDataset.ratings`` builds the float64 n x m ratings afresh on
+    each call; only readers of float64 n x m values call it, and the
+    dataset caches its bool mask alone."""
+
+    @staticmethod
+    def refuse(monkeypatch):
+        def refused(ds):
+            raise AssertionError("float64 ratings built")
+
+        monkeypatch.setattr(RatingsDataset, "ratings", refused)
+
+    @staticmethod
+    def count(monkeypatch):
+        """(n_users, n_items) of each dataset whose ratings are built."""
+        shapes, real = [], RatingsDataset.ratings
+
+        def counting(ds):
+            shapes.append((ds.n_users, ds.n_items))
+            return real(ds)
+
+        monkeypatch.setattr(RatingsDataset, "ratings", counting)
+        return shapes
+
+    def test_ratings_are_built_afresh_and_mask_is_cached(self):
+        ds = _half_stars(6, 9, 1)
+        first, second = ds.ratings(), ds.ratings()
+        assert first is not second and np.array_equal(first, second)
+        assert first.dtype == np.float64 and first.flags.writeable
+        assert np.array_equal(first[ds.mask], ds.values)
+        assert not first[~ds.mask].any()
+        assert ds.mask is ds.mask and not ds.mask.flags.writeable
+
+    @pytest.mark.parametrize("kind", SIMILARITIES)
+    def test_knn_audit_on_half_stars_builds_none(self, monkeypatch, kind):
+        ds = _half_stars(25, 40, 2)
+        self.refuse(monkeypatch)
+        report = influence_all(ds, ModelConfig(k=5, similarity=kind), 4)
+        assert not report.failures
+        held = [v for v in vars(ds).values()
+                if isinstance(v, np.ndarray) and v.ndim == 2]
+        assert [(v.shape, v.dtype) for v in held] == [
+            ((ds.n_users, ds.n_items), np.dtype(bool))]
+
+    @pytest.mark.parametrize("kind", SIMILARITIES)
+    def test_distances_on_half_stars_build_none(self, monkeypatch, kind):
+        ds = _half_stars(25, 40, 3)
+        self.refuse(monkeypatch)
+        assert user_distance_matrix(ds, kind).shape == (25, 25)
+        assert user_similarity_matrix(ds, kind).shape == (25, 25)
+        items = ds.user_items(0)
+        assert item_distance_submatrix(ds, items, kind).shape == (
+            len(items),) * 2
+        assert _intra_profile_distances(ds, "pearson").shape == (25,)
+
+    @pytest.mark.parametrize("kind", SIMILARITIES)
+    def test_sampled_mds_on_half_stars_builds_none(self, monkeypatch, kind):
+        ds = _half_stars(40, 30, 4)
+        self.refuse(monkeypatch)
+        emb = mds_embed(ds, distance=kind, max_points=12, seed=1)
+        assert len(emb.user_indices) == 12
+
+    @pytest.mark.parametrize("kind", SIMILARITIES)
+    def test_off_grid_builds_once_per_similarity_pass(self, monkeypatch,
+                                                      kind):
+        ds = _continuous(20, 30, 5)
+        shapes = self.count(monkeypatch)
+        user_similarity_matrix(ds, kind)
+        assert shapes == [(20, 30)]
+        user_distance_matrix(ds, kind)
+        assert shapes == [(20, 30)] * 2
+        # item Pearson scores the rows of the transposed data
+        _intra_profile_distances(ds, "pearson")
+        assert shapes == [(20, 30)] * 2 + [(30, 20)]
+        # item cosine off the grid: one build for every profile
+        _intra_profile_distances(ds, "cosine")
+        assert shapes == [(20, 30)] * 2 + [(30, 20), (20, 30)]
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_nmf_fit_builds_once(self, monkeypatch, masked):
+        ds = _continuous(20, 30, 6)
+        shapes = self.count(monkeypatch)
+        full = train_nmf(ds, 3, 0, n_iters=5, masked=masked)
+        assert shapes == [(20, 30)]
+        reduced = drop_user(ds, 4)
+        continue_nmf(reduced, np.delete(full.p, 4, axis=0), full.q, 0, 3,
+                     masked=masked)
+        assert shapes == [(20, 30), (19, 30)]
+        held = [v for v in vars(ds).values()
+                if isinstance(v, np.ndarray) and v.dtype == np.float64
+                and v.ndim == 2]
+        assert held == []

@@ -237,7 +237,7 @@ class TestCentroidPearsonTextbook:
                  for j in range(6) for i in range(size)
                  if rng.random() < 0.5]
         ds = build_dataset(rows)
-        ratings, mask = ds.dense
+        ratings, mask = ds.ratings(), ds.mask
         a = list(ds.user_ids).index("a")
         items = ds.user_items(a)
         x = np.array([ratings[a, i] for i in items])
@@ -262,7 +262,7 @@ class TestIntraProfileDistance:
         assert intra_profile_distance(ds, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_toy_u1_mean_of_three_pairs(self, toy):
-        ratings, _ = toy.dense
+        ratings = toy.ratings()
         cols = [ratings[:, i] for i in (0, 1, 2)]
 
         def cos_dist(a, b):

@@ -269,7 +269,7 @@ class TestPredictionShift:
         u = 0
         got = prediction_shift_oracle(toy, KNN2, u)
         reduced = oracles.drop_user_keep_items(toy, u)
-        _, mask = toy.dense
+        mask = toy.mask
         diffs = []
         for v in range(5):
             if v == u:
@@ -595,7 +595,7 @@ class TestOnePassParts:
         warm = continue_nmf(drop_user(ds, 0), np.delete(full.p, 0, axis=0),
                             full.q, nmf.seed, 5)
         for model in (train_knn(ds, min(3, ds.n_users - 1)), full, warm):
-            _, mask = model.dataset.dense
+            mask = model.dataset.mask
             cand = ~mask & (model.dataset.item_counts > 0)
             scores = np.array([model.scores_for(v)
                                for v in range(len(mask))])

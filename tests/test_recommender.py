@@ -5,7 +5,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from recinfluence.data import RatingsDataset, drop_user
+from recinfluence.data import RatingsDataset, _transposed, drop_user
 from recinfluence.recommender import (ModelConfig, TrainingError,
                                       continue_nmf, evaluate, predict_knn,
                                       recommend, top_items, train_knn,
@@ -15,7 +15,7 @@ from recinfluence.similarity import user_similarity_matrix
 
 import oracles
 from conftest import (build_dataset, clone_users_dataset, hub_dataset,
-                      random_dataset, toy_dataset)
+                      random_dataset, revalued, toy_dataset)
 
 
 def _grid_dataset(n_users, n_items, density, seed, values):
@@ -64,6 +64,13 @@ GRID_DATASETS = {
     **{f"n{n}": (lambda n=n: _grid_dataset(n, 30, 0.3, n, HALF_STARS))
        for n in (1, 2, 17, 33)},
 }
+
+
+def _row_loop(kind, ds, shrink):
+    """``similarity._similarity_loop`` on the float64 ratings of ``ds``."""
+    ratings = ds.ratings()
+    return similarity._similarity_loop(kind, ratings, ds.mask, ratings,
+                                       ds.mask, shrink)
 
 
 def assert_same_bits(got, want):
@@ -128,61 +135,38 @@ class TestSimilarity:
     @pytest.mark.parametrize("kind", ["pearson", "cosine"])
     @pytest.mark.parametrize("name", sorted(GRID_DATASETS))
     def test_products_equal_row_loop_on_grid(self, name, kind, shrink):
-        ratings, mask = GRID_DATASETS[name]().dense
-        assert similarity._exact_sums(ratings, mask, ratings, mask)
-        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask,
-                                          shrink)
-        want = similarity._similarity_loop(kind, ratings, mask, ratings,
-                                           mask, shrink)
-        assert_same_bits(got, want)
+        ds = GRID_DATASETS[name]()
+        assert similarity._exact_sums(ds)
+        got = similarity._similarity_rows(kind, ds, shrink)
+        assert_same_bits(got, _row_loop(kind, ds, shrink))
 
-    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
-    def test_products_equal_row_loop_when_a_is_not_b(self, kind):
-        # item-Pearson shapes: rows are items, columns users; partial blocks
-        ratings, mask = _grid_dataset(30, 50, 0.2, 8, HALF_STARS).dense
-        rows = np.ascontiguousarray(ratings.T)
-        observed = np.ascontiguousarray(mask.T)
-        a, a_mask = rows[:21], observed[:21]
-        b, b_mask = rows[13:], observed[13:]
-        assert similarity._exact_sums(a, a_mask, b, b_mask)
-        for shrink in (50, None):
-            assert_same_bits(
-                similarity._similarity_rows(kind, a, a_mask, b, b_mask,
-                                            shrink),
-                similarity._similarity_loop(kind, a, a_mask, b, b_mask,
-                                            shrink))
-
-    @pytest.mark.parametrize("case", ["off_grid", "sums_past_2**51",
-                                      "value_under_false_mask"])
+    @pytest.mark.parametrize("case", ["off_grid", "sums_past_2**53"])
     @pytest.mark.parametrize("kind", ["pearson", "cosine"])
     def test_row_loop_taken_when_sums_may_be_inexact(self, case, kind,
                                                      monkeypatch):
-        ratings, mask = _grid_dataset(20, 30, 0.3, 4, HALF_STARS).dense
-        ratings = ratings.copy()
+        ds = _grid_dataset(20, 30, 0.3, 4, HALF_STARS)
+        values = ds.values.copy()
         if case == "off_grid":
-            ratings[mask.nonzero()[0][0], mask.nonzero()[1][0]] = 2.25
-        elif case == "sums_past_2**51":
-            # 30 items * (2**24)**2 = 2**48 * 30 > 2**51
-            ratings[mask] += 2.0 ** 24
+            values[0] = 2.25
         else:
-            ratings[(~mask).nonzero()[0][0], (~mask).nonzero()[1][0]] = 1.0
-        assert not similarity._exact_sums(ratings, mask, ratings, mask)
-        want = similarity._similarity_loop(kind, ratings, mask, ratings,
-                                           mask)
+            # 30 items * (2 * 2**24)**2 = 2**50 * 30 > 2**53
+            values += 2.0 ** 24
+        ds = revalued(ds, values)
+        assert not similarity._exact_sums(ds)
+        want = _row_loop(kind, ds, similarity.SHRINK_COUNT)
 
         def refuse(*args, **kwargs):
             raise AssertionError("products path taken")
 
         monkeypatch.setattr(similarity, "_similarity_blocks", refuse)
-        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask)
+        got = similarity._similarity_rows(kind, ds)
         assert_same_bits(got, want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_are_not_exact(self, bad):
-        ratings, mask = _grid_dataset(5, 6, 0.5, 1, HALF_STARS).dense
-        ratings = ratings.copy()
-        ratings[mask] = bad
-        assert not similarity._exact_sums(ratings, mask, ratings, mask)
+        ds = _grid_dataset(5, 6, 0.5, 1, HALF_STARS)
+        assert not similarity._exact_sums(
+            revalued(ds, np.full(ds.n_ratings, bad)))
 
     @pytest.mark.parametrize("kind", ["pearson", "cosine"])
     def test_grid_data_never_reaches_the_row_loop(self, kind, monkeypatch):
@@ -198,7 +182,6 @@ class TestSimilarity:
                                                      monkeypatch):
         # knn-loo's shape; 32-row blocks went over the row loop's peak here
         ds = _grid_dataset(120, 240, 0.05, 6, HALF_STARS)
-        ds.dense
 
         def peak():
             tracemalloc.start()
@@ -209,7 +192,12 @@ class TestSimilarity:
                 tracemalloc.stop()
 
         products = peak()
-        monkeypatch.setattr(similarity, "_exact_sums", lambda *args: False)
+        # the row loop is charged for its work alone: its ratings and mask
+        # are built before the trace starts
+        ratings = ds.ratings()
+        ds.mask
+        monkeypatch.setattr(similarity, "_exact_sums", lambda *args: None)
+        monkeypatch.setattr(RatingsDataset, "ratings", lambda self: ratings)
         assert products <= peak()
 
     def test_rating_scale_invariance_of_neighbor_sets(self):
@@ -230,37 +218,44 @@ def assert_same_int64(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _bounded_dense(top):
+def _bounded_dataset(top):
     """Half stars over 30 items plus two users who rated every item with
     magnitudes up to ``top``, so the largest per-pair sums come near the
     bound 30 * (2 * top)**2."""
-    ratings, mask = _grid_dataset(20, 30, 0.3, 4, HALF_STARS).dense
-    ratings, mask = ratings.copy(), mask.copy()
+    ds = _grid_dataset(20, 30, 0.3, 4, HALF_STARS)
+    ratings, mask = ds.ratings(), ds.mask.copy()
     ratings[0] = top
     ratings[1] = np.where(np.arange(30) % 2, -top, top - 0.5)
     mask[:2] = True
-    return ratings, mask
+    users, items = np.nonzero(mask)
+    return RatingsDataset.build(ds.user_ids, ds.item_ids, users, items,
+                                ratings[users, items])
 
 
 # Cases for the float32 route: n against the 16-row blocks (one row, fewer
 # than a block, a partial last block), 700 items (21-row blocks), one-rater
-# items, users who rated every item, negative half stars, and sums up to
-# 30 * 747**2, just under 2**24.
+# items, items left rating-less by a removal, ratings of 0.0, users who
+# rated every item, negative half stars, and sums up to 30 * 747**2, just
+# under 2**24.
 FLOAT32_CASES = {
-    "n1": lambda: _grid_dataset(1, 30, 0.3, 1, HALF_STARS).dense,
-    "n11": lambda: _grid_dataset(11, 30, 0.3, 11, HALF_STARS).dense,
-    "n37": lambda: _grid_dataset(37, 30, 0.3, 37, HALF_STARS).dense,
-    "wide_blocks": lambda: _grid_dataset(45, 700, 0.05, 5, HALF_STARS).dense,
-    "single_rater_items": lambda: _single_rater_dataset().dense,
-    "full_profiles": lambda: _edge_users_dataset().dense,
+    "n1": lambda: _grid_dataset(1, 30, 0.3, 1, HALF_STARS),
+    "n11": lambda: _grid_dataset(11, 30, 0.3, 11, HALF_STARS),
+    "n37": lambda: _grid_dataset(37, 30, 0.3, 37, HALF_STARS),
+    "wide_blocks": lambda: _grid_dataset(45, 700, 0.05, 5, HALF_STARS),
+    "single_rater_items": _single_rater_dataset,
+    "rating_less_items": lambda: drop_user(_single_rater_dataset(), 2),
+    "zero_ratings": lambda: _grid_dataset(30, 50, 0.2, 7,
+                                          np.arange(-2, 3) / 2),
+    "full_profiles": _edge_users_dataset,
     "negative_half_stars": lambda: _grid_dataset(
-        30, 50, 0.2, 3, np.arange(-6, 7) / 2).dense,
-    "under_float32_bound": lambda: _bounded_dense(373.5),
+        30, 50, 0.2, 3, np.arange(-6, 7) / 2),
+    "under_float32_bound": lambda: _bounded_dataset(373.5),
 }
 
 
 class TestExactKernel:
-    """The product kernel against the row loop, compared as int64 views."""
+    """The product kernel, fed from the nnz ratings, against the row loop
+    on the float64 ratings, compared as int64 views."""
 
     @pytest.mark.parametrize("top,dtype", [
         (0.0, np.float32), (2.0 ** 24 - 1, np.float32),
@@ -273,38 +268,57 @@ class TestExactKernel:
     @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
     @pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
     def test_float32_products_equal_row_loop(self, name, kind, shrink):
-        ratings, mask = FLOAT32_CASES[name]()
-        assert similarity._exact_sums(ratings, mask, ratings,
-                                      mask) is np.float32
-        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask,
-                                          shrink)
-        assert_same_int64(got, similarity._similarity_loop(
-            kind, ratings, mask, ratings, mask, shrink))
+        ds = FLOAT32_CASES[name]()
+        assert similarity._exact_sums(ds) is np.float32
+        got = similarity._similarity_rows(kind, ds, shrink)
+        assert_same_int64(got, _row_loop(kind, ds, shrink))
+        assert_same_int64(got, got.T)
+
+    @pytest.mark.parametrize("shrink", [50, None])
+    @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
+    @pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+    def test_item_rows_equal_row_loop(self, name, kind, shrink):
+        items = _transposed(FLOAT32_CASES[name]())
+        assert similarity._exact_sums(items)
+        got = similarity._similarity_rows(kind, items, shrink)
+        assert_same_int64(got, _row_loop(kind, items, shrink))
+
+    def test_rating_cases_are_present(self):
+        cut = FLOAT32_CASES["rating_less_items"]()
+        assert np.count_nonzero(cut.item_counts == 0) == 4
+        assert np.any(FLOAT32_CASES["zero_ratings"]().values == 0.0)
+        full = FLOAT32_CASES["full_profiles"]()
+        assert full.user_counts.max() == full.n_items
+        top = FLOAT32_CASES["under_float32_bound"]().values
+        assert 30 * (2 * np.abs(top).max()) ** 2 == 30 * 747 ** 2 < 2 ** 24
+
+    @pytest.mark.parametrize("shrink", [50, None])
+    @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
+    def test_float64_products_just_over_the_float32_bound(self, kind,
+                                                          shrink):
+        ds = _bounded_dataset(374.0)    # 30 * 748**2 >= 2**24
+        assert similarity._exact_sums(ds) is np.float64
+        got = similarity._similarity_rows(kind, ds, shrink)
+        assert_same_int64(got, _row_loop(kind, ds, shrink))
         assert_same_int64(got, got.T)
 
     @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
-    def test_float64_products_just_over_the_float32_bound(self, kind):
-        ratings, mask = _bounded_dense(374.0)    # 30 * 748**2 >= 2**24
-        assert similarity._exact_sums(ratings, mask, ratings,
-                                      mask) is np.float64
-        got = similarity._similarity_rows(kind, ratings, mask, ratings, mask)
-        assert_same_int64(got, similarity._similarity_loop(
-            kind, ratings, mask, ratings, mask))
-        assert_same_int64(got, got.T)
-
-    @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
-    def test_full_rectangle_equals_mirrored_triangle(self, kind):
-        # equal rows in a second array take the non-symmetric route
-        ratings, mask = _grid_dataset(37, 30, 0.3, 37, HALF_STARS).dense
-        assert_same_int64(
-            similarity._similarity_rows(kind, ratings, mask, ratings.copy(),
-                                        mask.copy()),
-            similarity._similarity_rows(kind, ratings, mask, ratings, mask))
+    def test_pair_depends_on_its_two_users_alone(self, kind):
+        # shuffled users put each pair in other blocks and on the other
+        # side of the diagonal
+        ds = _grid_dataset(37, 30, 0.3, 37, HALF_STARS)
+        order = np.random.default_rng(37).permutation(ds.n_users)
+        shuffled = RatingsDataset.build(
+            [ds.user_ids[u] for u in order], ds.item_ids,
+            np.argsort(order)[ds.user_idx], ds.item_idx, ds.values)
+        assert_same_int64(similarity._similarity_rows(kind, shuffled),
+                          similarity._similarity_rows(kind, ds)[
+                              np.ix_(order, order)])
 
     @pytest.mark.parametrize("kind", similarity.SIMILARITIES)
     def test_square_call_scores_only_the_upper_blocks(self, kind,
                                                       monkeypatch):
-        ratings, mask = _grid_dataset(40, 30, 0.3, 40, HALF_STARS).dense
+        ds = _grid_dataset(40, 30, 0.3, 40, HALF_STARS)
         shapes, score = [], similarity._scores
 
         def spy(kind, sums, shrink=None):
@@ -312,11 +326,8 @@ class TestExactKernel:
             return score(kind, sums, shrink)
 
         monkeypatch.setattr(similarity, "_scores", spy)
-        similarity._similarity_rows(kind, ratings, mask, ratings, mask)
+        similarity._similarity_rows(kind, ds)
         assert shapes == [(16, 40), (16, 24), (8, 8)]
-        shapes.clear()
-        similarity._similarity_rows(kind, ratings, mask, ratings.copy(), mask)
-        assert shapes == [(16, 40), (16, 40), (8, 40)]
 
 
 class TestTrainKnn:
@@ -414,7 +425,7 @@ class TestPredictKnn:
         # an item nobody rated takes the global-mean fallback
         ds = RatingsDataset.build(ds.user_ids, ds.item_ids + ("unrated",),
                                   ds.user_idx, ds.item_idx, ds.values)
-        ratings, mask = ds.dense
+        ratings, mask = ds.ratings(), ds.mask
         negative_blends = fallbacks = 0
         for kind, k in itertools.product(("pearson", "cosine"),
                                          (1, 5, ds.n_users - 1)):
@@ -451,7 +462,7 @@ def _blend_pair(ds, nbrs, sims, means):
     got = np.empty((len(nbrs), ds.n_items))
     want = np.empty_like(got)
     recommender._blend(ds, nbrs, sims, means, got)
-    oracles.dense_blend(*ds.dense, nbrs, sims, means, want)
+    oracles.dense_blend(ds.ratings(), ds.mask, nbrs, sims, means, want)
     return got.view(np.int64), want.view(np.int64)
 
 
@@ -582,7 +593,7 @@ class TestTrainNmf:
 
     def test_objective_trace_non_increasing_independent_recompute(self, toy):
         model = train_nmf(toy, 2, seed=42, n_iters=200, rel_tol=0.0)
-        ratings, mask = toy.dense
+        ratings, mask = toy.ratings(), toy.mask
         # independent recompute of the final objective
         resid = (ratings - model.p @ model.q.T)[mask]
         assert model.final_objective == pytest.approx(
@@ -633,7 +644,7 @@ def _sole_rater_removed():
     """A reduced dataset holding an item nobody rates any more."""
     ds = random_dataset(20, 30, 0.15, seed=5)
     item = int(np.flatnonzero(ds.item_counts == 1)[0])
-    _, mask = ds.dense
+    mask = ds.mask
     reduced = drop_user(ds, int(np.flatnonzero(mask[:, item])[0]))
     assert reduced.item_counts[item] == 0
     return reduced
@@ -726,7 +737,7 @@ class TestLeanNmfLoop:
 
     def test_divergence_message_matches_reference(self, toy):
         from recinfluence.recommender import _nmf_iterate
-        ratings, mask = toy.dense
+        ratings, mask = toy.ratings(), toy.mask
         rng = np.random.default_rng(0)
         p, q = rng.random((5, 2)), rng.random((6, 2))
         # a fabricated "previous objective" below any reachable value
@@ -742,7 +753,7 @@ class TestLeanNmfLoop:
     def test_empty_history_gets_the_starting_objective(self, masked):
         from recinfluence.recommender import _nmf_iterate
         ds = random_dataset(20, 30, 0.2, seed=5)
-        ratings, mask = ds.dense
+        ratings, mask = ds.ratings(), ds.mask
         w = mask.astype(float) if masked else np.ones_like(ratings)
         p, q = oracles.nmf_start(ds, 3, 1)
         history = []
@@ -761,10 +772,13 @@ class TestLeanNmfLoop:
                 train_nmf(ds, 2, 0, n_iters=5, masked=masked)
 
     @staticmethod
-    def assert_one_buffer(masked, density):
+    def assert_one_buffer(monkeypatch, masked, density):
         # nmf-loo's shape: 100 x 200, 8 factors, 40 iterations
         ds = random_dataset(100, 200, density, seed=1)
-        ratings, _ = ds.dense
+        # both fits read ratings and a mask built before the trace starts
+        ratings = ds.ratings()
+        ds.mask
+        monkeypatch.setattr(RatingsDataset, "ratings", lambda self: ratings)
 
         def peak(fit):
             tracemalloc.start()
@@ -794,12 +808,12 @@ class TestLeanNmfLoop:
         assert 6 * factor_bytes + vector_bytes < ratings.nbytes
         assert lean <= ratings.nbytes + vector_bytes + 6 * factor_bytes
 
-    def test_no_per_iteration_temporaries(self):
-        self.assert_one_buffer(True, 0.05)
+    def test_no_per_iteration_temporaries(self, monkeypatch):
+        self.assert_one_buffer(monkeypatch, True, 0.05)
 
     @pytest.mark.parametrize("masked,density", [(False, 0.05), (True, 0.4)])
-    def test_one_buffer_without_gathers(self, masked, density):
-        self.assert_one_buffer(masked, density)
+    def test_one_buffer_without_gathers(self, monkeypatch, masked, density):
+        self.assert_one_buffer(monkeypatch, masked, density)
 
 
 class TestTopListsMatchSortOracle:
@@ -931,7 +945,7 @@ class TestEvaluate:
         tr2, te2 = train_test_split(toy, 1 / 3, seed=5)
         assert te1 == te2
         assert np.array_equal(tr1.values, tr2.values)
-        _, train_mask = tr1.dense
+        train_mask = tr1.mask
         for u, held in te1.items():
             for i in held:
                 assert not train_mask[u, i]
