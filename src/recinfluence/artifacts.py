@@ -36,10 +36,18 @@ def write_csv(path, header: list[str], rows) -> Path:
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    """The header and rows of a CSV; ValueError naming the path if it has no
+    header, and the line of a row whose field count is not the header's."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    rows = [ln.split(",") for ln in lines if ln]
+    if not rows:
+        raise ValueError(f"{path}: no header row")
+    header = rows[0]
+    for lineno, line in enumerate(lines, start=1):
+        if line and line.count(",") != len(header) - 1:
+            raise ValueError(f"{path}: line {lineno}: {line.count(',') + 1} "
+                             f"fields, the header has {len(header)}")
+    return header, rows[1:]
 
 
 def dataset_hash(ds: RatingsDataset, text: str | None = None) -> str:

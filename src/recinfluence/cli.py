@@ -179,6 +179,10 @@ def _check_options(cfg: dict, *keys: str) -> None:
             rule = "lie in [0, 1]"
         elif key == "eval.test_fraction":
             ok, rule = 0 < value < 1, "lie in (0, 1)"
+        elif key == "tree.holdout_fraction":
+            ok, rule = 0 <= value < 1, "lie in [0, 1)"
+        elif key == "tree.max_depth":
+            ok, rule = 1 <= value <= 10, "lie in [1, 10]"
         else:
             floor = _FLOORS.get(key, 1)
             kind = float if isinstance(DEFAULTS[key], float) else int
@@ -297,6 +301,8 @@ def cmd_features(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_fit_tree(args, cfg: dict, out: Path) -> int:
+    _check_options(cfg, "tree.max_depth", "tree.min_samples_leaf",
+                   "tree.holdout_fraction")
     ids, x = artifacts.read_features_csv(args.features)
     tids, y = artifacts.read_influence_csv(args.influence)
     if ids != tids:

@@ -126,6 +126,23 @@ class RatingsDataset:
     def _user_ptr(self) -> np.ndarray:
         return np.searchsorted(self.user_idx, np.arange(self.n_users + 1))
 
+    @cached_property
+    def _item_order(self) -> np.ndarray:
+        """Rating positions item by item, in user order within an item."""
+        return np.argsort(self.item_idx, kind="stable")
+
+    @cached_property
+    def _item_ptr(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.item_counts)))
+
+    def _item_ratings(self, items: np.ndarray):
+        """(positions, slots) of the ratings of each of ``items`` (repeats
+        allowed) in turn, in user order within an item; slots index items."""
+        lo = self._item_ptr[items]
+        sizes = self._item_ptr[items + 1] - lo
+        return (self._item_order[_spans(lo, sizes)],
+                np.repeat(np.arange(len(items)), sizes))
+
     def user_items(self, u: int) -> np.ndarray:
         """Item indices rated by user ``u`` (ascending)."""
         lo, hi = self._user_ptr[u], self._user_ptr[u + 1]
@@ -173,13 +190,21 @@ class DatasetStats:
         }
 
 
+def _spans(lo: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions of the CSR ranges [lo, lo + sizes), one after another."""
+    pos = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    pos += np.arange(len(pos))
+    return pos
+
+
 def _sorted_ids(tokens) -> list[str]:
-    # Integer-looking ids sort numerically so ml-style files index intuitively.
-    toks = list(tokens)
+    # Integer-looking ids sort numerically so ml-style files index
+    # intuitively, ties ("1", "01") by text, never by a set's hash order.
+    toks = sorted(tokens)
     try:
         return sorted(toks, key=int)
     except ValueError:
-        return sorted(toks)
+        return toks
 
 
 def load_ratings(path, format: str = "delimited", sep: str = ",",

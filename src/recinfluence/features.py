@@ -31,8 +31,8 @@ all users in whole-array passes that give the same bits:
   (m * m * 4 bytes). Every partial sum is an integer below 2**24, so each
   entry is exact whatever order or thread count BLAS uses, and 0.25 times
   it is the float64 product the reference forms.
-  Other ratings build the float64 ratings once and keep the reference's
-  per-profile product and column norms.
+  Other ratings take the reference per profile, whose columns come from
+  the raters of its items alone, so no n x m array is built.
 - beta8 with item Pearson scores every item pair once and looks up each
   profile's pairs: a pair's value depends on its two columns alone.
 """
@@ -45,11 +45,10 @@ import numpy as np
 
 from .data import RatingsDataset, _transposed
 from .recommender import KnnModel, _row_chunks
-from .similarity import (SHRINK_COUNT, _cosine_distances, _doubled,
-                         _doubled_top, _exact_dtype, _scores,
-                         _similarity_loop, _similarity_rows, _sums_against,
-                         item_distance_submatrix, user_distance_matrix,
-                         user_similarity_matrix)
+from .similarity import (SHRINK_COUNT, _doubled, _doubled_top, _exact_dtype,
+                         _scores, _similarity_loop, _similarity_rows,
+                         _sums_against, item_distance_submatrix,
+                         user_distance_matrix, user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
@@ -181,12 +180,8 @@ def intra_profile_distance(ds: RatingsDataset, u: int,
     t = len(items)
     if t < 2:
         return 0.0
-    return _upper_mean(item_distance_submatrix(ds, items, kind=item_distance))
-
-
-def _upper_mean(dist: np.ndarray) -> float:
-    """Mean of the entries above the diagonal of a square matrix."""
-    return float(np.mean(dist[np.triu_indices(len(dist), k=1)]))
+    dist = item_distance_submatrix(ds, items, kind=item_distance)
+    return float(np.mean(dist[np.triu_indices(t, k=1)]))
 
 
 def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
@@ -234,11 +229,8 @@ def _size_groups(ds: RatingsDataset):
 def _cosine_gram(ds: RatingsDataset) -> np.ndarray | None:
     """h.T @ h as float32 for the doubled ratings h = 2r, or None unless
     every rating is a multiple of 0.5 and ``_exact_dtype`` gives float32
-    for n * max|h|**2.
-
-    Then every entry and partial sum is an integer below 2**24, so the
-    product is exact in any order; 0.25 times an entry is the float64
-    column product ``item_distance_submatrix`` forms.
+    for n * max|h|**2: then the product is exact in any order, and 0.25
+    times an entry is the column product ``item_distance_submatrix`` forms.
     """
     top = _doubled_top(ds.values)
     if top is None or _exact_dtype(ds.n_users * top * top) is not np.float32:
@@ -251,27 +243,23 @@ def _intra_profile_distances(ds: RatingsDataset,
                              item_distance: str) -> np.ndarray:
     """beta8 of every user, bit-identical to ``intra_profile_distance``.
 
-    Item cosine slices ``_cosine_gram`` when it exists; otherwise it builds
-    the float64 ratings once and forms the reference's column product per
-    profile. Item Pearson scores all item pairs once; a pair's value
-    depends on its two columns alone, on either kernel path.
+    Item cosine slices ``_cosine_gram`` when it exists, and is otherwise
+    the reference per user. Item Pearson scores all item pairs once; a
+    pair's value depends on its two columns alone, on either kernel path.
     Profiles of one size t go together, about ``_BATCH_ENTRIES`` item
     pairs at a time: row r of a batch holds user r's t(t-1)/2 pairs in
     ``np.triu_indices`` order, one contiguous row that ``np.mean`` reduces
     as it reduces the reference's upper triangle.
     """
-    out = np.zeros(ds.n_users)
     if item_distance == "cosine":
         gram = _cosine_gram(ds)
         if gram is None:
-            ratings = ds.ratings()
-            for u in np.flatnonzero(ds.user_counts >= 2):
-                out[u] = _upper_mean(_cosine_distances(
-                    ratings[:, ds.user_items(u)]))
-            return out
+            return np.array([intra_profile_distance(ds, u)
+                             for u in range(ds.n_users)])
         norms = np.sqrt(np.diagonal(gram).astype(np.float64) * 0.25)
     else:
         sims = _similarity_rows(item_distance, _transposed(ds), shrink=None)
+    out = np.zeros(ds.n_users)
     for users, pos in _size_groups(ds):
         t = pos.shape[1]
         if t < 2:

@@ -164,10 +164,6 @@ class LeaveOneOutEngine:
                 covered |= (mask[full.neighbors[:, j]]
                             & (full.neighbor_sims[:, j, None] != 0))
             self._open = ~mask & ~covered
-            # rating indices item by item, in user order within an item
-            self._raters = np.argsort(ds.item_idx, kind="stable")
-            self._item_ptr = np.searchsorted(ds.item_idx[self._raters],
-                                             np.arange(ds.n_items + 1))
         else:
             self.sim = None
             full = config.train(ds)
@@ -182,15 +178,11 @@ class LeaveOneOutEngine:
         order exactly as the reduced dataset's ``item_sums`` sums them."""
         ds = self.ds
         items = ds.user_items(u)
-        lo, hi = self._item_ptr[items], self._item_ptr[items + 1]
-        sizes = hi - lo
-        seg = np.repeat(np.arange(len(items)), sizes)
-        pos = self._raters[np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-                           + np.arange(len(seg))]
+        pos, seg = ds._item_ratings(items)
         keep = ds.user_idx[pos] != u
         sums = np.bincount(seg[keep], weights=ds.values[pos[keep]],
                            minlength=len(items))
-        counts = sizes - 1
+        counts = ds.item_counts[items] - 1
         return np.divide(sums, counts, out=np.full(len(items), -np.inf),
                          where=counts > 0)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset, _restrict
+from .data import RatingsDataset, _restrict, _spans
 from .similarity import SIMILARITIES, user_similarity_matrix
 
 
@@ -56,8 +56,7 @@ def _scatter_rows(ds, lo, sizes, sims, means, out):
     rows, m = out.shape
     size = sizes.ravel()
     # rating positions of the triples: each neighbor's CSR range in turn
-    pos = np.repeat(lo.ravel() - (np.cumsum(size) - size), size)
-    pos += np.arange(len(pos))
+    pos = _spans(lo.ravel(), size)
     flat = np.repeat(np.arange(0, rows * m, m), sizes.sum(axis=1))
     flat += ds.item_idx[pos]
     terms = ds.values[pos]

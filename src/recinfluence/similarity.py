@@ -36,10 +36,12 @@ product through the same ratio and clip. The sums are formed three ways:
   ``item_distance_submatrix``. ``features.extract_all`` calls
   ``_sums_against`` on paired (users, t) rows, so each beta7 score is the
   loop's for that one pair.
-- Item cosine sums are one ``cols.T @ cols`` product of columns gathered
-  from the nnz arrays (beta8 slices a float32 Gram instead): item
-  distances are never reused across removals, so they carry no per-pair
-  order guarantee.
+- Item cosine sums are one ``cols.T @ cols`` product (beta8 slices a
+  float32 Gram instead): item distances are never reused across removals,
+  so they carry no per-pair order guarantee. ``item_distance_submatrix``
+  gathers its columns from the raters of the listed items alone
+  (``RatingsDataset._item_ratings``) into column-major arrays, so its sums
+  add in the order they take over the dense ``ratings()[:, items]``.
 
 Every distance is 1 - unshrunk similarity, zero diagonal (``_distances``).
 """
@@ -107,15 +109,10 @@ def _doubled(ds: RatingsDataset, dtype) -> np.ndarray:
 
 def _exact_sums(ds: RatingsDataset):
     """The float type in which every per-pair sum over the doubled ratings
-    h = 2x of the users of ``ds`` is exact, or None when there is none.
-
-    Every rating must be finite and a multiple of 0.5, so h holds integers;
-    an unrated entry is 0, so a product with the other user's 0/1 mask sums
-    over co-rated entries only. Each sum of h, h * h or mask counts over
-    n_items columns is then at most n_items * max(1, max|h|)**2, which
-    ``_exact_dtype`` bounds. Reads the nnz ratings only; nan fails the grid
-    test and inf the bound.
-    """
+    h = 2x of the users of ``ds`` is exact, or None when there is none: each
+    sum of h, h * h or mask counts is at most n_items * max(1, max|h|)**2,
+    which ``_exact_dtype`` bounds. Reads the nnz ratings only; nan fails
+    the grid test and inf the bound."""
     top = _doubled_top(ds.values)
     if top is None:
         return None
@@ -264,37 +261,21 @@ def user_distance_matrix(ds: RatingsDataset, kind: str = "cosine") -> np.ndarray
     return _distances(_similarity_rows(kind, ds, shrink=None))
 
 
-def _columns(ds: RatingsDataset, items: np.ndarray):
-    """(ratings, mask) of the columns ``items`` (repeats allowed), each
-    (n_users, len(items)), gathered from the nnz arrays."""
-    chosen, slot = np.unique(items, return_inverse=True)
-    keep = np.isin(ds.item_idx, chosen)
-    where = (ds.user_idx[keep], np.searchsorted(chosen, ds.item_idx[keep]))
-    ratings = np.zeros((ds.n_users, len(chosen)))
-    mask = np.zeros(ratings.shape, dtype=bool)
-    ratings[where] = ds.values[keep]
-    mask[where] = True
-    return ratings[:, slot], mask[:, slot]
-
-
-def _cosine_distances(cols: np.ndarray) -> np.ndarray:
-    """Pairwise cosine distances between the columns of ``cols`` (one row
-    per user), from one column product."""
-    norms = np.sqrt(np.sum(cols * cols, axis=0))
-    return _distances(_scores("cosine", (cols.T @ cols,
-                                         np.outer(norms, norms))))
-
-
 def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
                             kind: str = "cosine") -> np.ndarray:
-    """Pairwise distances between the rating columns of ``items``, gathered
-    from the nnz ratings. Item Pearson runs the row loop on the columns, so
-    a pair's value is the one ``_similarity_rows`` gives it on
-    ``data._transposed``."""
-    cols, observed = _columns(ds, items)
+    """Pairwise distances between the rating columns of ``items`` (repeats
+    allowed). Item cosine is one column product; item Pearson runs the row
+    loop on the columns, so a pair's value is the one ``_similarity_rows``
+    gives it on ``data._transposed``."""
+    pos, slot = ds._item_ratings(items)
+    cols = np.zeros((ds.n_users, len(items)), order="F")
+    observed = np.zeros(cols.shape, dtype=bool, order="F")
+    where = (ds.user_idx[pos], slot)
+    cols[where] = ds.values[pos]
+    observed[where] = True
     if kind == "cosine":
-        return _cosine_distances(cols)
-    rows = np.ascontiguousarray(cols.T)
-    rated = np.ascontiguousarray(observed.T)
-    return _distances(_similarity_loop(kind, rows, rated, rows, rated,
-                                       shrink=None))
+        norms = np.sqrt(np.sum(cols * cols, axis=0))
+        return _distances(_scores("cosine", (cols.T @ cols,
+                                             np.outer(norms, norms))))
+    return _distances(_similarity_loop(kind, cols.T, observed.T, cols.T,
+                                       observed.T, shrink=None))

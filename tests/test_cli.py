@@ -1018,3 +1018,76 @@ class TestNamesCheckedFirst:
             "error: data.item_sample_mode must be one of random, "
             "popularity, got 'foo'\n")
         assert not (tmp_path / "work" / "dataset.tsv").exists()
+
+
+class TestFitTreeOptionsCheckedFirst:
+    @pytest.mark.parametrize("option,message", [
+        (["--max-depth", "0"], "tree.max_depth must lie in [1, 10], got 0"),
+        (["--max-depth", "11"],
+         "tree.max_depth must lie in [1, 10], got 11"),
+        (["--min-samples-leaf", "0"],
+         "tree.min_samples_leaf must be at least 1, got 0"),
+        (["--holdout-fraction", "1.5"],
+         "tree.holdout_fraction must lie in [0, 1), got 1.5"),
+        (["--holdout-fraction=-0.2"],
+         "tree.holdout_fraction must lie in [0, 1), got -0.2"),
+    ], ids=["depth-0", "depth-11", "leaf-0", "holdout-1.5", "holdout-neg"])
+    def test_bad_option_exits_2_before_reading_inputs(
+            self, tmp_path, capsys, monkeypatch, option, message):
+        def refused(*args, **kwargs):
+            raise AssertionError("an input table was read")
+
+        for name in ("read_csv", "read_features_csv", "read_influence_csv"):
+            monkeypatch.setattr(artifacts, name, refused)
+        out = tmp_path / "work"
+        out.mkdir()
+        for name in ("features.csv", "influence.csv"):
+            (out / name).write_text("user_id\n")
+        before = sorted(out.iterdir())
+        assert main(["fit-tree", "--features", str(out / "features.csv"),
+                     "--influence", str(out / "influence.csv"), *option,
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(out.iterdir()) == before
+
+
+@pytest.fixture(scope="module")
+def toy_tables(tmp_path_factory):
+    """A toy dump with its kNN influence.csv and features.csv."""
+    out = ingest_toy(tmp_path_factory.mktemp("tables"))
+    for command in ("influence", "features"):
+        assert main([command, "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "knn", "--k", "2", "--l", "2",
+                     "--out-dir", str(out)]) == 0
+    return out
+
+
+class TestBrokenTablesExit2:
+    @pytest.mark.parametrize("command,table", [
+        ("fit-tree", "features.csv"), ("fit-tree", "influence.csv"),
+        ("mds", "influence.csv")])
+    @pytest.mark.parametrize("damage", ["empty", "short"])
+    def test_empty_or_short_table_exits_2(self, tmp_path, capsys,
+                                          toy_tables, command, table,
+                                          damage):
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in ("features.csv", "influence.csv"):
+            (work / name).write_bytes((toy_tables / name).read_bytes())
+        lines = (work / table).read_text().split("\n")
+        # the second row keeps its user id alone
+        lines[2] = lines[2].split(",")[0]
+        (work / table).write_text("" if damage == "empty"
+                                  else "\n".join(lines))
+        before = sorted(work.iterdir())
+        argv = {"fit-tree": ["--features", str(work / "features.csv")],
+                "mds": ["--dataset", str(toy_tables / "dataset.tsv")]}
+        capsys.readouterr()
+        assert main([command, *argv[command],
+                     "--influence", str(work / "influence.csv"),
+                     "--out-dir", str(work)]) == 2
+        where = ("no header row" if damage == "empty"
+                 else "line 3: 1 fields, the header has")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {work / table}: {where}")
+        assert sorted(work.iterdir()) == before

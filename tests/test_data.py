@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from recinfluence.data import (DatasetError, RatingsDataset, compute_stats,
-                               drop_user, load_dataset, load_ratings,
-                               sample_items, sample_users, save_dataset)
+from recinfluence.data import (DatasetError, RatingsDataset, _sorted_ids,
+                               compute_stats, drop_user, load_dataset,
+                               load_ratings, sample_items, sample_users,
+                               save_dataset)
 from recinfluence.analysis import mds_embed
 from recinfluence.features import _intra_profile_distances
 from recinfluence.influence import influence_all
@@ -437,6 +438,60 @@ class TestCutsMatchLiteralOracles:
             assert (kept.r_min, kept.r_max) == (0.0, 10.0)
 
 
+class TestSortedIds:
+    def test_ids_of_one_value_order_by_text(self):
+        ids = ["2", "1", "01", "10", "001"]
+        want = ["001", "01", "1", "2", "10"]
+        assert _sorted_ids(ids) == _sorted_ids(ids[::-1]) == want
+
+    def test_ingest_order_ignores_record_order(self, tmp_path):
+        got = []
+        for name, rows in (("a", ["1,x,1", "01,x,2", "2,x,3"]),
+                           ("b", ["2,x,3", "01,x,2", "1,x,1"])):
+            f = tmp_path / f"{name}.csv"
+            f.write_text("\n".join(rows) + "\n")
+            got.append(load_ratings(f, format="csv").user_ids)
+        assert got == [("01", "1", "2")] * 2
+
+
+class TestItemIndex:
+    """The item-major index: each item's rating positions in user order."""
+
+    @pytest.mark.parametrize("name", ["toy", "only-rater", "off-grid",
+                                      "hub", "suite100"])
+    def test_order_and_ptr(self, name):
+        ds = CUT_DATASETS[name]()
+        assert np.array_equal(ds._item_order,
+                              np.argsort(ds.item_idx, kind="stable"))
+        assert np.array_equal(np.diff(ds._item_ptr), ds.item_counts)
+        assert ds._item_ptr[0] == 0 and ds._item_ptr[-1] == ds.n_ratings
+
+    def test_ratings_of_listed_items(self):
+        ds = drop_user(only_rater_dataset(), 0)
+        solo, x = ds.item_ids.index("solo"), ds.item_ids.index("x")
+        assert ds.item_counts[solo] == 0
+        items = np.array([x, solo, x, ds.item_ids.index("last"), x])
+        pos, slot = ds._item_ratings(items)
+        want = [(p, s) for s, i in enumerate(items)
+                for p in range(ds.n_ratings) if ds.item_idx[p] == i]
+        assert list(zip(pos.tolist(), slot.tolist())) == want
+        # x's raters, b and c, in user order in every slot that lists x
+        assert [ds.user_ids[u] for u in ds.user_idx[pos[slot == 0]]] == [
+            "b", "c"]
+
+    def test_no_items(self):
+        pos, slot = toy_dataset()._item_ratings(np.array([], dtype=np.int64))
+        assert len(pos) == len(slot) == 0
+
+    def test_index_adds_no_2d_array(self):
+        ds = random_dataset(30, 50, 0.2, seed=3)
+        ds._item_ratings(ds.user_items(0))
+        held = {name: v.ndim for name, v in vars(ds).items()
+                if isinstance(v, np.ndarray)}
+        assert {"_item_order", "_item_ptr"} <= set(held)
+        assert set(held.values()) == {1}
+
+
 def _half_stars(n_users, n_items, seed):
     ds = random_dataset(n_users, n_items, 0.15, seed=seed)
     rng = np.random.default_rng(seed)
@@ -523,9 +578,10 @@ class TestRatingsBuiltOnlyWhereRead:
         # item Pearson scores the rows of the transposed data
         _intra_profile_distances(ds, "pearson")
         assert shapes == [(20, 30)] * 2 + [(30, 20)]
-        # item cosine off the grid: one build for every profile
+        # item cosine off the grid gathers each profile's columns from the
+        # raters of its items and builds none
         _intra_profile_distances(ds, "cosine")
-        assert shapes == [(20, 30)] * 2 + [(30, 20), (20, 30)]
+        assert shapes == [(20, 30)] * 2 + [(30, 20)]
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_nmf_fit_builds_once(self, monkeypatch, masked):

@@ -1,0 +1,50 @@
+"""Every name a package module imports is used there or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import recinfluence
+
+MODULES = sorted(Path(recinfluence.__file__).parent.glob("*.py"))
+# cli binds top_items without calling it: the benchmark's tracer test checks
+# that every binding of a traced function is wrapped, cli's included
+KEPT = {("cli.py", "top_items")}
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names bound by the imports of ``source`` that no expression reads
+    and ``__all__`` does not list."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return bound - read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = {name for name in unused_imports(path.read_text("utf-8"))
+              if (path.name, name) not in KEPT}
+    assert not unused, f"{path.name} imports {sorted(unused)} without use"
+
+
+def test_detects_an_unused_import():
+    source = ("import json\nfrom os import path, sep\n"
+              "__all__ = ['sep']\nprint(json)\n")
+    assert unused_imports(source) == {"path"}
+
+
+def test_kept_names_are_still_imported_unused():
+    for name, kept in KEPT:
+        source = (MODULES[0].parent / name).read_text("utf-8")
+        assert kept in unused_imports(source)
