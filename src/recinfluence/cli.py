@@ -200,6 +200,10 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
                       sep=cfg["data.sep"],
                       columns=tuple(cfg["data.columns"].split(",")),
                       has_header=cfg["data.has_header"])
+    # user ids head the CSV rows, whose fields are never quoted
+    bad = [uid for uid in ds.user_ids if "," in uid]
+    if bad:
+        raise DatasetError(f"user id {bad[0]!r} holds a comma")
     if cfg["data.sample_users"]:
         ds = sample_users(ds, cfg["data.sample_users"], cfg["seed"])
     if cfg["data.sample_items"]:

@@ -189,6 +189,8 @@ def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
     """Quantile-based epsilon over the pairwise distance distribution."""
     if config.epsilon is not None:
         return float(config.epsilon)
+    if ds.n_users < 2:
+        raise ValueError("the epsilon quantile needs two users; set --epsilon")
     if dist_matrix is None:
         dist_matrix = user_distance_matrix(ds, kind=config.user_distance)
     n = ds.n_users

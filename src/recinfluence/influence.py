@@ -109,13 +109,16 @@ class LeaveOneOutEngine:
     A factorization removal retrains on the reduced data (from the full
     factors when ``warm_start``) and rebuilds every other user's list. A
     neighborhood removal of u builds no reduced dataset and trains no
-    model. The engine keeps each user's neighbor order one deeper than the
-    model's k; the reduced neighbors of v are that order with u dropped,
-    cut to min(k, n - 2) (removal preserves the relative order of user
-    indices, so tie-breaks hold, and similarities do not depend on third
-    users). Only the means of u's items move, and they are summed again
-    over their remaining raters in user order, as the reduced dataset sums
-    them. Scores are blended by ``_blend`` from the full data's ratings. The
+    model. Set-up sorts the similarity matrix once, to each user's neighbor
+    order one deeper than the model's k; the model's neighbor lists are its
+    prefix. The engine keeps that order and its similarities, (n, k + 1)
+    each, and frees the n x n matrix. The reduced neighbors of v are v's
+    order with u dropped, cut to min(k, n - 2), and their similarities the
+    same columns (removal preserves the relative order of user indices, so
+    tie-breaks hold, and similarities do not depend on third users). Only
+    the means of u's items move, and they are summed again over their
+    remaining raters in user order, as the reduced dataset sums them.
+    Scores are blended by ``_blend`` from the full data's ratings. The
     lists rebuilt are those of the users v != u that the removal flags:
 
     (a) u is one of v's full-model neighbors (when k >= n - 1 everyone
@@ -153,10 +156,12 @@ class LeaveOneOutEngine:
         n = ds.n_users
         mask = ds.mask
         if config.algorithm == "knn":
-            self.sim = user_similarity_matrix(ds, kind=config.similarity)
+            sim = user_similarity_matrix(ds, kind=config.similarity)
+            self._deep = _neighbor_order(sim, min(config.k + 1, n - 1))
             full = train_knn(ds, config.k, config.similarity,
-                             sim_matrix=self.sim)
-            self._deep = _neighbor_order(self.sim, min(config.k + 1, n - 1))
+                             sim_matrix=sim, order=self._deep)
+            self._deep_sims = np.take_along_axis(sim, self._deep, axis=1)
+            del sim
             # unrated by v and not covered by a full-model neighbor with
             # non-zero similarity: v's score there is the item mean
             covered = np.zeros_like(mask)
@@ -165,7 +170,6 @@ class LeaveOneOutEngine:
                             & (full.neighbor_sims[:, j, None] != 0))
             self._open = ~mask & ~covered
         else:
-            self.sim = None
             full = config.train(ds)
         self.full_model = full
         # score of each user's l-th full-list item, -inf below l candidates
@@ -207,8 +211,8 @@ class LeaveOneOutEngine:
         deep = self._deep[rows]
         k = min(self.config.k, self.ds.n_users - 2)
         cols = np.arange(k) + np.cumsum(deep == u, axis=1)[:, :k]
-        nbrs = np.take_along_axis(deep, cols, axis=1)
-        return nbrs, self.sim[rows[:, None], nbrs]
+        return (np.take_along_axis(deep, cols, axis=1),
+                np.take_along_axis(self._deep_sims[rows], cols, axis=1))
 
     def _retrain(self, u: int):
         """The factorization model of the data without u; counts its

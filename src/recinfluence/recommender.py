@@ -171,12 +171,17 @@ def _neighbor_order(sim_matrix: np.ndarray, depth: int) -> np.ndarray:
 
 
 def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
-              sim_matrix: np.ndarray | None = None) -> KnnModel:
+              sim_matrix: np.ndarray | None = None,
+              order: np.ndarray | None = None) -> KnnModel:
     """Fit the neighborhood model.
 
     ``sim_matrix`` lets callers inject precomputed pairwise similarities
-    (the leave-one-out engine passes the matrix it keeps, the features stage
-    its beta2 matrix); else they are computed.
+    (the leave-one-out engine passes the matrix it builds, the features
+    stage its beta2 matrix); else they are computed. ``order`` is that
+    matrix's ``_neighbor_order`` to any depth of at least min(k, n - 1),
+    which the leave-one-out engine sorts one deeper than k for itself; the
+    neighbor lists are its first min(k, n - 1) columns, else the matrix is
+    sorted here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -189,7 +194,9 @@ def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
     k_eff = min(k, n - 1)
     if sim_matrix is None:
         sim_matrix = user_similarity_matrix(ds, kind=similarity)
-    neighbors = _neighbor_order(sim_matrix, k_eff)
+    if order is None:
+        order = _neighbor_order(sim_matrix, k_eff)
+    neighbors = np.ascontiguousarray(order[:, :k_eff])
     neighbor_sims = np.take_along_axis(sim_matrix, neighbors, axis=1)
 
     counts = ds.item_counts

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,24 @@ class TestIngest:
                      "--out-dir", str(out)]) == 2
         assert "1e+300" in capsys.readouterr().err
         assert not (out / "dataset.tsv").exists()
+
+    def test_user_id_with_comma_exits_2(self, tmp_path, capsys):
+        # the CSV artifacts lead each row with the user id, unquoted
+        raw = tmp_path / "ids.tsv"
+        raw.write_text("a,1\tx\t5\nb\ty\t3\n")
+        out = tmp_path / "work"
+        assert main(["ingest", "--input", str(raw), "--format", "tsv",
+                     "--out-dir", str(out)]) == 2
+        assert "'a,1'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_item_id_with_comma_is_kept(self, tmp_path):
+        raw = tmp_path / "ids.tsv"
+        raw.write_text("a\tx,1\t5\nb\ty\t3\n")
+        out = tmp_path / "work"
+        assert main(["ingest", "--input", str(raw), "--format", "tsv",
+                     "--out-dir", str(out)]) == 0
+        assert load_dataset(out / "dataset.tsv").item_ids == ("x,1", "y")
 
 
 class TestTrainAndEvaluate:
@@ -444,6 +463,22 @@ class TestFeaturesShareOneSimilarityMatrix:
                      "--algo", algo, "--out-dir", str(out)]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("algo", ["knn", "nmf"])
+    def test_one_neighbor_sort(self, tmp_path, monkeypatch, algo):
+        out = ingest_random(tmp_path)
+        calls = []
+        real = recommender._neighbor_order
+
+        def counting(sim, depth):
+            calls.append(depth)
+            return real(sim, depth)
+
+        for module in (recommender, influence):
+            monkeypatch.setattr(module, "_neighbor_order", counting)
+        assert main(["features", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", algo, "--k", "5", "--out-dir", str(out)]) == 0
+        assert calls == [5]
+
     def test_cosine_features_with_pearson_knn(self, tmp_path):
         out = ingest_random(tmp_path)
         cfgfile = tmp_path / "run.cfg"
@@ -463,6 +498,34 @@ class TestFeaturesShareOneSimilarityMatrix:
         assert not np.array_equal(
             values[:, 2], [neighborhood_membership(
                 train_knn(ds, 5, "cosine"), u) for u in range(ds.n_users)])
+
+
+class TestOneUserFeatures:
+    """One user has no pair to take a distance quantile over."""
+
+    def run(self, tmp_path, *extra):
+        raw = tmp_path / "one.csv"
+        raw.write_text("a,x,5\na,y,3\n")
+        out = tmp_path / "work"
+        assert main(["ingest", "--input", str(raw), "--format", "csv",
+                     "--out-dir", str(out)]) == 0
+        with pytest.warns(UserWarning, match="reduced"):
+            code = main(["features", "--dataset", str(out / "dataset.tsv"),
+                         "--algo", "knn", "--k", "1", "--l", "2",
+                         "--out-dir", str(out), *extra])
+        return code, out / "features.csv"
+
+    def test_quantile_epsilon_exits_2(self, tmp_path, capsys):
+        code, path = self.run(tmp_path)
+        assert code == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_given_epsilon_runs(self, tmp_path):
+        code, path = self.run(tmp_path, "--epsilon", "0.5")
+        assert code == 0
+        ids, values = artifacts.read_features_csv(path)
+        assert ids == ["a"] and values.shape == (1, 8)
 
 
 class TestFitTreeExact:
@@ -1060,6 +1123,37 @@ def toy_tables(tmp_path_factory):
                      "--algo", "knn", "--k", "2", "--l", "2",
                      "--out-dir", str(out)]) == 0
     return out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks():
+    """The lines of each fenced block in README.md."""
+    return README.read_text(encoding="utf-8").split("```")[1::2]
+
+
+class TestReadmeExamples:
+    """The README's command lines and config example parse as written."""
+
+    def test_command_lines_parse(self):
+        text = "\n".join(_readme_blocks()).replace("\\\n", " ")
+        lines = [ln for ln in text.split("\n")
+                 if ln.startswith("recinfluence ")]
+        assert len(lines) >= 7
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_config_example_parses(self, tmp_path):
+        examples = [block for block in _readme_blocks()
+                    if block.strip() and all(
+                        " = " in ln for ln in block.strip().split("\n"))]
+        assert examples
+        for block in examples:
+            path = tmp_path / "example.cfg"
+            path.write_text(block)
+            keys = [ln.split(" = ")[0] for ln in block.strip().split("\n")]
+            assert list(parse_config_file(path)) == keys
 
 
 class TestBrokenTablesExit2:

@@ -333,6 +333,43 @@ class TestEngineInternals:
         assert len(caught) == 1
 
 
+class TestOneNeighborSort:
+    """A kNN engine sorts its similarities once and keeps no n x n array."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 11, 15])
+    def test_one_sort_per_knn_engine(self, k, monkeypatch):
+        calls = []
+        real = recommender._neighbor_order
+
+        def counting(sim, depth):
+            calls.append(depth)
+            return real(sim, depth)
+
+        for module in (recommender, influence):
+            monkeypatch.setattr(module, "_neighbor_order", counting)
+        ds = random_dataset(12, 20, 0.3, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for _ in range(2):
+                LeaveOneOutEngine(ds, ModelConfig("knn", k=k), 3)
+        assert calls == [min(k + 1, 11)] * 2
+
+    @pytest.mark.parametrize("cfg", [KNN2, ModelConfig("knn", k=11),
+                                     FLAKY_NMF], ids=["knn", "knn_all",
+                                                      "nmf"])
+    def test_no_user_by_user_float_array_is_kept(self, cfg):
+        ds = random_dataset(12, 20, 0.3, seed=3)
+        n = ds.n_users
+        engine = LeaveOneOutEngine(ds, cfg, 3)
+        engine.distances_without(4)
+        assert not hasattr(engine, "sim")
+        for obj in (engine, engine.full_model):
+            for name, value in vars(obj).items():
+                if isinstance(value, np.ndarray):
+                    assert not (value.shape == (n, n)
+                                and value.dtype.kind == "f"), name
+
+
 def single_rater_dataset():
     """u is the only rater of "solo"; a's only neighbor (k=1) is b, and a's
     fallback mean for "solo" tops a's list."""

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ from recinfluence.recommender import (ModelConfig, TrainingError,
                                       recommend, top_items, train_knn,
                                       train_nmf, train_test_split)
 from recinfluence import recommender, similarity
+from recinfluence.artifacts import save_model
 from recinfluence.similarity import user_similarity_matrix
 
 import oracles
@@ -330,6 +332,21 @@ class TestExactKernel:
         assert shapes == [(16, 40), (16, 24), (8, 8)]
 
 
+# Datasets whose similarities tie often: one to three users, clones, users
+# with no co-rated item (all zero), and three items for ten users.
+_TIE_DATASETS = {
+    "one_user": lambda: build_dataset([("a", "x", 5.0), ("a", "y", 3.0)]),
+    "two_clones": lambda: clone_users_dataset(2, 4),
+    "three_users": lambda: build_dataset(
+        [("a", "x", 5.0), ("a", "y", 3.0), ("b", "x", 5.0),
+         ("b", "y", 3.0), ("c", "z", 4.0)]),
+    "five_clones": clone_users_dataset,
+    "disjoint": lambda: build_dataset(
+        [(f"u{u}", f"i{u}", 3.0) for u in range(6)]),
+    "three_items": lambda: random_dataset(10, 3, 0.7, seed=2),
+}
+
+
 class TestTrainKnn:
     def test_toy_top2_neighbors_of_u1(self, toy):
         # Oracle: explicit pairwise Pearson over co-rated items.
@@ -379,6 +396,34 @@ class TestTrainKnn:
     def test_invalid_k(self, toy):
         with pytest.raises(ValueError):
             train_knn(toy, 0)
+
+    @pytest.mark.parametrize("kind", ["pearson", "cosine"])
+    @pytest.mark.parametrize("name", sorted(_TIE_DATASETS))
+    def test_given_order_equals_own_sort(self, name, kind, tmp_path):
+        # the leave-one-out engine hands over its order, one deeper than k
+        ds = _TIE_DATASETS[name]()
+        n = ds.n_users
+        sims = user_similarity_matrix(ds, kind=kind)
+        for k in sorted({k for k in (1, n - 2, n - 1, n, 2 * n) if k >= 1}):
+            order = recommender._neighbor_order(sims, min(k + 1, n - 1))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                given = train_knn(ds, k, kind, sim_matrix=sims, order=order)
+                own = train_knn(ds, k, kind)
+            assert len(caught) == (2 if k >= n else 0)
+            assert given.neighbors.dtype == own.neighbors.dtype
+            assert np.array_equal(given.neighbors, own.neighbors)
+            assert_same_int64(given.neighbor_sims, own.neighbor_sims)
+            assert_same_int64(given.item_means, own.item_means)
+            for arr in (given.neighbors, given.neighbor_sims):
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+            assert (given.k, given.similarity, given.global_mean) == \
+                (own.k, own.similarity, own.global_mean)
+            for model, base in ((given, "given"), (own, "own")):
+                save_model(model, tmp_path / base)
+            for ext in (".json", ".tsv"):
+                assert (tmp_path / f"given{ext}").read_bytes() == \
+                    (tmp_path / f"own{ext}").read_bytes()
 
 
 class TestPredictKnn:
