@@ -9,6 +9,9 @@ sum((d_hat - d)^2) / sum(d^2) over pairs.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,27 +29,63 @@ class MdsEmbedding:
     user_indices: np.ndarray      # rows of the source dataset that were embedded
 
 
-def pairwise_euclidean(coords: np.ndarray) -> np.ndarray:
-    """(n, n) distances between the rows of ``coords`` (d = 2 here), summed
-    over the columns in order into one buffer: the bits of np.sum over the
-    (n, n, d) differences while d < 8, before numpy sums pairwise."""
-    total = np.zeros((coords.shape[0],) * 2)
+def _pairwise_into(coords: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """``out`` filled with the row distances of ``coords``, each column's
+    squares formed in ``scratch`` and summed in order: np.sum's bits over
+    the (n, n, d) differences while d < 8, before it sums pairwise."""
+    out.fill(0.0)
     for col in coords.T:
-        diff = col[:, None] - col[None, :]
-        diff *= diff
-        total += diff
-    return np.sqrt(total, out=total)
+        np.subtract(col[:, None], col[None, :], out=scratch)
+        scratch *= scratch
+        out += scratch
+    return np.sqrt(out, out=out)
+
+
+def pairwise_euclidean(coords: np.ndarray) -> np.ndarray:
+    """(n, n) distances between the rows of ``coords`` (d = 2 here)."""
+    n = coords.shape[0]
+    return _pairwise_into(coords, np.empty((n, n)), np.empty((n, n)))
 
 
 def stress_of(coords: np.ndarray, dist: np.ndarray) -> float:
     """Normalized residual stress of an embedding against target distances."""
-    d_hat = pairwise_euclidean(coords)
     denom = float(np.sum(dist * dist))
     if denom == 0.0:
         return 0.0
-    return float(np.sum((d_hat - dist) ** 2) / denom)
+    resid = pairwise_euclidean(coords) - dist
+    return float(np.sum(np.multiply(resid, resid, out=resid)) / denom)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count calls of the loaded OpenBLAS, or None."""
+    with contextlib.suppress(OSError):
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+        for lib in map(ctypes.CDLL, paths):
+            for fmt in ("scipy_openblas_%s_num_threads64_",
+                        "openblas_%s_num_threads"):
+                calls = [getattr(lib, fmt % op, None) for op in ("get", "set")]
+                if all(calls):
+                    return calls
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, if found, then restore the
+    count: products and ``eigh`` give the one-thread bits at any count."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda count: None)
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+@_one_blas_thread()
 def classical_mds(dist: np.ndarray, n_dims: int = 2) -> np.ndarray:
     """Torgerson embedding of a symmetric distance matrix."""
     dist = np.asarray(dist, dtype=np.float64)
@@ -69,18 +108,24 @@ def classical_mds(dist: np.ndarray, n_dims: int = 2) -> np.ndarray:
     return coords
 
 
+@_one_blas_thread()
 def smacof_refine(coords: np.ndarray, dist: np.ndarray,
                   n_iters: int = 200) -> np.ndarray:
-    """Guttman-transform majorization steps from a starting configuration."""
+    """Guttman-transform majorization steps from a starting configuration,
+    each in the same two (n, n) float64 buffers and one bool buffer."""
     n = dist.shape[0]
     x = np.array(coords, dtype=np.float64)
+    d_hat, buf = np.empty((n, n)), np.empty((n, n))
+    pos = np.empty((n, n), dtype=bool)
     for _ in range(n_iters):
-        d_hat = pairwise_euclidean(x)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(d_hat > 0, dist / d_hat, 0.0)
-        bmat = -ratio
-        bmat[np.arange(n), np.arange(n)] = ratio.sum(axis=1)
-        x = bmat @ x / n
+        _pairwise_into(x, d_hat, buf)
+        np.greater(d_hat, 0, out=pos)
+        buf.fill(0.0)
+        np.divide(dist, d_hat, out=buf, where=pos)
+        sums = buf.sum(axis=1)
+        np.negative(buf, out=buf)
+        np.fill_diagonal(buf, sums)
+        x = buf @ x / n
     return x - x.mean(axis=0)
 
 

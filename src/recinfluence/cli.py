@@ -130,6 +130,8 @@ def resolve_config(args) -> dict:
 
 
 def model_config(cfg: dict) -> ModelConfig:
+    """The run's model, after its algorithm's options pass their checks."""
+    _check_options(cfg, *_MODEL_KEYS.get(cfg["algo"], ()))
     return ModelConfig(algorithm=cfg["algo"], k=cfg["knn.k"],
                        similarity=cfg["knn.similarity"],
                        factors=cfg["nmf.factors"], seed=cfg["seed"],
@@ -221,7 +223,6 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
 
 def cmd_train(args, cfg: dict, out: Path) -> int:
     mc = model_config(cfg)
-    _check_options(cfg, *_MODEL_KEYS[mc.algorithm])
     ds = load_dataset(args.dataset)
     model = mc.train(ds)
     ds_hash = artifacts.dataset_hash(ds)
@@ -233,8 +234,7 @@ def cmd_train(args, cfg: dict, out: Path) -> int:
 
 def cmd_evaluate(args, cfg: dict, out: Path) -> int:
     mc = model_config(cfg)
-    _check_options(cfg, "list.length", "eval.test_fraction",
-                   *_MODEL_KEYS[mc.algorithm])
+    _check_options(cfg, "list.length", "eval.test_fraction")
     ds = load_dataset(args.dataset)
     train, test = train_test_split(ds, cfg["eval.test_fraction"], cfg["seed"])
     model = mc.train(train)
@@ -254,7 +254,7 @@ def cmd_influence(args, cfg: dict, out: Path) -> int:
     thetas = _numbers(cfg, "influence.thetas", float)
     mc = model_config(cfg)
     _check_options(cfg, "influence.thetas", "influence.top_k", "list.length",
-                   "influence.warm_iters", *_MODEL_KEYS[mc.algorithm])
+                   "influence.warm_iters")
     top_ks = _numbers(cfg, "influence.top_k", int)
     ds = load_dataset(args.dataset)
     report = influence.influence_all(
@@ -285,17 +285,20 @@ def cmd_features(args, cfg: dict, out: Path) -> int:
     mc, fc = model_config(cfg), feature_config(cfg)
     # beta3 always reads a kNN model, so its keys are checked for NMF too
     _check_options(cfg, "list.length", *_MODEL_KEYS["knn"],
-                   *_MODEL_KEYS[mc.algorithm], "features.similarity",
-                   "features.user_distance", "features.item_distance",
-                   "features.epsilon", "features.epsilon_quantile")
+                   "features.similarity", "features.user_distance",
+                   "features.item_distance", "features.epsilon",
+                   "features.epsilon_quantile")
     ds = load_dataset(args.dataset)
-    # one similarity pass serves beta2 and, when the kinds agree, the kNN fit
+    # beta2 and, if its kind is the same, the kNN fit read one matrix, then
+    # it goes before any other n x n array is built
     sims = user_similarity_matrix(ds, kind=fc.similarity)
-    shared = sims if mc.similarity == fc.similarity else None
-    knn_model = train_knn(ds, mc.k, mc.similarity, sim_matrix=shared)
+    beta2 = features.centralities(sims)
+    sims = sims if mc.similarity == fc.similarity else None
+    knn_model = train_knn(ds, mc.k, mc.similarity, sim_matrix=sims)
+    del sims
     model = knn_model if mc.algorithm == "knn" else mc.train(ds)
     listed, _ = top_lists(model, cfg["list.length"])
-    table = features.extract_all(ds, knn_model, listed, sims, fc)
+    table = features.extract_all(ds, knn_model, listed, beta2, fc)
     path = artifacts.write_features_csv(table, out / "features.csv")
     artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds),
                             {"feature_config": table.config})

@@ -13,6 +13,7 @@ audit on half-star data never holds them.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -229,6 +230,8 @@ def load_ratings(path, format: str = "delimited", sep: str = ",",
         if field not in columns:
             raise DatasetError(f"columns must include {field!r}")
 
+    place = {name: j for j, name in enumerate(columns)}  # last one wins
+    ucol, icol, rcol = place["user"], place["item"], place["rating"]
     path = Path(path)
     records: dict[tuple[str, str], float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -243,10 +246,9 @@ def load_ratings(path, format: str = "delimited", sep: str = ",",
                 raise DatasetError(
                     f"{path}: line {lineno}: expected {len(columns)} fields, "
                     f"got {len(parts)}")
-            rec = dict(zip(columns, parts))
-            user = rec["user"].strip()
-            item = rec["item"].strip()
-            tok = rec["rating"].strip()
+            user = parts[ucol].strip()
+            item = parts[icol].strip()
+            tok = parts[rcol].strip()
             if value_map is not None:
                 if tok not in value_map:
                     raise DatasetError(
@@ -259,7 +261,7 @@ def load_ratings(path, format: str = "delimited", sep: str = ",",
                     raise DatasetError(
                         f"{path}: line {lineno}: unparseable rating {tok!r}"
                     ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DatasetError(
                     f"{path}: line {lineno}: non-finite rating {tok!r}")
             if (r_min is not None and value < r_min) or \

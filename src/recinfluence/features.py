@@ -91,6 +91,17 @@ def centrality(ds: RatingsDataset, u: int, similarity: str = "pearson",
     return float(row.mean()) if len(row) else 0.0
 
 
+def centralities(sim_matrix: np.ndarray) -> np.ndarray:
+    """beta2 of every user, ``centrality`` of each row of the n x n
+    similarity matrix, a chunk of rows at a time."""
+    n = sim_matrix.shape[0]
+    out = np.zeros(n)
+    if n > 1:
+        for rows in _row_chunks(np.arange(n), n):
+            out[rows] = _drop_self(sim_matrix[rows], rows).mean(axis=1)
+    return out
+
+
 def neighborhood_membership(model: KnnModel, u: int) -> int:
     """beta3: how many other users carry u in their neighbor list."""
     others = np.delete(model.neighbors, u, axis=0)
@@ -285,7 +296,7 @@ def _intra_profile_distances(ds: RatingsDataset,
 
 
 def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
-                sim_matrix: np.ndarray,
+                beta2: np.ndarray,
                 config: FeatureConfig = FeatureConfig()) -> FeatureTable:
     """All eight features for every user.
 
@@ -293,15 +304,15 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
     under study is a factorization model, a standalone neighborhood
     structure is fitted for this purpose); ``listed`` is the (n, m) bool
     indicator of the studied model's top-l lists (``top_lists``), for beta5.
-    ``sim_matrix`` is ``user_similarity_matrix(ds, config.similarity)`` for
-    beta2, built by the caller, which may hand it to ``train_knn``.
+    ``beta2`` is ``centralities(user_similarity_matrix(ds,
+    config.similarity))``, so the caller can free that matrix first.
 
     Each column is computed for all users at once and equals the one-user
     reference function's value bit for bit (see the module docstring).
     Beside the caller's arrays at most one n x n matrix is held at a time,
-    and with item cosine on half-star ratings the m x m float32 Gram
-    (m * m * 4 bytes) is the largest buffer; item Pearson holds an m x m
-    float64 similarity matrix.
+    beta4's distances, and with item cosine on half-star ratings the m x m
+    float32 Gram (m * m * 4 bytes) is the largest buffer; item Pearson
+    holds an m x m float64 similarity matrix.
     """
     n = ds.n_users
     if listed.shape != (n, ds.n_items):
@@ -317,10 +328,7 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
     del dists
     values[:, 4] = recommendation_overlaps(ds, listed)
     values[:, 0] = ds.user_counts
-    values[:, 1] = 0.0
-    if n > 1:
-        for rows in _row_chunks(np.arange(n), n):
-            values[rows, 1] = _drop_self(sim_matrix[rows], rows).mean(axis=1)
+    values[:, 1] = beta2
     values[:, 2] = np.bincount(knn_model.neighbors.ravel(), minlength=n)
     for users, pos in _size_groups(ds):
         items = ds.item_idx[pos]

@@ -483,6 +483,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.algorithm not in ("knn", "nmf"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm == "knn" and self.k < 1:
+            raise ValueError("k must be >= 1")
 
     def train(self, ds: RatingsDataset):
         if self.algorithm == "knn":

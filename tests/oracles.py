@@ -359,3 +359,38 @@ def item_cosine_distances(ds, items):
     dist = 1.0 - sims
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def pairwise_euclidean(coords):
+    """(n, n) distances, each column's squared differences summed in order
+    into one fresh buffer: the MDS distance step as first written."""
+    total = np.zeros((coords.shape[0],) * 2)
+    for col in coords.T:
+        diff = col[:, None] - col[None, :]
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
+
+
+def stress_of(coords, dist):
+    """Normalized residual stress, with fresh temporaries throughout."""
+    d_hat = pairwise_euclidean(coords)
+    denom = float(np.sum(dist * dist))
+    if denom == 0.0:
+        return 0.0
+    return float(np.sum((d_hat - dist) ** 2) / denom)
+
+
+def smacof_refine(coords, dist, n_iters=200):
+    """Guttman-transform steps, each forming its ratios and B matrix in
+    fresh (n, n) arrays."""
+    n = dist.shape[0]
+    x = np.array(coords, dtype=np.float64)
+    for _ in range(n_iters):
+        d_hat = pairwise_euclidean(x)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(d_hat > 0, dist / d_hat, 0.0)
+        bmat = -ratio
+        bmat[np.arange(n), np.arange(n)] = ratio.sum(axis=1)
+        x = bmat @ x / n
+    return x - x.mean(axis=0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from recinfluence.influence import influence_all
 from recinfluence.recommender import ModelConfig
 from recinfluence.similarity import user_distance_matrix
 
+import oracles
 from conftest import build_dataset, random_dataset
 
 
@@ -299,3 +302,103 @@ class TestSmacof:
         start = pts + 0.3 * rng.standard_normal(pts.shape)
         refined = smacof_refine(start, dist, n_iters=150)
         assert stress_of(refined, dist) < stress_of(start, dist)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+def mds_case(name):
+    """(start, target distances) for an MDS refinement case."""
+    rng = np.random.default_rng(len(name))
+    if name == "three":
+        pts = rng.standard_normal((3, 4))
+    else:
+        pts = rng.standard_normal((40, 6))
+    dist = oracles.pairwise_euclidean(pts)
+    start = classical_mds(dist)
+    if name == "coincident":
+        # repeated rows make d_hat == 0 off the diagonal
+        start[5] = start[4]
+        start[20:23] = start[19]
+    return start, dist
+
+
+class TestMdsWorkspaces:
+    """The MDS steps that reuse their (n, n) buffers against the textbook
+    formulas in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("n_iters", [1, 50])
+    @pytest.mark.parametrize("name", ["random", "coincident", "three"])
+    def test_smacof_bits(self, name, n_iters):
+        start, dist = mds_case(name)
+        assert same_bits(smacof_refine(start, dist, n_iters),
+                         oracles.smacof_refine(start, dist, n_iters))
+
+    @pytest.mark.parametrize("name", ["random", "coincident", "three"])
+    def test_stress_and_distance_bits(self, name):
+        start, dist = mds_case(name)
+        refined = oracles.smacof_refine(start, dist, 3)
+        for coords in (start, refined):
+            assert same_bits(pairwise_euclidean(coords),
+                             oracles.pairwise_euclidean(coords))
+            assert same_bits(stress_of(coords, dist),
+                             oracles.stress_of(coords, dist))
+        assert stress_of(start, np.zeros_like(dist)) == 0.0
+
+    def test_smacof_peak_within_three_square_buffers(self):
+        n = 300
+        pts = np.random.default_rng(3).standard_normal((n, 5))
+        dist = oracles.pairwise_euclidean(pts)
+        coords = classical_mds(dist)
+        smacof_refine(coords, dist, 1)
+        tracemalloc.start()
+        try:
+            smacof_refine(coords, dist, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8
+
+
+class TestBlasPin:
+    @staticmethod
+    def fake_blas(monkeypatch, count):
+        monkeypatch.setattr(analysis, "_openblas_threads", lambda: (
+            lambda: count[0], lambda k: count.__setitem__(0, k)))
+
+    def test_one_thread_inside_then_restored(self, monkeypatch):
+        count = [3]
+        self.fake_blas(monkeypatch, count)
+        with analysis._one_blas_thread():
+            assert count == [1]
+        assert count == [3]
+
+    def test_restored_after_an_error(self, monkeypatch):
+        count = [2]
+        self.fake_blas(monkeypatch, count)
+        with pytest.raises(ValueError, match="non-finite"):
+            classical_mds(np.full((3, 3), np.nan))
+        assert count == [2]
+
+    def test_mds_steps_run_pinned(self, monkeypatch):
+        _, dist = mds_case("random")
+        seen, count = [], [4]
+        self.fake_blas(monkeypatch, count)
+        real = np.linalg.eigh
+
+        def eigh(b):
+            seen.append(count[0])
+            return real(b)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        classical_mds(dist)
+        assert seen == [1] and count == [4]
+
+    def test_without_openblas_nothing_changes(self, monkeypatch):
+        start, dist = mds_case("random")
+        want = smacof_refine(start, dist, 5)
+        monkeypatch.setattr(analysis, "_openblas_threads", lambda: None)
+        assert same_bits(smacof_refine(start, dist, 5), want)

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,80 @@ class TestFeatureAndTreeCommands:
                     env=env, check=True, capture_output=True, timeout=300)
             blobs.append([(d / name).read_bytes() for name in names])
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("knn_kind", ["pearson", "cosine"])
+    def test_similarity_matrix_freed_before_other_square_arrays(
+            self, tmp_path, monkeypatch, knn_kind):
+        # features.similarity stays pearson; knn.similarity agrees or not
+        out = ingest_random(tmp_path)
+        refs, live = [], []
+        real = cli.user_similarity_matrix
+
+        def built(*args, **kwargs):
+            sims = real(*args, **kwargs)
+            refs.append(weakref.ref(sims))
+            return sims
+
+        def checked(module, name):
+            inner = getattr(module, name)
+
+            def run(*args, **kwargs):
+                live.append((name, any(ref() is not None for ref in refs)))
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, run)
+
+        monkeypatch.setattr(cli, "user_similarity_matrix", built)
+        checked(features, "user_distance_matrix")
+        checked(cli, "top_lists")
+        # the kNN fit's own pass, when the kinds differ
+        checked(recommender, "user_similarity_matrix")
+        assert main(["features", "--dataset", str(out / "dataset.tsv"),
+                     "--k", "3", "--l", "4", "--similarity", knn_kind,
+                     "--out-dir", str(out)]) == 0
+        expected = [("top_lists", False), ("user_distance_matrix", False)]
+        if knn_kind != "pearson":
+            expected.insert(0, ("user_similarity_matrix", False))
+        assert len(refs) == 1
+        assert live == expected
+
+    def test_mds_bytes_equal_across_blas_threads(self, tmp_path):
+        # At 300 users classical_mds's products and eigh, and the
+        # refinement's products, split across two BLAS threads unless
+        # pinned to one; the half-star distances are exact either way.
+        rng = np.random.default_rng(5)
+        rows = [f"u{u},i{i},{rng.integers(1, 11) / 2}"
+                for u in range(300) for i in range(600)
+                if rng.random() < 0.04 or i == u]
+        raw = tmp_path / "half.csv"
+        raw.write_text("\n".join(rows) + "\n")
+        work = tmp_path / "work"
+        assert main(["ingest", "--input", str(raw), "--format", "csv",
+                     "--out-dir", str(work)]) == 0
+        ids = load_dataset(work / "dataset.tsv").user_ids
+        (work / "influence.csv").write_text("user_id,influence\n" + "".join(
+            f"{uid},{rng.random()!r}\n" for uid in ids))
+        src = str(Path(recinfluence.__file__).resolve().parents[1])
+        names = ("embedding.csv", "dispersion.csv")
+        for options in (["--refine-iters", "0"],
+                        ["--refine-iters", "50", "--max-points", "290"]):
+            blobs = []
+            for threads in ("1", "2"):
+                d = tmp_path / f"mds{options[1]}-{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(
+                               [src, os.environ.get("PYTHONPATH", "")]))
+                subprocess.run(
+                    [sys.executable, "-m", "recinfluence", "mds",
+                     "--dataset", str(work / "dataset.tsv"),
+                     "--influence", str(work / "influence.csv"), *options,
+                     "--out-dir", str(d)],
+                    env=env, check=True, capture_output=True, timeout=300)
+                side = json.loads(
+                    (d / "embedding.csv.meta.json").read_text())
+                blobs.append([(d / name).read_bytes() for name in names]
+                             + [repr(side["stress"])])
+            assert blobs[0] == blobs[1]
 
     def test_zero_quantile_epsilon_exits_2(self, tmp_path, capsys):
         # Implicit feedback: five users share one item, so their cosine

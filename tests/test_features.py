@@ -6,8 +6,9 @@ import pytest
 
 from recinfluence import features, similarity
 from recinfluence.data import RatingsDataset
-from recinfluence.features import (FEATURE_NAMES, FeatureConfig, centrality,
-                                   centroid_similarity, extract_all,
+from recinfluence.features import (FEATURE_NAMES, FeatureConfig, centralities,
+                                   centrality, centroid_similarity,
+                                   extract_all,
                                    intra_profile_distance,
                                    median_item_popularity,
                                    neighborhood_density,
@@ -330,7 +331,7 @@ class TestExtractAll:
                  for v in range(5)]
         cfg = FeatureConfig()
         table = extract_all(toy, model, indicator(lists, toy.n_items),
-                            user_similarity_matrix(toy), cfg)
+                            centralities(user_similarity_matrix(toy)), cfg)
         assert table.values.shape == (5, 8)
         eps = table.config["epsilon"]
         for u in range(5):
@@ -379,9 +380,9 @@ class TestExtractAll:
         l1 = [frozenset(top_items(m1, v, 4).tolist()) for v in range(8)]
         l2 = [frozenset(top_items(m2, v, 4).tolist()) for v in range(8)]
         t1 = extract_all(ds, m1, indicator(l1, ds.n_items),
-                         user_similarity_matrix(ds), cfg)
+                         centralities(user_similarity_matrix(ds)), cfg)
         t2 = extract_all(ds2, m2, indicator(l2, ds2.n_items),
-                         user_similarity_matrix(ds2), cfg)
+                         centralities(user_similarity_matrix(ds2)), cfg)
         for new, orig in enumerate(perm):
             np.testing.assert_allclose(t2.values[new], t1.values[orig],
                                        atol=1e-12)
@@ -392,7 +393,8 @@ class TestExtractAll:
         lists = [frozenset(top_items(model, v, 2).tolist())
                  for v in range(6)]
         table = extract_all(ds, model, indicator(lists, ds.n_items),
-                            user_similarity_matrix(ds), FeatureConfig())
+                            centralities(user_similarity_matrix(ds)),
+                            FeatureConfig())
         assert table.values.shape[1] == 8
 
     def test_invariant_ranges(self):
@@ -401,7 +403,8 @@ class TestExtractAll:
         lists = [frozenset(top_items(model, v, 4).tolist())
                  for v in range(10)]
         table = extract_all(ds, model, indicator(lists, ds.n_items),
-                            user_similarity_matrix(ds), FeatureConfig())
+                            centralities(user_similarity_matrix(ds)),
+                            FeatureConfig())
         v = table.values
         assert np.all(v[:, 0] >= 1)
         assert np.all(v[:, 2] == v[:, 2].astype(int))
@@ -465,7 +468,7 @@ def feature_inputs(ds, cfg, k=3, l=5, algo="knn"):
 
 def table_and_reference(ds, cfg=FeatureConfig(), **kwargs):
     model, listed, sims = feature_inputs(ds, cfg, **kwargs)
-    table = extract_all(ds, model, listed, sims, cfg)
+    table = extract_all(ds, model, listed, centralities(sims), cfg)
     return table.values, reference_values(ds, model, listed, sims, cfg,
                                           table.config["epsilon"])
 
@@ -576,7 +579,8 @@ class TestBatchedColumns:
         model = train_knn(toy, 2)
         listed, _ = top_lists(model, 3)
         with pytest.raises(ValueError, match="epsilon must be > 0"):
-            extract_all(toy, model, listed, user_similarity_matrix(toy),
+            extract_all(toy, model, listed,
+                        centralities(user_similarity_matrix(toy)),
                         FeatureConfig(epsilon=-0.5))
 
 
@@ -593,7 +597,8 @@ class TestBeta8Routes:
         monkeypatch.setattr(features, "item_distance_submatrix", refuse)
         for kind, reference in expected.items():
             cfg = FeatureConfig(item_distance=kind)
-            table = extract_all(ds, *feature_inputs(ds, cfg), cfg)
+            model, listed, sims = feature_inputs(ds, cfg)
+            table = extract_all(ds, model, listed, centralities(sims), cfg)
             assert_same_bits(table.values, reference)
 
     @pytest.mark.parametrize("grade,top", [("continuous", 5.0),
@@ -645,7 +650,7 @@ class TestFeatureMemory:
                 tracemalloc.stop()
 
         def batched():
-            extract_all(ds, model, listed, sims, cfg)
+            extract_all(ds, model, listed, centralities(sims), cfg)
 
         # a first call imports modules lazily (np.unique loads numpy.ma),
         # which both routes would otherwise count
@@ -705,7 +710,8 @@ class TestCentroidColumn:
     def column(ds, kind):
         cfg = FeatureConfig(similarity=kind, epsilon=0.5)
         model, listed, sims = feature_inputs(ds, cfg, k=1, l=1)
-        return extract_all(ds, model, listed, sims, cfg).values[:, 6]
+        return extract_all(ds, model, listed, centralities(sims),
+                           cfg).values[:, 6]
 
     @staticmethod
     def reference(ds, kind):
@@ -745,7 +751,7 @@ class TestCentroidColumn:
         cfg = FeatureConfig(epsilon=0.5)
         model, listed, sims = feature_inputs(toy, cfg)
         with pytest.raises(ValueError, match="unknown similarity"):
-            extract_all(toy, model, listed, sims,
+            extract_all(toy, model, listed, centralities(sims),
                         FeatureConfig(similarity="foo", epsilon=0.5))
 
 

@@ -1,6 +1,10 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+the leave-one-out stages import nothing lazily."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,31 @@ def test_kept_names_are_still_imported_unused():
     for name, kept in KEPT:
         source = (MODULES[0].parent / name).read_text("utf-8")
         assert kept in unused_imports(source)
+
+
+# A stage's traced allocation peak counts the modules it imports: the first
+# np.unique, np.quantile or np.median imports numpy.ma (about 1 MB).
+LAZY_IMPORT_RUN = """
+import sys
+from recinfluence.cli import main
+rows = [f"u{u},i{(u * 7 + j * 3) % 40},{(u + j) % 5 + 1}"
+        for u in range(30) for j in range(6)]
+with open("ratings.csv", "w") as fh:
+    fh.write("\\n".join(rows) + "\\n")
+assert main(["ingest", "--input", "ratings.csv", "--format", "csv"]) == 0
+for algo in (["--algo", "knn", "--k", "5"],
+             ["--algo", "nmf", "--factors", "3", "--iters", "5"]):
+    assert main(["influence", "--dataset", "dataset.tsv", *algo, "--l", "3",
+                 "--top-k", "3,10"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_leave_one_out_stages_do_not_import_numpy_ma(tmp_path):
+    src = str(Path(recinfluence.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", LAZY_IMPORT_RUN], cwd=tmp_path,
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=300)
+    assert run.stdout.splitlines()[-1] == "False"

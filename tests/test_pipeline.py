@@ -4,7 +4,8 @@ import numpy as np
 
 from recinfluence.analysis import (centrality_dispersion, mds_embed,
                                    segment_by_influence)
-from recinfluence.features import FeatureConfig, extract_all
+from recinfluence.features import (FeatureConfig, centralities,
+                                   extract_all)
 from recinfluence.influence import influence_all
 from recinfluence.predictor import export_boundaries, fit_tree, predict_tree
 from recinfluence.recommender import ModelConfig, top_lists, train_knn
@@ -39,7 +40,8 @@ def test_neighborhood_membership_tracks_knn_influence_best():
     report = influence_all(ds, cfg, 10)
     model = train_knn(ds, 5)
     listed, _ = top_lists(model, 10)
-    table = extract_all(ds, model, listed, user_similarity_matrix(ds),
+    table = extract_all(ds, model, listed,
+                        centralities(user_similarity_matrix(ds)),
                         FeatureConfig())
     corrs = [spearman(table.values[:, j], report.influence)
              for j in range(8)]
@@ -53,7 +55,8 @@ def test_full_stage_chain_is_consistent():
     report = influence_all(ds, cfg, 5)
     model = train_knn(ds, 4)
     listed, _ = top_lists(model, 5)
-    table = extract_all(ds, model, listed, user_similarity_matrix(ds),
+    table = extract_all(ds, model, listed,
+                        centralities(user_similarity_matrix(ds)),
                         FeatureConfig())
     tree = fit_tree(table.values, report.influence,
                     max_depth=6, min_samples_leaf=2)

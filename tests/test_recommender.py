@@ -11,7 +11,7 @@ from recinfluence.recommender import (ModelConfig, TrainingError,
                                       continue_nmf, evaluate, predict_knn,
                                       recommend, top_items, train_knn,
                                       train_nmf, train_test_split)
-from recinfluence import recommender, similarity
+from recinfluence import influence, recommender, similarity
 from recinfluence.artifacts import save_model
 from recinfluence.similarity import user_similarity_matrix
 
@@ -424,6 +424,26 @@ class TestTrainKnn:
             for ext in (".json", ".tsv"):
                 assert (tmp_path / f"given{ext}").read_bytes() == \
                     (tmp_path / f"own{ext}").read_bytes()
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_knn_k_below_one_refused_before_any_similarity_pass(
+            self, monkeypatch, toy, k):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return user_similarity_matrix(*args, **kwargs)
+
+        for module in (similarity, recommender, influence):
+            monkeypatch.setattr(module, "user_similarity_matrix", spy)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            influence.influence_all(toy, ModelConfig("knn", k=k), 2)
+        assert calls == []
+
+    def test_nmf_keeps_any_k(self):
+        assert ModelConfig("nmf", k=0).to_dict()["algorithm"] == "nmf"
 
 
 class TestPredictKnn:
