@@ -87,15 +87,28 @@ def _one_blas_thread():
 
 @_one_blas_thread()
 def classical_mds(dist: np.ndarray, n_dims: int = 2) -> np.ndarray:
-    """Torgerson embedding of a symmetric distance matrix."""
+    """Torgerson embedding of a symmetric distance matrix.
+
+    The doubly centered matrix -0.5 * j @ (dist * dist) @ j, with j the
+    centering matrix, is formed in three (n, n) buffers, which are freed
+    but for the result before ``eigh``. Each scaling of j is by a power
+    of two, so every bit is that of the formula with fresh temporaries.
+    """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
     if not np.isfinite(dist).all():
         raise ValueError("distance matrix contains non-finite entries")
     n = dist.shape[0]
-    j = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * j @ (dist * dist) @ j
+    # eye(n) - full(1 / n), bit for bit
+    j = np.full((n, n), -1.0 / n)
+    j.flat[::n + 1] += 1.0
+    j *= -0.5
+    b = dist * dist
+    half = j @ b
+    j *= -2.0
+    np.matmul(half, j, out=b)
+    del j, half
     evals, evecs = np.linalg.eigh(b)
     order = np.argsort(evals)[::-1][:n_dims]
     lams = np.maximum(evals[order], 0.0)

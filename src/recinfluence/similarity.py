@@ -25,7 +25,11 @@ product through the same ratio and clip. The sums are formed three ways:
   sums of squares, exact there too. Every score is bitwise symmetric in
   its two rows (the arithmetic after the sums only multiplies commuting
   pairs), so only the blocks on or above the diagonal are formed and each
-  is mirrored. No float64 n x m array is made on this path. Half-star and
+  is mirrored. Pearson keeps two n x m operands, h and the mask: a first
+  pass writes every pair's sum of squares into the output, row block by
+  row block, and each upper-triangle block reads both of its pairs' sums
+  of squares from there before it writes its scores over them. No float64
+  n x m array is made on this path. Half-star and
   implicit ratings take it. Any other ratings (continuous, or past the
   bound) build the float64 ratings once (``RatingsDataset.ratings``) and
   take ``_similarity_loop``, the tests' reference, which reduces each
@@ -56,10 +60,10 @@ SHRINK_COUNT = 50
 _DEGENERATE = 1e-12
 # Users per block of matrix products: max(_BLOCK, m // _BLOCK_ITEMS) for
 # m items. A block holds about a dozen float64 (rows x n) temporaries,
-# against the n x m operands' 12 bytes an entry (float32 mask, h and
-# h * h; 4 for cosine's h), so these stay within about a quarter of
-# the operands. At 120 x 240, 16-row blocks keep the allocation peak below
-# the row loop's and 32-row blocks do not. Fewer rows cost BLAS speed: on
+# against the n x m operands' 8 bytes an entry (float32 mask and h; 4
+# for cosine's h), so these stay within about three eighths of the
+# operands. At 120 x 240, 16-row blocks kept the allocation peak below
+# the row loop's and 32-row blocks did not. Fewer rows cost BLAS speed: on
 # one OpenBLAS thread of a 2-vCPU Intel Xeon VM, a 1500 x 2000 float32
 # upper-triangle Pearson matrix took 1.2-1.4 s with 16-row blocks and
 # 0.52-0.57 s with 62-row blocks.
@@ -200,20 +204,25 @@ def _similarity_blocks(kind: str, ds: RatingsDataset, shrink: int | None,
                                     minlength=n))
     sims = np.empty((n, n))
     h = _doubled(ds, dtype)
+    step = max(_BLOCK, ds.n_items // _BLOCK_ITEMS)
     if pearson:
         ones = np.zeros(h.shape, dtype=dtype)
         ones[ds.user_idx, ds.item_idx] = 1
-        h2 = h * h
-    step = max(_BLOCK, ds.n_items // _BLOCK_ITEMS)
+        # every pair's suu, row block by row block, so no h * h operand is
+        # kept; svv[u, v] is suu[v, u]. A block below reads rows and
+        # columns from its own start on, which no earlier block wrote.
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            np.multiply((h[rows] * h[rows]) @ ones.T, 0.25, out=sims[rows],
+                        dtype=np.float64)
     for lo in range(0, n, step):
         rows, cols = slice(lo, lo + step), slice(lo, None)
         if pearson:
-            m_t, h_t, h2_t = ones[cols].T, h[cols].T, h2[cols].T
+            m_t, h_t = ones[cols].T, h[cols].T
             sums = (np.asarray(ones[rows] @ m_t, dtype=np.float64),
                     np.multiply(h[rows] @ m_t, 0.5, dtype=np.float64),
                     np.multiply(ones[rows] @ h_t, 0.5, dtype=np.float64),
-                    np.multiply(h2[rows] @ m_t, 0.25, dtype=np.float64),
-                    np.multiply(ones[rows] @ h2_t, 0.25, dtype=np.float64),
+                    sims[rows, cols], sims[cols, rows].T,
                     np.multiply(h[rows] @ h_t, 0.25, dtype=np.float64))
         else:
             sums = (np.multiply(h[rows] @ h[cols].T, 0.25, dtype=np.float64),

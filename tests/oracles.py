@@ -394,3 +394,12 @@ def smacof_refine(coords, dist, n_iters=200):
         bmat[np.arange(n), np.arange(n)] = ratio.sum(axis=1)
         x = bmat @ x / n
     return x - x.mean(axis=0)
+
+
+def centered_squares(dist):
+    """The doubly centered squared distances of classical MDS, in the one
+    line first written: -0.5 * j @ (dist * dist) @ j with fresh temporaries,
+    j = eye - 1/n."""
+    n = dist.shape[0]
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    return -0.5 * j @ (dist * dist) @ j

@@ -363,6 +363,49 @@ class TestMdsWorkspaces:
         assert peak <= 3 * n * n * 8
 
 
+class TestClassicalMdsBuffers:
+    """``classical_mds`` forms its centered matrix in three (n, n) buffers,
+    with the bits of the one-line formula ``oracles`` keeps."""
+
+    @staticmethod
+    def distances(name):
+        rng = np.random.default_rng(len(name))
+        if name == "zeros":
+            return np.zeros((6, 6))
+        if name == "users":
+            return user_distance_matrix(random_dataset(70, 90, 0.1, seed=2))
+        n = int(name)
+        return oracles.pairwise_euclidean(rng.standard_normal((n, 4)))
+
+    @pytest.mark.parametrize("name", ["1", "2", "5", "64", "300", "zeros",
+                                      "users"])
+    def test_bits_of_the_one_line_formula(self, name, monkeypatch):
+        dist = self.distances(name)
+        with analysis._one_blas_thread():
+            want = oracles.centered_squares(dist)
+        seen, real = [], np.linalg.eigh
+
+        def eigh(b):
+            seen.append(b.copy())
+            return real(b)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        classical_mds(dist)
+        assert len(seen) == 1 and same_bits(seen[0], want)
+
+    def test_peak_within_three_square_buffers(self):
+        n = 300
+        dist = self.distances("300")
+        classical_mds(dist)
+        tracemalloc.start()
+        try:
+            classical_mds(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * n * n * 8
+
+
 class TestBlasPin:
     @staticmethod
     def fake_blas(monkeypatch, count):

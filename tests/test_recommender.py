@@ -179,6 +179,21 @@ class TestSimilarity:
         ds = _grid_dataset(40, 70, 0.15, 2, HALF_STARS)
         assert user_similarity_matrix(ds, kind=kind).shape == (40, 40)
 
+    def test_pearson_products_keep_two_operands(self, monkeypatch):
+        # blocks of 8 rows keep each block's scratch small beside the
+        # n x m float32 operands, h and the mask; a third, h * h, fails
+        monkeypatch.setattr(similarity, "_BLOCK", 8)
+        monkeypatch.setattr(similarity, "_BLOCK_ITEMS", 10 ** 9)
+        n, m = 300, 3000
+        ds = random_dataset(n, m, 0.02, seed=1)
+        tracemalloc.start()
+        try:
+            user_similarity_matrix(ds, kind="pearson")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 + 2.5 * n * m * 4
+
     @pytest.mark.parametrize("kind", ["pearson", "cosine"])
     def test_products_allocate_no_more_than_row_loop(self, kind,
                                                      monkeypatch):
@@ -396,6 +411,38 @@ class TestTrainKnn:
     def test_invalid_k(self, toy):
         with pytest.raises(ValueError):
             train_knn(toy, 0)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 4), (5, 5, 1), (25,)])
+    def test_sim_matrix_of_wrong_shape_refused(self, toy, shape):
+        with pytest.raises(ValueError, match="sim_matrix"):
+            train_knn(toy, 2, sim_matrix=np.zeros(shape))
+
+    @pytest.mark.parametrize("with_order", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sim_matrix_refused(self, toy, bad, with_order):
+        sims = user_similarity_matrix(toy)
+        order = recommender._neighbor_order(sims, 3) if with_order else None
+        sims[3, 1] = bad
+        with pytest.raises(ValueError, match="sim_matrix"):
+            train_knn(toy, 2, sim_matrix=sims, order=order)
+
+    @pytest.mark.parametrize("k,rows,cols", [
+        (2, 4, 3), (2, 6, 3), (3, 5, 2), (9, 5, 3), (1, 5, 0)])
+    def test_order_of_wrong_shape_refused(self, toy, k, rows, cols):
+        # k = 9 needs all n - 1 = 4 columns
+        sims = user_similarity_matrix(toy)
+        order = recommender._neighbor_order(sims, 4)
+        order = np.resize(order, (rows, cols))
+        with pytest.raises(ValueError, match="order"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            train_knn(toy, k, sim_matrix=sims, order=order)
+
+    def test_one_dimensional_order_refused(self, toy):
+        sims = user_similarity_matrix(toy)
+        with pytest.raises(ValueError, match="order"):
+            train_knn(toy, 1, sim_matrix=sims,
+                      order=recommender._neighbor_order(sims, 1).ravel())
 
     @pytest.mark.parametrize("kind", ["pearson", "cosine"])
     @pytest.mark.parametrize("name", sorted(_TIE_DATASETS))
@@ -919,11 +966,60 @@ class TestNeighborOrderMatchesLexsort:
             sim[1] = 0.0            # one row tied throughout
             sim[2] = -0.0
             sim[2, ::2] = 0.0       # and one with the two zeros interleaved
-        for depth in sorted({1, max(1, (n - 1) // 2), max(1, n - 1)}):
+        for depth in sorted({1, max(1, (n - 1) // 2), max(1, n - 1), n,
+                             n + 5}):
             got = recommender._neighbor_order(sim, depth)
             want = oracles.neighbor_order_lexsort(sim, depth)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_many_blocks(self, rows_per_block, monkeypatch):
+        n = 10
+        monkeypatch.setattr(recommender, "_ORDER_BYTES",
+                            rows_per_block * 8 * n)
+        sim = np.random.default_rng(rows_per_block).choice(
+            [-0.5, -0.0, 0.0, 1.0], size=(n, n))
+        for depth in (1, 4, n - 1):
+            assert np.array_equal(recommender._neighbor_order(sim, depth),
+                                  oracles.neighbor_order_lexsort(sim, depth))
+
+    @pytest.mark.parametrize("depth", range(1, 12))
+    def test_cut_inside_signed_zero_ties(self, depth):
+        # every row: two above the zeros, a run of interleaved -0.0 and 0.0
+        # (self among them), two below, so most depths cut inside the run
+        n = 12
+        rng = np.random.default_rng(depth)
+        sim = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+        for u in range(n):
+            others = rng.permutation(np.delete(np.arange(n), u))
+            sim[u, others[:2]] = (0.75, 0.25)
+            sim[u, others[-2:]] = (-0.25, -0.75)
+        assert np.array_equal(recommender._neighbor_order(sim, depth),
+                              oracles.neighbor_order_lexsort(sim, depth))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (2, 2), (8, 3)])
+    def test_non_finite_refused(self, bad, where, monkeypatch):
+        # the (8, 3) entry lies in the last of three blocks
+        monkeypatch.setattr(recommender, "_ORDER_BYTES", 3 * 8 * 9)
+        sim = np.zeros((9, 9))
+        sim[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            recommender._neighbor_order(sim, 3)
+
+    def test_peak_within_a_few_blocks(self):
+        n, depth = 2000, 21
+        sim = np.random.default_rng(0).standard_normal((n, n))
+        tracemalloc.start()
+        try:
+            recommender._neighbor_order(sim, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, depth) order and a block's scratch; one full sort of the
+        # matrix holds two n x n arrays
+        assert peak <= n * depth * 8 + 4 * recommender._ORDER_BYTES
 
     def test_similarity_matrices(self):
         for seed in range(5):
