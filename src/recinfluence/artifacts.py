@@ -8,13 +8,12 @@ resolved run configuration and a content hash of the input dataset.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .data import RatingsDataset, _dump_text
+from .data import RatingsDataset, _dump_digest
 from .influence import GroupInfluenceCurve, InfluenceReport
 from .features import FEATURE_NAMES, FeatureTable
 from .predictor import RegressionTree
@@ -50,12 +49,10 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, rows[1:]
 
 
-def dataset_hash(ds: RatingsDataset, text: str | None = None) -> str:
-    """Content hash over the canonical dump that ``save_dataset`` writes;
-    ``text`` is that dump when the caller has already built it."""
-    if text is None:
-        text = _dump_text(ds)
-    return hashlib.sha256(text.encode()).hexdigest()
+def dataset_hash(ds: RatingsDataset) -> str:
+    """Content hash over the canonical dump that ``save_dataset`` writes,
+    formatted and hashed in blocks of ratings."""
+    return _dump_digest(ds)
 
 
 def write_sidecar(artifact_path, config: dict, ds_hash: str,

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, artifacts, features, influence, predictor
-from .data import (FORMATS, ITEM_SAMPLE_MODES, DatasetError, _dump_text,
+from .data import (FORMATS, ITEM_SAMPLE_MODES, DatasetError, _save_dataset,
                    compute_stats, load_dataset, load_ratings, sample_items,
-                   sample_users, save_dataset)
+                   sample_users)
 # top_items is unused here but stays bound: the benchmark's tracer test
 # checks that every binding of it is wrapped
 from .recommender import (ModelConfig, TrainingError, top_items, top_lists,
@@ -211,11 +211,11 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
     if cfg["data.sample_items"]:
         ds = sample_items(ds, cfg["data.sample_items"],
                           mode=cfg["data.item_sample_mode"], seed=cfg["seed"])
-    text = _dump_text(ds)
-    path = save_dataset(ds, out / "dataset.tsv", text)
+    path = out / "dataset.tsv"
+    # the dump is formatted once, and hashed as it is written
+    ds_hash = _save_dataset(ds, path)
     stats = compute_stats(ds)
-    artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds, text),
-                            {"stats": stats.to_dict()})
+    artifacts.write_sidecar(path, cfg, ds_hash, {"stats": stats.to_dict()})
     print(f"ingested {stats.n_ratings} ratings: {stats.n_users} users x "
           f"{stats.n_items} items, sparsity {stats.sparsity:.4f}")
     return 0
@@ -403,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--out-dir")
     common.add_argument("--workers", type=int,
-                        help="accepted for compatibility; has no effect")
+                        help="at least 1; accepted for compatibility, "
+                             "removals run serially")
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--algo", choices=("knn", "nmf"))
@@ -493,6 +494,8 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         cfg = resolve_config(args)
+        if args.workers is not None and args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         return command(args, cfg, out)

@@ -12,6 +12,7 @@ audit on half-star data never holds them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -367,29 +368,44 @@ def drop_user(ds: RatingsDataset, u: int) -> RatingsDataset:
                      np.arange(ds.n_items))
 
 
-def _dump_text(ds: RatingsDataset) -> str:
-    """The canonical dump text, one line per rating in (user, item) order.
+# Ratings formatted at a time when the dump is written or hashed, so no
+# stage holds the whole dump text (171 MiB at ML-1M shape, 12 MiB in blocks).
+_DUMP_BLOCK = 65536
+
+
+def _dump_blocks(ds: RatingsDataset):
+    """The canonical dump as encoded blocks of ``_DUMP_BLOCK`` ratings, one
+    line per rating in (user, item) order.
 
     Each line holds the user index, the item index and the ``repr`` of the
     rating, separated by tabs. The values are formatted as the Python ints
     and floats ``tolist`` gives, which print as their numpy scalars do.
     """
-    return "".join(f"{u}\t{i}\t{v!r}\n"
-                   for u, i, v in zip(ds.user_idx.tolist(),
-                                      ds.item_idx.tolist(),
-                                      ds.values.tolist()))
+    for lo in range(0, ds.n_ratings, _DUMP_BLOCK):
+        part = slice(lo, lo + _DUMP_BLOCK)
+        yield "".join(f"{u}\t{i}\t{v!r}\n"
+                      for u, i, v in zip(ds.user_idx[part].tolist(),
+                                         ds.item_idx[part].tolist(),
+                                         ds.values[part].tolist())).encode()
 
 
-def save_dataset(ds: RatingsDataset, tsv_path,
-                 text: str | None = None) -> Path:
-    """Write the canonical 3-column dump plus its JSON sidecar.
+def _dump_digest(ds: RatingsDataset, fh=None) -> str:
+    """SHA-256 hex digest of the canonical dump, formatted block by block;
+    each block is also written to the binary file ``fh`` when given."""
+    digest = hashlib.sha256()
+    for block in _dump_blocks(ds):
+        digest.update(block)
+        if fh is not None:
+            fh.write(block)
+    return digest.hexdigest()
 
-    ``text`` is ``_dump_text(ds)`` when the caller has already built it.
-    """
+
+def _save_dataset(ds: RatingsDataset, tsv_path) -> str:
+    """``save_dataset``, returning the dump's digest, which it takes from
+    the blocks it writes."""
     tsv_path = Path(tsv_path)
-    if text is None:
-        text = _dump_text(ds)
-    tsv_path.write_text(text, encoding="utf-8")
+    with open(tsv_path, "wb") as fh:
+        digest = _dump_digest(ds, fh)
     sidecar = {
         "user_ids": list(ds.user_ids),
         "item_ids": list(ds.item_ids),
@@ -400,7 +416,13 @@ def save_dataset(ds: RatingsDataset, tsv_path,
     side_path = tsv_path.with_suffix(".json")
     side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n",
                          encoding="utf-8")
-    return tsv_path
+    return digest
+
+
+def save_dataset(ds: RatingsDataset, tsv_path) -> Path:
+    """Write the canonical 3-column dump plus its JSON sidecar."""
+    _save_dataset(ds, tsv_path)
+    return Path(tsv_path)
 
 
 def _dump_table(tsv_path):

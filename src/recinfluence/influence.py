@@ -10,8 +10,9 @@ nothing: the engine derives the reduced model's neighbors and item means
 from the full data, rebuilds only the lists the removal can change, and
 gives every other list distance 0, which is exact because its reduced list
 equals its full list. The two routes agree bit for bit. Each removal runs
-once: its per-user distance row is kept, and group curves read those rows
-instead of retraining.
+once: the Jaccard counts of its per-user row, each list pair's intersection
+and union, are kept as small unsigned integers, and group curves rebuild
+their float rows from them instead of retraining.
 
 Scoring is the model layer's: every list is scored by a model's
 ``score_rows``, or for a neighborhood removal by ``recommender._blend``,
@@ -45,16 +46,24 @@ def jaccard_distance(a, b) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InfluenceReport:
-    """Per-user influence scores plus the run's provenance."""
+    """Per-user influence scores plus the run's provenance.
+
+    Each removal's distance row is kept as its Jaccard counts: ``inter[u,
+    v]`` and ``union[u, v]`` are the sizes of the intersection and union of
+    v's top-l lists with and without u. Both are at most 2l, so they are
+    held as ``np.min_scalar_type(2 * l)`` (uint8 up to l = 127, uint16
+    above), and ``row(u)`` gives back the float row bit for bit. A row of
+    a failed removal, and each entry whose list the removal left unchanged,
+    holds 0/0.
+    """
 
     config: ModelConfig
     l: int
     influence: np.ndarray          # (n,), NaN where the removal job failed
     ranking: np.ndarray            # all users, influence desc, index asc
     failures: tuple[int, ...]
-    # (n, n): row u holds each user's list distance after removing u, NaN
-    # where that removal failed
-    distances: np.ndarray
+    inter: np.ndarray              # (n, n) unsigned Jaccard counts
+    union: np.ndarray
     # top-l lists the removals rebuilt, and the NMF iterations and early
     # stops of their retrains; kept out of to_meta so artifacts stay free
     # of run statistics
@@ -65,6 +74,14 @@ class InfluenceReport:
     @property
     def n_users(self) -> int:
         return len(self.influence)
+
+    def row(self, u: int) -> np.ndarray:
+        """Jaccard distance of each user's list after removing u, the row
+        ``LeaveOneOutEngine.distances_without(u)`` returned; NaN throughout
+        when that removal failed."""
+        if u in self.failures:
+            return np.full(self.n_users, np.nan)
+        return _jaccard_rows(self.inter[u], self.union[u])
 
     def to_meta(self) -> dict:
         return {"model": self.config.to_dict(), "l": self.l,
@@ -85,15 +102,14 @@ def _rank_users(influence: np.ndarray) -> np.ndarray:
     return np.argsort(-influence, kind="stable")
 
 
-def _jaccard_rows(a, b) -> np.ndarray:
-    """``jaccard_distance`` of each row pair of two list indicators.
+def _jaccard_rows(inter, union) -> np.ndarray:
+    """``jaccard_distance`` from the intersection and union counts of list
+    pairs, as float64; 0/0 (two empty lists) gives 0.
 
-    Counts are small exact integers, so each quotient is the float the set
-    formula gives.
+    Counts are small exact integers of any width, so each quotient is the
+    float the set formula gives.
     """
-    inter = np.count_nonzero(a & b, axis=1)
-    union = np.count_nonzero(a | b, axis=1)
-    return 1.0 - np.divide(inter, union, out=np.ones(len(a)),
+    return 1.0 - np.divide(inter, union, out=np.ones(np.shape(inter)),
                            where=union > 0)
 
 
@@ -138,9 +154,11 @@ class LeaveOneOutEngine:
 
     Lists are built in chunks of rows: each chunk is scored into one
     buffer, ranked by ``recommender._top_lists`` and compared with the full
-    lists by integer Jaccard counts. ``lists_rebuilt`` counts the lists
-    rebuilt by removals so far, ``nmf_iters`` and ``nmf_early_stops`` the
-    iterations and early stops of the retrains that finished.
+    lists by integer Jaccard counts, each list pair's intersection and union
+    (``_jaccard_rows`` turns them into distances). ``lists_rebuilt`` counts
+    the lists rebuilt by removals so far, ``nmf_iters`` and
+    ``nmf_early_stops`` the iterations and early stops of the retrains that
+    finished.
     """
 
     def __init__(self, ds: RatingsDataset, config: ModelConfig, l: int,
@@ -230,11 +248,14 @@ class LeaveOneOutEngine:
         self.nmf_early_stops += int(iters < model.n_iters)
         return model
 
-    def distances_without(self, u: int) -> np.ndarray:
+    def distances_without(self, u: int, counts=None) -> np.ndarray:
         """Jaccard distance of each other user's list after removing u.
 
         Entry v is the distance for original user v; entry u is 0, as is
         every entry of a user whose list the removal cannot change.
+        ``counts``, a (2, n) unsigned array able to hold 2l, receives each
+        entry's intersection and union; entries whose list is not rebuilt
+        hold 0/0.
         """
         ds = self.ds
         if ds.n_users < 2:
@@ -257,12 +278,17 @@ class LeaveOneOutEngine:
 
             def score(chunk, out):
                 model.score_rows(chunk - (chunk > u), out)
-        dists = np.zeros(ds.n_users)
+        if counts is None:
+            counts = np.zeros((2, ds.n_users), np.min_scalar_type(2 * self.l))
+        counts[:] = 0
+        inter, union = counts
         for chunk, lists, _ in _list_chunks(ds, rows, score, live,
                                             self.l):
-            dists[chunk] = _jaccard_rows(lists, self.full_lists[chunk])
+            full = self.full_lists[chunk]
+            inter[chunk] = np.count_nonzero(lists & full, axis=1)
+            union[chunk] = np.count_nonzero(lists | full, axis=1)
         self.lists_rebuilt += len(rows)
-        return dists
+        return _jaccard_rows(inter, union)
 
 
 def _retrained(ds: RatingsDataset, config: ModelConfig, u: int):
@@ -298,29 +324,33 @@ def influence_all(ds: RatingsDataset, config: ModelConfig, l: int,
                   warm_iters: int = 20) -> InfluenceReport:
     """Influence of every user, one removal after another.
 
-    Each removal's distance row is kept in the report, so group curves need
-    no further retraining. A failed removal (diverging retrain) marks that
-    user's influence and row NaN instead of aborting the batch.
+    Each removal's row is kept in the report as two (n,) rows of Jaccard
+    counts (see ``InfluenceReport``; 2 x n^2 bytes in all for l <= 127), so
+    group curves need no further retraining. A failed removal (diverging
+    retrain) marks that user's influence and row NaN instead of aborting
+    the batch. Each influence is the sum over the removal's full n-length
+    float row.
     """
     engine = LeaveOneOutEngine(ds, config, l, warm_start=warm_start,
                                warm_iters=warm_iters)
     n = ds.n_users
     influence = np.full(n, np.nan)
-    distances = np.full((n, n), np.nan)
+    counts = np.zeros((2, n, n), np.min_scalar_type(2 * l))
+    inter, union = counts
     failures = []
     for u in range(n):
         try:
-            row = engine.distances_without(u)
+            row = engine.distances_without(u, counts[:, u])
         except TrainingError:
             failures.append(u)
             continue
-        distances[u] = row
         influence[u] = float(np.sum(row))
-    influence.flags.writeable = False
-    distances.flags.writeable = False
+    for array in (influence, inter, union):
+        array.flags.writeable = False
     return InfluenceReport(config, l, influence, _rank_users(influence),
-                           tuple(failures), distances, engine.lists_rebuilt,
-                           engine.nmf_iters, engine.nmf_early_stops)
+                           tuple(failures), inter, union,
+                           engine.lists_rebuilt, engine.nmf_iters,
+                           engine.nmf_early_stops)
 
 
 def group_influence(report: InfluenceReport, top_k: int,
@@ -329,7 +359,8 @@ def group_influence(report: InfluenceReport, top_k: int,
 
     A user v counts (once) when at least one top user's removal moves v's
     list by Jaccard distance >= theta; the fraction is over all users. The
-    distances are the rows ``influence_all`` stored in the report.
+    distances are ``report.row(u)``, rebuilt from the counts
+    ``influence_all`` stored.
     """
     n = report.n_users
     if not 1 <= top_k <= n:
@@ -341,7 +372,7 @@ def group_influence(report: InfluenceReport, top_k: int,
                             f"users {failed}")
     best = np.zeros(n)
     for u in top:
-        np.maximum(best, report.distances[u], out=best)
+        np.maximum(best, report.row(u), out=best)
     fractions = tuple(float(np.count_nonzero(best >= theta) / n)
                       for theta in thresholds)
     return GroupInfluenceCurve(top_k, tuple(float(t) for t in thresholds),

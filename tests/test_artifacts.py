@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from recinfluence import artifacts
+from recinfluence import artifacts, data
 from recinfluence.data import load_dataset, save_dataset
 from recinfluence.influence import influence_all
 from recinfluence.recommender import (ModelConfig, continue_nmf, recommend,
@@ -99,10 +99,22 @@ class TestCsvFormats:
         assert path.read_bytes() == old.encode()
         digest = hashlib.sha256(old.encode()).hexdigest()
         assert artifacts.dataset_hash(ds) == digest
-        assert artifacts.dataset_hash(ds, old) == digest
         reread = load_dataset(path)
         assert np.array_equal(reread.values.view(np.int64),
                               ds.values.view(np.int64))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 600, 65536])
+    def test_blocks_join_to_the_whole_dump(self, tmp_path, monkeypatch,
+                                           block):
+        ds = random_dataset(30, 50, 0.2, seed=9)
+        whole = "".join(f"{u}\t{i}\t{v!r}\n"
+                        for u, i, v in zip(ds.user_idx.tolist(),
+                                           ds.item_idx.tolist(),
+                                           ds.values.tolist())).encode()
+        monkeypatch.setattr(data, "_DUMP_BLOCK", block)
+        path = save_dataset(ds, tmp_path / "d.tsv")
+        assert path.read_bytes() == whole
+        assert artifacts.dataset_hash(ds) == hashlib.sha256(whole).hexdigest()
 
     def test_tree_json_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

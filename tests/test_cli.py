@@ -63,18 +63,23 @@ class TestIngest:
         assert "sparsity 0.5" in capsys.readouterr().out
 
     def test_builds_the_dump_text_once(self, tmp_path, monkeypatch):
-        from recinfluence import cli, data
-        calls = []
-        real = data._dump_text
+        from recinfluence import data
+        calls, lines = [], []
+        real = data._dump_blocks
 
         def counting(ds):
             calls.append(ds)
-            return real(ds)
+            for block in real(ds):
+                lines.extend(block.splitlines())
+                yield block
 
-        for module in (cli, data, artifacts):
-            monkeypatch.setattr(module, "_dump_text", counting)
+        # 15 ratings in blocks of 4: each is formatted once, written and
+        # hashed in the same pass
+        monkeypatch.setattr(data, "_DUMP_BLOCK", 4)
+        monkeypatch.setattr(data, "_dump_blocks", counting)
         out = ingest_toy(tmp_path)
         assert len(calls) == 1
+        assert len(lines) == 15
         meta = json.loads((out / "dataset.tsv.meta.json").read_text())
         assert meta["dataset_sha256"] == hashlib.sha256(
             (out / "dataset.tsv").read_bytes()).hexdigest()
@@ -1037,6 +1042,19 @@ class TestGroupOptionsCheckedFirst:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "influence.csv").exists()
         assert not (out / "influence.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["influence", "features"])
+    def test_workers_below_one_exits_2_before_reading_data(
+            self, tmp_path, capsys, no_work, command, workers):
+        out = ingest_toy(tmp_path)
+        before = sorted(out.iterdir())
+        capsys.readouterr()
+        assert main([command, "--dataset", str(out / "dataset.tsv"),
+                     "--workers", workers, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: workers must be at least 1, got {workers}\n")
+        assert sorted(out.iterdir()) == before
 
     @pytest.mark.parametrize("command,option,message", STAGE_CASES,
                              ids=[f"{c[0]}{''.join(c[1])}"

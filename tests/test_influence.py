@@ -145,8 +145,10 @@ class TestInfluenceAll:
         assert np.isnan(report.influence[2])
         assert np.isfinite(np.delete(report.influence, 2)).all()
         assert report.ranking[-1] == 2
-        assert np.isnan(report.distances[2]).all()
-        assert np.isfinite(np.delete(report.distances, 2, axis=0)).all()
+        assert np.isnan(report.row(2)).all()
+        assert not report.inter[2].any() and not report.union[2].any()
+        for u in (0, 1, 3, 4):
+            assert np.isfinite(report.row(u)).all()
 
     def test_non_finite_objective_is_a_failure(self):
         # One rating just above sqrt(max float): its squared residual
@@ -243,7 +245,7 @@ class TestGroupInfluence:
         fresh = np.array([engine.distances_without(u)
                           for u in range(ds.n_users)])
         for u in range(ds.n_users):
-            assert np.array_equal(report.distances[u], fresh[u])
+            assert np.array_equal(report.row(u), fresh[u])
         thetas = (0.0, 0.1, 0.5, 0.9, 1.0)
         for top_k in (1, 2, 3, ds.n_users):
             best = fresh[report.ranking[:top_k]].max(axis=0)
@@ -258,6 +260,77 @@ class TestGroupInfluence:
         group_influence(report, toy.n_users - 1)   # failure ranks last
         with pytest.raises(TrainingError):
             group_influence(report, toy.n_users)
+
+
+def swap_dataset(l):
+    """v's only neighbor (k = 1) u alone rates 2l items, all at 5, which
+    fill v's top-l list; w rates 2l other items at 1. Removing u takes u's
+    items out of the candidates and makes w v's neighbor, so v's list is
+    replaced whole: intersection 0, union 2l."""
+    shared = [5.0, 4.0, 3.0, 2.0, 1.0]
+    rows = []
+    for user, pattern in (("v", shared), ("u", shared),
+                          ("w", [5.0, 4.0, 3.0, 1.0, 2.0])):
+        rows += [(user, f"s{j}", r) for j, r in enumerate(pattern)]
+    rows += [("u", f"a{j:03d}", 5.0) for j in range(2 * l)]
+    rows += [("w", f"b{j:03d}", 1.0) for j in range(2 * l)]
+    return build_dataset(rows)
+
+
+COUNT_CONFIGS = [
+    (KNN2, False),
+    (ModelConfig("knn", k=3, similarity="cosine"), False),
+    (ModelConfig("nmf", factors=3, seed=5, n_iters=30), False),
+    (ModelConfig("nmf", factors=3, seed=5, n_iters=30), True),
+]
+
+
+class TestCountLayout:
+    @pytest.mark.parametrize("cfg,warm", COUNT_CONFIGS,
+                             ids=["knn-pearson", "knn-cosine", "nmf",
+                                  "nmf-warm"])
+    def test_rows_equal_engine_rows(self, cfg, warm):
+        ds = random_dataset(24, 60, 0.15, seed=8)
+        report = influence_all(ds, cfg, 4, warm_start=warm, warm_iters=10)
+        engine = LeaveOneOutEngine(ds, cfg, 4, warm_start=warm,
+                                   warm_iters=10)
+        # stale counts in the buffer are overwritten, rebuilt or not
+        counts = np.full((2, ds.n_users), 7, np.uint8)
+        for u in range(ds.n_users):
+            row = engine.distances_without(u, counts)
+            assert np.array_equal(report.row(u).view(np.int64),
+                                  row.view(np.int64))
+            assert np.array_equal(counts[0], report.inter[u])
+            assert np.array_equal(counts[1], report.union[u])
+            assert report.influence[u] == np.sum(row)
+        assert report.inter.dtype == report.union.dtype == np.uint8
+
+    @pytest.mark.parametrize("l,dtype", [(127, np.uint8), (128, np.uint16)])
+    def test_rows_equal_engine_rows_at_the_dtype_edge(self, l, dtype):
+        ds = swap_dataset(l)
+        cfg = ModelConfig("knn", k=1)
+        report = influence_all(ds, cfg, l)
+        assert report.inter.dtype == report.union.dtype == dtype
+        v, u = ds.user_ids.index("v"), ds.user_ids.index("u")
+        assert report.inter[u, v] == 0
+        assert report.union[u, v] == 2 * l
+        assert report.row(u)[v] == 1.0
+        engine = LeaveOneOutEngine(ds, cfg, l)
+        for x in range(ds.n_users):
+            assert np.array_equal(report.row(x).view(np.int64),
+                                  engine.distances_without(x).view(np.int64))
+
+    @pytest.mark.parametrize("l", [3, 128])
+    def test_counts_take_two_n_squared_itemsize_bytes(self, l):
+        ds = random_dataset(20, 300, 0.2, seed=4)
+        report = influence_all(ds, ModelConfig("knn", k=3), l)
+        n, itemsize = ds.n_users, np.min_scalar_type(2 * l).itemsize
+        for counts in (report.inter, report.union):
+            assert counts.shape == (n, n)
+            assert counts.dtype.kind == "u"
+            assert not counts.flags.writeable
+        assert report.inter.nbytes + report.union.nbytes == \
+            2 * n * n * itemsize
 
 
 class TestPredictionShift:
@@ -363,7 +436,8 @@ class TestOneNeighborSort:
         engine = LeaveOneOutEngine(ds, cfg, 3)
         engine.distances_without(4)
         assert not hasattr(engine, "sim")
-        for obj in (engine, engine.full_model):
+        report = influence_all(ds, cfg, 3)
+        for obj in (engine, engine.full_model, report):
             for name, value in vars(obj).items():
                 if isinstance(value, np.ndarray):
                     assert not (value.shape == (n, n)
@@ -728,4 +802,10 @@ class TestOnePassParts:
         expected = [jaccard_distance(np.flatnonzero(x), np.flatnonzero(y))
                     for x, y in zip(a, b)]
         assert expected[:3] == [0.0, 1.0, 1.0]
-        assert np.array_equal(influence._jaccard_rows(a, b), expected)
+        inter = np.count_nonzero(a & b, axis=1)
+        union = np.count_nonzero(a | b, axis=1)
+        for dtype in (np.uint8, np.uint16, np.int64):
+            rows = influence._jaccard_rows(inter.astype(dtype),
+                                           union.astype(dtype))
+            assert rows.dtype == np.float64
+            assert np.array_equal(rows, expected)
