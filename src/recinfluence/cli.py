@@ -150,12 +150,16 @@ def feature_config(cfg: dict) -> features.FeatureConfig:
 
 
 def _numbers(cfg: dict, key: str, kind) -> tuple:
-    """The comma-separated numbers of ``cfg[key]``, each read by ``kind``."""
+    """The comma-separated numbers of ``cfg[key]``, each read by ``kind``;
+    a list with none is refused."""
     try:
-        return tuple(kind(tok) for tok in str(cfg[key]).split(",") if tok)
+        numbers = tuple(kind(tok) for tok in str(cfg[key]).split(",") if tok)
     except ValueError:
+        numbers = ()
+    if not numbers:
         raise ValueError(f"{key} expects comma-separated numbers, got "
-                         f"{cfg[key]!r}") from None
+                         f"{cfg[key]!r}")
+    return numbers
 
 
 _MODEL_KEYS = {"knn": ("knn.k", "knn.similarity"),

@@ -472,7 +472,12 @@ def load_dataset(tsv_path) -> RatingsDataset:
     ``DatasetError`` with its line number; empty lines are skipped.
     """
     tsv_path = Path(tsv_path)
-    side = json.loads(tsv_path.with_suffix(".json").read_text(encoding="utf-8"))
+    side_path = tsv_path.with_suffix(".json")
+    try:
+        side = json.loads(side_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DatasetError(f"{tsv_path}: no sidecar {side_path}; --dataset "
+                           "takes a dump written by ingest") from None
     try:
         idx, values = _dump_table(tsv_path)
     except ValueError:

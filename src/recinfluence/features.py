@@ -25,16 +25,12 @@ all users in whole-array passes that give the same bits:
   pairwise order as ``np.sum`` over one profile. beta7 pairs those rows
   with their item means in ``similarity._sums_against``, the row loop's
   sums, and scores them with ``similarity._scores``, as the reference does.
-- beta8 with item cosine, when every rating is a multiple of 0.5 and
-  n * max|2r|**2 < 2**24 (``similarity._exact_dtype`` gives float32),
-  slices one float32 Gram matrix h.T @ h of the doubled ratings h = 2r
-  (m * m * 4 bytes). Every partial sum is an integer below 2**24, so each
-  entry is exact whatever order or thread count BLAS uses, and 0.25 times
-  it is the float64 product the reference forms.
-  Other ratings take the reference per profile, whose columns come from
-  the raters of its items alone, so no n x m array is built.
-- beta8 with item Pearson scores every item pair once and looks up each
-  profile's pairs: a pair's value depends on its two columns alone.
+- beta8 looks up each profile's item pairs in
+  ``similarity._item_pair_scores``, which owns item cosine's float32 Gram
+  and item Pearson's m x m matrix; a pair's value depends on its two
+  columns alone. Where it gives none (item cosine off the half-star grid
+  or past the Gram's bound), beta8 is the reference per profile, whose
+  columns come from the raters of its items alone.
 """
 
 from __future__ import annotations
@@ -43,12 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset, _transposed
+from .data import RatingsDataset
 from .recommender import KnnModel, _row_chunks
-from .similarity import (SHRINK_COUNT, _doubled, _doubled_top, _exact_dtype,
-                         _scores, _similarity_loop, _similarity_rows,
-                         _sums_against, item_distance_submatrix,
-                         user_distance_matrix, user_similarity_matrix)
+from .similarity import (SHRINK_COUNT, _exact_dtype, _item_pair_scores,
+                         _scores, _similarity_loop, _sums_against,
+                         item_distance_submatrix, user_distance_matrix,
+                         user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
@@ -239,39 +235,22 @@ def _size_groups(ds: RatingsDataset):
         yield users, ds._user_ptr[users, None] + np.arange(t)
 
 
-def _cosine_gram(ds: RatingsDataset) -> np.ndarray | None:
-    """h.T @ h as float32 for the doubled ratings h = 2r, or None unless
-    every rating is a multiple of 0.5 and ``_exact_dtype`` gives float32
-    for n * max|h|**2: then the product is exact in any order, and 0.25
-    times an entry is the column product ``item_distance_submatrix`` forms.
-    """
-    top = _doubled_top(ds.values)
-    if top is None or _exact_dtype(ds.n_users * top * top) is not np.float32:
-        return None
-    h = _doubled(ds, np.float32)
-    return h.T @ h
-
-
 def _intra_profile_distances(ds: RatingsDataset,
                              item_distance: str) -> np.ndarray:
     """beta8 of every user, bit-identical to ``intra_profile_distance``.
 
-    Item cosine slices ``_cosine_gram`` when it exists, and is otherwise
-    the reference per user. Item Pearson scores all item pairs once; a
-    pair's value depends on its two columns alone, on either kernel path.
-    Profiles of one size t go together, about ``_BATCH_ENTRIES`` item
-    pairs at a time: row r of a batch holds user r's t(t-1)/2 pairs in
-    ``np.triu_indices`` order, one contiguous row that ``np.mean`` reduces
-    as it reduces the reference's upper triangle.
+    Each item pair is scored by ``similarity._item_pair_scores``, whose
+    value depends on the pair's two columns alone; where it gives none
+    (item cosine off the half-star grid or past its float32 bound) this is
+    the reference per user. Profiles of one size t go together, about
+    ``_BATCH_ENTRIES`` item pairs at a time: row r of a batch holds user
+    r's t(t-1)/2 pairs in ``np.triu_indices`` order, one contiguous row
+    that ``np.mean`` reduces as it reduces the reference's upper triangle.
     """
-    if item_distance == "cosine":
-        gram = _cosine_gram(ds)
-        if gram is None:
-            return np.array([intra_profile_distance(ds, u)
-                             for u in range(ds.n_users)])
-        norms = np.sqrt(np.diagonal(gram).astype(np.float64) * 0.25)
-    else:
-        sims = _similarity_rows(item_distance, _transposed(ds), shrink=None)
+    pair_scores = _item_pair_scores(ds, item_distance)
+    if pair_scores is None:
+        return np.array([intra_profile_distance(ds, u, item_distance)
+                         for u in range(ds.n_users)])
     out = np.zeros(ds.n_users)
     for users, pos in _size_groups(ds):
         t = pos.shape[1]
@@ -283,15 +262,10 @@ def _intra_profile_distances(ds: RatingsDataset,
             items = ds.item_idx[pos[lo:lo + step]]
             # np.take keeps each user's pairs in one contiguous row
             a, b = (np.take(items, side, axis=1) for side in upper)
-            if item_distance == "cosine":
-                num = gram[a, b].astype(np.float64)
-                num *= 0.25
-                scores = _scores("cosine", (num, norms[a] * norms[b]))
-            else:
-                scores = sims[a, b]
             # 1 - similarity, as similarity._distances gives it off the
             # diagonal
-            out[users[lo:lo + step]] = np.mean(1.0 - scores, axis=1)
+            out[users[lo:lo + step]] = np.mean(1.0 - pair_scores(a, b),
+                                               axis=1)
     return out
 
 
@@ -310,9 +284,8 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
     Each column is computed for all users at once and equals the one-user
     reference function's value bit for bit (see the module docstring).
     Beside the caller's arrays at most one n x n matrix is held at a time,
-    beta4's distances, and with item cosine on half-star ratings the m x m
-    float32 Gram (m * m * 4 bytes) is the largest buffer; item Pearson
-    holds an m x m float64 similarity matrix.
+    beta4's distances, and beta8 one m x m matrix: item cosine's float32
+    Gram on half-star ratings, or item Pearson's float64 similarities.
     """
     n = ds.n_users
     if listed.shape != (n, ds.n_items):

@@ -159,7 +159,23 @@ class RecommendationList:
     scores: tuple[float, ...]
 
 
-# Bytes of similarity rows one block of ``_neighbor_order`` negates and
+def _cut(scores: np.ndarray, d: int):
+    """The one selection rule of ``_neighbor_order`` and ``_top_lists``: the
+    (rows, m) bool mask of each row's entries above its d-th largest value
+    (1 <= d <= m), then those equal to it (-0.0 and 0.0 alike) in index
+    order until the row holds d, and that value per row. Nothing is sorted.
+    """
+    m = scores.shape[1]
+    # a copy, so the partitioned buffer is freed at once
+    thr = np.partition(scores, m - d, axis=1)[:, m - d].copy()
+    keep = scores > thr[:, None]
+    tied = scores == thr[:, None]
+    room = d - np.count_nonzero(keep, axis=1)
+    keep |= tied & (np.cumsum(tied, axis=1) <= room[:, None])
+    return keep, thr
+
+
+# Bytes of similarity rows one block of ``_neighbor_order`` copies and
 # partitions; its scratch is a few times this. At 6040 users (5 rows a
 # block) the order to depth 21 took 0.45-0.56 s with a 1.7 MiB traced
 # peak, against 0.45-0.58 s and 4.1 MiB with 1 MiB blocks, 0.66-0.88 s
@@ -174,11 +190,9 @@ def _neighbor_order(sim_matrix: np.ndarray, depth: int) -> np.ndarray:
     order of one stable sort of each row, self dropped, as an
     (n, min(depth, n - 1)) int array.
 
-    Rows go in blocks of about ``_ORDER_BYTES``. Each row's own entry
-    ranks last, the row is partitioned at the cut (its depth-th smallest
-    negated similarity), and it keeps every entry below the cut, then the
-    entries at it in index order until it holds ``depth``, as
-    ``_top_lists`` does; only those are sorted, stably. Non-finite
+    Rows go in blocks of about ``_ORDER_BYTES``. Each row's own entry is
+    set to -inf, ``_cut`` keeps the row's top ``depth`` (its mask is not
+    held past the block), and only those are sorted, stably. Non-finite
     similarities are refused with ``ValueError``.
     """
     n = len(sim_matrix)
@@ -188,19 +202,13 @@ def _neighbor_order(sim_matrix: np.ndarray, depth: int) -> np.ndarray:
         return order
     step = max(1, _ORDER_BYTES // (8 * n))
     for lo in range(0, n, step):
-        neg = np.negative(sim_matrix[lo:lo + step])
-        rows = np.arange(len(neg))
-        if not np.isfinite(neg).all():
+        block = sim_matrix[lo:lo + step]
+        if not np.isfinite(block).all():
             raise ValueError("similarity matrix holds a non-finite value")
-        neg[rows, rows + lo] = np.inf
-        # a copy, so the partitioned buffer is freed at once
-        cut = np.partition(neg, depth - 1, axis=1)[:, depth - 1, None].copy()
-        keep = neg < cut
-        tied = neg == cut
-        room = depth - np.count_nonzero(keep, axis=1)
-        keep |= tied & (np.cumsum(tied, axis=1) <= room[:, None])
-        cols = np.nonzero(keep)[1].reshape(len(neg), depth)
-        ranks = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1,
+        block = block.copy()
+        np.fill_diagonal(block[:, lo:], -np.inf)
+        cols = np.nonzero(_cut(block, depth)[0])[1].reshape(len(block), depth)
+        ranks = np.argsort(-np.take_along_axis(block, cols, axis=1), axis=1,
                            kind="stable")
         order[lo:lo + step] = np.take_along_axis(cols, ranks, axis=1)
     return order
@@ -447,22 +455,17 @@ def _top_lists(scores, cand, l):
     ranks them: score descending, item index ascending.
 
     ``scores`` (rows, m) is overwritten; ``cand`` marks each row's
-    candidates. Returns the (rows, m) bool indicator of the lists and each
-    row's l-th score (-inf for a row with fewer than l candidates). A list
-    holds every candidate above that score, then the candidates at it in
-    index order until it has l, so nothing is sorted.
+    candidates, whose scores are finite. Returns the (rows, m) bool
+    indicator of the lists and each row's l-th score (-inf for a row with
+    fewer than l candidates): ``_cut`` with non-candidates at -inf, ANDed
+    with ``cand``, as a row short of l candidates fills its ties from them.
     """
     rows, m = scores.shape
     scores[~cand] = -np.inf
-    if l <= m:
-        # a copy, so the partitioned buffer is freed on return
-        thr = np.partition(scores, m - l, axis=1)[:, m - l].copy()
-    else:
-        thr = np.full(rows, -np.inf)
-    lists = cand & (scores > thr[:, None])
-    tied = cand & (scores == thr[:, None])
-    room = l - np.count_nonzero(lists, axis=1)
-    lists |= tied & (np.cumsum(tied, axis=1) <= room[:, None])
+    if l > m:
+        return cand.copy(), np.full(rows, -np.inf)
+    lists, thr = _cut(scores, l)
+    lists &= cand
     return lists, thr
 
 

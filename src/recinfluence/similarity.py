@@ -14,13 +14,14 @@ product through the same ratio and clip. The sums are formed three ways:
   Leave-one-out retrains reuse cached user similarities, so a pair's
   value must depend only on that pair's rows, bit for bit. When every
   rating is finite and a multiple of 0.5, the doubled values h = 2x are
-  integers, and ``_exact_sums`` reads the nnz ratings to give the type in
-  which every partial sum of h, h * h and mask counts is an exact
-  integer: float32 while m * max(1, max|h|)**2 < 2**24, float64 below
-  2**53 (``_exact_dtype``). ``_similarity_blocks`` then scatters h and
-  the 0/1 mask from the nnz arrays straight into operands of that type
-  (``_doubled``), forms each sum as one matrix product over a block of
-  users, exact in any order BLAS adds in, converts it to float64 and
+  integers, and ``_exact_sums``, the one owner of this bound, reads the
+  nnz ratings to give the type in which every partial sum of h, h * h
+  and mask counts over m items is an exact integer: float32 while
+  m * max(1, max|h|)**2 < 2**24, float64 below 2**53 (``_exact_dtype``);
+  beta8's item Gram asks it over n users. ``_similarity_blocks`` scatters
+  h and the 0/1 mask from the nnz arrays straight into operands of that
+  type (``_doubled``), forms each sum as one matrix product over a block
+  of users, exact in any order BLAS adds in, converts it to float64 and
   scales it by the exact factor 0.5 or 0.25; cosine norms are per-user
   sums of squares, exact there too. Every score is bitwise symmetric in
   its two rows (the arithmetic after the sums only multiplies commuting
@@ -29,21 +30,22 @@ product through the same ratio and clip. The sums are formed three ways:
   pass writes every pair's sum of squares into the output, row block by
   row block, and each upper-triangle block reads both of its pairs' sums
   of squares from there before it writes its scores over them. No float64
-  n x m array is made on this path. Half-star and
-  implicit ratings take it. Any other ratings (continuous, or past the
-  bound) build the float64 ratings once (``RatingsDataset.ratings``) and
-  take ``_similarity_loop``, the tests' reference, which reduces each
-  pair with the elementwise products and np.sum of ``_sums_against``.
-  Both paths give the same bits wherever the first applies.
+  n x m array is made on this path. Half-star and implicit ratings take
+  it. Any other ratings (continuous, or past the bound) build the float64
+  ratings once (``RatingsDataset.ratings``) and take ``_similarity_loop``,
+  the tests' reference, which reduces each pair with the elementwise
+  products and np.sum of ``_sums_against``. Both paths give the same bits
+  wherever the first applies.
 - ``_similarity_loop`` alone scores the one-pair references: beta7's
   ``features.centroid_similarity`` and the per-profile item Pearson of
   ``item_distance_submatrix``. ``features.extract_all`` calls
   ``_sums_against`` on paired (users, t) rows, so each beta7 score is the
   loop's for that one pair.
-- Item cosine sums are one ``cols.T @ cols`` product (beta8 slices a
-  float32 Gram instead): item distances are never reused across removals,
-  so they carry no per-pair order guarantee. ``item_distance_submatrix``
-  gathers its columns from the raters of the listed items alone
+- Item cosine sums are one ``cols.T @ cols`` product (beta8's
+  ``_item_pair_scores`` slices a float32 Gram of h where ``_exact_sums``
+  allows): item distances are never reused across removals, so they carry
+  no per-pair order guarantee. ``item_distance_submatrix`` gathers its
+  columns from the raters of the listed items alone
   (``RatingsDataset._item_ratings``) into column-major arrays, so its sums
   add in the order they take over the dense ``ratings()[:, items]``.
 
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import RatingsDataset
+from .data import RatingsDataset, _transposed
 
 SHRINK_COUNT = 50
 _DEGENERATE = 1e-12
@@ -91,36 +93,27 @@ def _exact_dtype(top: float):
     return np.float64 if top < 2.0 ** 53 else None
 
 
-def _doubled_top(values: np.ndarray) -> float | None:
-    """max|2x| over ``values`` (0 for none) when every one is a multiple
-    of 0.5, else None; inf passes, nan does not."""
-    if not _on_half_grid(values):
-        return None
-    return 2 * float(np.abs(values).max(initial=0.0))
-
-
 def _doubled(ds: RatingsDataset, dtype) -> np.ndarray:
     """The doubled ratings h = 2x of ``ds`` as an (n_users, n_items)
     ``dtype`` array, zeros where no rating exists: the nnz ratings are
     scattered into it and doubled in place, so no float64 n x m array is
-    made. Exact where ``_doubled_top`` gives a bound that ``_exact_dtype``
-    accepts."""
+    made. Exact where ``_exact_sums`` gives ``dtype``."""
     h = np.zeros((ds.n_users, ds.n_items), dtype=dtype)
     h[ds.user_idx, ds.item_idx] = ds.values
     h *= 2
     return h
 
 
-def _exact_sums(ds: RatingsDataset):
-    """The float type in which every per-pair sum over the doubled ratings
-    h = 2x of the users of ``ds`` is exact, or None when there is none: each
-    sum of h, h * h or mask counts is at most n_items * max(1, max|h|)**2,
-    which ``_exact_dtype`` bounds. Reads the nnz ratings only; nan fails
-    the grid test and inf the bound."""
-    top = _doubled_top(ds.values)
-    if top is None:
+def _exact_sums(values: np.ndarray, width: int):
+    """The float type in which every sum over ``width`` entries of h = 2x
+    (``values`` the nnz ratings, all multiples of 0.5), of h * h or of 0/1
+    counts is exact, or None: each is at most width * max(1, max|h|)**2,
+    which ``_exact_dtype`` bounds; nan fails the grid test and inf the
+    bound. The user kernel passes n_items, beta8's item Gram n_users."""
+    if not _on_half_grid(values):
         return None
-    return _exact_dtype(ds.n_items * max(1.0, top) ** 2)
+    top = 2 * float(np.abs(values).max(initial=0.0))
+    return _exact_dtype(width * max(1.0, top) ** 2)
 
 
 def _pearson_parts(nc, su, sv, suu, svv, suv):
@@ -243,7 +236,7 @@ def _similarity_rows(kind: str, ds: RatingsDataset,
     alone, bit for bit; see the module docstring for the two paths that
     guarantee it. Only the row loop builds the float64 ratings.
     """
-    dtype = _exact_sums(ds)
+    dtype = _exact_sums(ds.values, ds.n_items)
     if dtype:
         return _similarity_blocks(kind, ds, shrink, dtype)
     ratings = ds.ratings()
@@ -288,3 +281,25 @@ def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
                                              np.outer(norms, norms))))
     return _distances(_similarity_loop(kind, cols.T, observed.T, cols.T,
                                        observed.T, shrink=None))
+
+
+def _item_pair_scores(ds: RatingsDataset, kind: str):
+    """beta8's unshrunk item similarities, as a function of index arrays
+    (a, b) giving each pair the value ``item_distance_submatrix`` gives it.
+    Item Pearson reads the m x m ``_similarity_rows`` of ``_transposed``;
+    item cosine slices the float32 Gram h.T @ h (m * m * 4 bytes), exact in
+    any BLAS order where ``_exact_sums`` over n_users gives float32, and
+    scales it back by 0.25. Otherwise item cosine gives None."""
+    if kind != "cosine":
+        sims = _similarity_rows(kind, _transposed(ds), shrink=None)
+        return lambda a, b: sims[a, b]
+    if _exact_sums(ds.values, ds.n_users) is not np.float32:
+        return None
+    h = _doubled(ds, np.float32)
+    gram = h.T @ h
+    norms = np.sqrt(np.multiply(np.diagonal(gram), 0.25, dtype=np.float64))
+
+    def scores(a, b):
+        dot = np.multiply(gram[a, b], 0.25, dtype=np.float64)
+        return _scores("cosine", (dot, norms[a] * norms[b]))
+    return scores

@@ -107,6 +107,16 @@ class TestIngest:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_dataset_that_is_not_a_dump_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "ratings.csv"
+        raw.write_text("u1,i1,4\nu2,i1,3\n")
+        assert main(["influence", "--dataset", str(raw),
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {raw}: no sidecar {tmp_path / 'ratings.json'}"
+                       "; --dataset takes a dump written by ingest\n")
+        assert not (tmp_path / "influence.csv").exists()
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("u1,i1,oops\n")
@@ -1030,8 +1040,13 @@ class TestGroupOptionsCheckedFirst:
         (["--thetas=-1,7"], "influence.thetas must lie in [0, 1], got '-1,7'"),
         (["--thetas=0,1.5"],
          "influence.thetas must lie in [0, 1], got '0,1.5'"),
+        (["--top-k", ""],
+         "influence.top_k expects comma-separated numbers, got ''"),
+        (["--thetas", ","],
+         "influence.thetas expects comma-separated numbers, got ','"),
     ], ids=["thetas-word", "top-k-word", "top-k-zero", "l-zero", "k-zero",
-            "thetas-outside", "thetas-above-one"])
+            "thetas-outside", "thetas-above-one", "top-k-empty",
+            "thetas-empty"])
     def test_bad_option_exits_2_before_audit(self, tmp_path, capsys,
                                              no_work, option, message):
         out = ingest_toy(tmp_path)

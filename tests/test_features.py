@@ -535,21 +535,21 @@ class TestBatchedColumns:
 
     def test_continuous_ratings(self):
         ds = graded_dataset(40, 90, 0.15, 8, "continuous")
-        assert features._cosine_gram(ds) is None
+        assert similarity._item_pair_scores(ds, "cosine") is None
         assert_same_bits(*table_and_reference(ds))
 
     def test_half_stars_over_the_float32_bound(self):
         # n * max|2r|**2 = 30 * 1600**2 passes 2**24: per-profile route
         ds = graded_dataset(30, 60, 0.2, 9, "half", top=800.0)
         assert 30 * (2 * ds.values.max()) ** 2 >= 2 ** 24
-        assert features._cosine_gram(ds) is None
+        assert similarity._item_pair_scores(ds, "cosine") is None
         assert_same_bits(*table_and_reference(ds))
 
     def test_half_stars_just_under_the_float32_bound(self):
         # 30 * 740**2 < 2**24: the Gram route with its largest sums
         ds = graded_dataset(30, 60, 0.2, 9, "half", top=370.0)
         assert 30 * (2 * ds.values.max()) ** 2 < 2 ** 24
-        assert features._cosine_gram(ds) is not None
+        assert similarity._item_pair_scores(ds, "cosine") is not None
         assert_same_bits(*table_and_reference(ds))
 
     @pytest.mark.parametrize("grade", ["int", "half", "continuous"])
@@ -605,17 +605,25 @@ class TestBeta8Routes:
                                            ("half", 800.0)])
     def test_off_grid_ratings_form_no_gram(self, monkeypatch, grade, top):
         ds = graded_dataset(30, 60, 0.2, 15, grade, top=top)
-        built = []
-        real = features._cosine_gram
+        built, operands = [], []
+        real, real_doubled = similarity._item_pair_scores, similarity._doubled
 
-        def spy(data):
-            gram = real(data)
-            built.append(gram)
-            return gram
+        def spy(data, kind):
+            scores = real(data, kind)
+            built.append(scores)
+            return scores
 
-        monkeypatch.setattr(features, "_cosine_gram", spy)
+        def doubled_spy(data, dtype):
+            operands.append(dtype)
+            return real_doubled(data, dtype)
+
+        monkeypatch.setattr(features, "_item_pair_scores", spy)
+        monkeypatch.setattr(similarity, "_doubled", doubled_spy)
         got, expected = table_and_reference(ds)
         assert built == [None]
+        # the user kernels may double the ratings in float64; the Gram's
+        # float32 operand is never made
+        assert np.float32 not in operands
         assert_same_bits(got, expected)
 
 

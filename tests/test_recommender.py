@@ -138,7 +138,7 @@ class TestSimilarity:
     @pytest.mark.parametrize("name", sorted(GRID_DATASETS))
     def test_products_equal_row_loop_on_grid(self, name, kind, shrink):
         ds = GRID_DATASETS[name]()
-        assert similarity._exact_sums(ds)
+        assert similarity._exact_sums(ds.values, ds.n_items)
         got = similarity._similarity_rows(kind, ds, shrink)
         assert_same_bits(got, _row_loop(kind, ds, shrink))
 
@@ -154,7 +154,7 @@ class TestSimilarity:
             # 30 items * (2 * 2**24)**2 = 2**50 * 30 > 2**53
             values += 2.0 ** 24
         ds = revalued(ds, values)
-        assert not similarity._exact_sums(ds)
+        assert not similarity._exact_sums(ds.values, ds.n_items)
         want = _row_loop(kind, ds, similarity.SHRINK_COUNT)
 
         def refuse(*args, **kwargs):
@@ -167,8 +167,8 @@ class TestSimilarity:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_are_not_exact(self, bad):
         ds = _grid_dataset(5, 6, 0.5, 1, HALF_STARS)
-        assert not similarity._exact_sums(
-            revalued(ds, np.full(ds.n_ratings, bad)))
+        assert not similarity._exact_sums(np.full(ds.n_ratings, bad),
+                                          ds.n_items)
 
     @pytest.mark.parametrize("kind", ["pearson", "cosine"])
     def test_grid_data_never_reaches_the_row_loop(self, kind, monkeypatch):
@@ -286,7 +286,7 @@ class TestExactKernel:
     @pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
     def test_float32_products_equal_row_loop(self, name, kind, shrink):
         ds = FLOAT32_CASES[name]()
-        assert similarity._exact_sums(ds) is np.float32
+        assert similarity._exact_sums(ds.values, ds.n_items) is np.float32
         got = similarity._similarity_rows(kind, ds, shrink)
         assert_same_int64(got, _row_loop(kind, ds, shrink))
         assert_same_int64(got, got.T)
@@ -296,7 +296,7 @@ class TestExactKernel:
     @pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
     def test_item_rows_equal_row_loop(self, name, kind, shrink):
         items = _transposed(FLOAT32_CASES[name]())
-        assert similarity._exact_sums(items)
+        assert similarity._exact_sums(items.values, items.n_items)
         got = similarity._similarity_rows(kind, items, shrink)
         assert_same_int64(got, _row_loop(kind, items, shrink))
 
@@ -314,7 +314,7 @@ class TestExactKernel:
     def test_float64_products_just_over_the_float32_bound(self, kind,
                                                           shrink):
         ds = _bounded_dataset(374.0)    # 30 * 748**2 >= 2**24
-        assert similarity._exact_sums(ds) is np.float64
+        assert similarity._exact_sums(ds.values, ds.n_items) is np.float64
         got = similarity._similarity_rows(kind, ds, shrink)
         assert_same_int64(got, _row_loop(kind, ds, shrink))
         assert_same_int64(got, got.T)
@@ -1029,6 +1029,23 @@ class TestNeighborOrderMatchesLexsort:
                 assert np.array_equal(
                     recommender._neighbor_order(sim, 59),
                     oracles.neighbor_order_lexsort(sim, 59))
+
+    def test_order_and_lists_select_through_one_cut(self, monkeypatch):
+        depths = []
+        real = recommender._cut
+
+        def spy(scores, d):
+            depths.append(d)
+            return real(scores, d)
+
+        monkeypatch.setattr(recommender, "_cut", spy)
+        sim = np.random.default_rng(0).choice([-0.5, 0.0, 1.0], size=(6, 6))
+        assert np.array_equal(recommender._neighbor_order(sim, 3),
+                              oracles.neighbor_order_lexsort(sim, 3))
+        assert depths == [3]
+        lists, _ = recommender._top_lists(sim.copy(), sim > -1, 2)
+        assert depths == [3, 2]
+        assert np.all(np.count_nonzero(lists, axis=1) == 2)
 
 
 class TestRecommend:
