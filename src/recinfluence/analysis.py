@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset, _restrict
+from .data import RatingsDataset, _present, _restrict
 from .influence import _rank_users
 from .similarity import user_distance_matrix
 
@@ -199,7 +199,7 @@ def centrality_dispersion(embedding: MdsEmbedding,
     labels = np.asarray(labels)[embedding.user_indices]
     coords = embedding.coordinates
     out = []
-    for seg in np.unique(labels):
+    for seg in _present(labels):
         pts = coords[labels == seg]
         radius = float(np.mean(np.sqrt(np.sum(pts * pts, axis=1))))
         if len(pts) > 1:

@@ -368,6 +368,17 @@ def cmd_mds(args, cfg: dict, out: Path) -> int:
     return 0
 
 
+def _median(values: list[float]) -> float:
+    """``np.median`` of NaN-free floats, bit for bit, without the numpy.ma
+    import its NaN check makes: the same ``np.partition``, then the mean of
+    the middle one or two values as ``np.mean`` sums them, from +0.0."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(0.0 + np.partition(values, [mid, -1])[mid])
+    part = np.partition(values, [mid - 1, mid, -1])
+    return float((0.0 + part[mid - 1] + part[mid]) / 2)
+
+
 def cmd_report(args, cfg: dict, out: Path) -> int:
     report: dict = {"config": cfg, "stages": {}}
     for name in ("influence", "group_influence", "features", "embedding",
@@ -388,7 +399,7 @@ def cmd_report(args, cfg: dict, out: Path) -> int:
             "n_users": len(vals),
             "influence_total": sum(finite),
             "influence_max": max(finite) if finite else None,
-            "influence_median": float(np.median(finite)) if finite else None,
+            "influence_median": _median(finite) if finite else None,
         }
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")

@@ -310,6 +310,12 @@ def _restrict(ds: RatingsDataset, keep, users, items) -> RatingsDataset:
         r_min=ds.r_min, r_max=ds.r_max)
 
 
+def _present(idx: np.ndarray) -> np.ndarray:
+    """The indices ``idx`` holds, ascending: ``np.unique(idx)`` of
+    non-negative indices, without the numpy.ma import it makes."""
+    return np.flatnonzero(np.bincount(idx))
+
+
 def _transposed(ds: RatingsDataset) -> RatingsDataset:
     """``ds`` with its axes swapped: one user per item of ``ds``, whose
     ratings sit in the columns of that item's raters. Item similarities
@@ -327,7 +333,7 @@ def sample_users(ds: RatingsDataset, count: int, seed: int) -> RatingsDataset:
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(ds.n_users, size=count, replace=False))
     keep = np.isin(ds.user_idx, chosen)
-    return _restrict(ds, keep, chosen, np.unique(ds.item_idx[keep]))
+    return _restrict(ds, keep, chosen, _present(ds.item_idx[keep]))
 
 
 def sample_items(ds: RatingsDataset, count: int, mode: str = "random",
@@ -349,7 +355,7 @@ def sample_items(ds: RatingsDataset, count: int, mode: str = "random",
     else:
         raise DatasetError(f"unknown item sampling mode {mode!r}")
     keep = np.isin(ds.item_idx, chosen)
-    return _restrict(ds, keep, np.unique(ds.user_idx[keep]), chosen)
+    return _restrict(ds, keep, _present(ds.user_idx[keep]), chosen)
 
 
 def drop_user(ds: RatingsDataset, u: int) -> RatingsDataset:

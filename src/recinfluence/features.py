@@ -19,7 +19,10 @@ all users in whole-array passes that give the same bits:
 - beta2 and beta5 reduce rows of an n x n matrix with the diagonal
   dropped, so each row holds the same n - 1 contiguous values in the same
   order as ``np.delete(row, u)``, and a row mean is the same pairwise sum.
-  beta4 counts a whole distance row and subtracts its zero diagonal.
+  beta5 forms its exact float32 counts ``_OVERLAP_ROWS`` users at a time.
+  beta4 counts a whole distance row and subtracts its zero diagonal; its
+  epsilon quantile is ``_quantile``, numpy's rule without ``np.quantile``,
+  which would import ``numpy.ma`` (no stage does).
 - beta6 and beta7 group users by profile size t and gather each group as
   a (users, t) array; a row sum over t contiguous values adds in the same
   pairwise order as ``np.sum`` over one profile. beta7 pairs those rows
@@ -28,9 +31,11 @@ all users in whole-array passes that give the same bits:
 - beta8 looks up each profile's item pairs in
   ``similarity._item_pair_scores``, which owns item cosine's float32 Gram
   and item Pearson's m x m matrix; a pair's value depends on its two
-  columns alone. Where it gives none (item cosine off the half-star grid
-  or past the Gram's bound), beta8 is the reference per profile, whose
-  columns come from the raters of its items alone.
+  columns alone. Batches hold about ``_BATCH_ENTRIES`` pairs, and a
+  profile with more is scored a piece of that size at a time into its one
+  row of distances. Where it gives none (item cosine off the half-star
+  grid or past the Gram's bound), beta8 is the reference per profile,
+  whose columns come from the raters of its items alone.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset
+from .data import RatingsDataset, _present
 from .recommender import KnnModel, _row_chunks
 from .similarity import (SHRINK_COUNT, _exact_dtype, _item_pair_scores,
                          _scores, _similarity_loop, _sums_against,
@@ -48,7 +53,14 @@ from .similarity import (SHRINK_COUNT, _exact_dtype, _item_pair_scores,
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
-# Item pairs per batch of beta8 profiles.
+# Users per block of beta5's product. Each count is a small integer, exact
+# in float32, so any height gives the same bits; a (rows, n) block holds a
+# few float64 temporaries. At 6040 x 3706 integer ratings (one OpenBLAS
+# thread, 2-vCPU Xeon VM), beta5 took 44 s in one-row chunks and 5.4 s in
+# 64-row blocks (BENCH_features.json).
+_OVERLAP_ROWS = 64
+# Item pairs per batch of beta8 profiles; a profile with more pairs is
+# scored in pieces of about this many into one row of its distances.
 _BATCH_ENTRIES = 2 ** 15
 
 
@@ -134,10 +146,11 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
 
     The intersections are one product of the 0/1 profile and list
     indicators (``listed``, as ``top_lists`` returns it); below 2**24 items
-    every partial count is an exact float32. The Jaccard values are the
-    same integer ratios, and each row's mean runs over v != u in order, so
-    every value is the reference's to the bit. Rows go a chunk at a time,
-    so the temporaries stay a few chunk rows.
+    every partial count is an exact float32, in any order BLAS adds. The
+    unions are small integers too, exact in float64, so each Jaccard value
+    is the reference's integer ratio, and each row's mean runs over v != u
+    in order: every value is the reference's to the bit. Rows go
+    ``_OVERLAP_ROWS`` at a time, so the temporaries stay a few blocks.
     """
     n, m = ds.n_users, ds.n_items
     out = np.zeros(n)
@@ -147,15 +160,13 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     counts = _exact_dtype(m)
     listed = listed.astype(counts)
     rated = ds.mask
-    for rows in _row_chunks(np.arange(n), n):
-        shared = _drop_self(rated[rows].astype(counts) @ listed.T,
-                            rows).astype(np.int64)
-        union = (ds.user_counts[rows, None]
-                 + _drop_self(np.broadcast_to(sizes, (len(rows), n)), rows)
-                 - shared)
-        jaccard = np.divide(shared, union, out=np.zeros(shared.shape),
+    for lo in range(0, n, _OVERLAP_ROWS):
+        rows = np.arange(lo, min(lo + _OVERLAP_ROWS, n))
+        shared = rated[rows].astype(counts) @ listed.T
+        union = ds.user_counts[rows, None] + sizes - shared
+        jaccard = np.divide(shared, union, out=np.zeros(union.shape),
                             where=union > 0)
-        out[rows] = jaccard.mean(axis=1)
+        out[rows] = _drop_self(jaccard, rows).mean(axis=1)
     return out
 
 
@@ -208,13 +219,34 @@ def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
     else:
         sub = dist_matrix
     iu = np.triu_indices(sub.shape[0], k=1)
-    epsilon = float(np.quantile(sub[iu], config.epsilon_quantile))
+    epsilon = _quantile(sub[iu], config.epsilon_quantile)
     if epsilon <= 0:
         raise ValueError(
             f"the {config.epsilon_quantile} quantile of pairwise "
             f"{config.user_distance} user distances is {epsilon:g}, but beta4 "
             f"needs epsilon > 0; set --epsilon, or raise --epsilon-quantile")
     return epsilon
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, float(q))`` of a 1-D array of finite floats,
+    bit for bit, by numpy's 'linear' rule on the same ``np.partition``:
+    virtual index (n - 1)q, and the lerp of its two neighbors that takes
+    the t >= 0.5 branch. ``np.quantile`` itself would call ``np.unique``,
+    which imports ``numpy.ma``."""
+    if not 0 <= q <= 1:
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    n = len(values)
+    virtual = (n - 1) * float(q)
+    prev = nxt = -1   # past the last index, both neighbors are the max
+    if virtual < n - 1:
+        prev = int(np.floor(virtual))
+        nxt = prev + 1
+    gamma = virtual - prev
+    part = np.partition(values, sorted({0, -1, prev, nxt}))
+    a, b = part[prev], part[nxt]
+    diff = b - a
+    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
 def _drop_self(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -230,7 +262,7 @@ def _size_groups(ds: RatingsDataset):
     the (users, t) positions of their ratings in ``ds.item_idx`` and
     ``ds.values``."""
     counts = ds.user_counts
-    for t in np.unique(counts):
+    for t in _present(counts):
         users = np.flatnonzero(counts == t)
         yield users, ds._user_ptr[users, None] + np.arange(t)
 
@@ -246,6 +278,8 @@ def _intra_profile_distances(ds: RatingsDataset,
     ``_BATCH_ENTRIES`` item pairs at a time: row r of a batch holds user
     r's t(t-1)/2 pairs in ``np.triu_indices`` order, one contiguous row
     that ``np.mean`` reduces as it reduces the reference's upper triangle.
+    A profile with more pairs than a batch fills such a row alone, a piece
+    at a time (``_profile_distances``). Each 1 - score is formed in place.
     """
     pair_scores = _item_pair_scores(ds, item_distance)
     if pair_scores is None:
@@ -254,19 +288,50 @@ def _intra_profile_distances(ds: RatingsDataset,
     out = np.zeros(ds.n_users)
     for users, pos in _size_groups(ds):
         t = pos.shape[1]
-        if t < 2:
+        pairs = t * (t - 1) // 2
+        if pairs == 0:
+            continue
+        if pairs > _BATCH_ENTRIES:
+            for u, row in zip(users, pos):
+                out[u] = np.mean(_profile_distances(ds.item_idx[row],
+                                                    pair_scores))
             continue
         upper = np.triu_indices(t, k=1)
-        step = max(1, _BATCH_ENTRIES // len(upper[0]))
+        step = _BATCH_ENTRIES // pairs
         for lo in range(0, len(users), step):
             items = ds.item_idx[pos[lo:lo + step]]
             # np.take keeps each user's pairs in one contiguous row
             a, b = (np.take(items, side, axis=1) for side in upper)
             # 1 - similarity, as similarity._distances gives it off the
             # diagonal
-            out[users[lo:lo + step]] = np.mean(1.0 - pair_scores(a, b),
-                                               axis=1)
+            dist = pair_scores(a, b)
+            out[users[lo:lo + step]] = np.mean(
+                np.subtract(1.0, dist, out=dist), axis=1)
     return out
+
+
+def _profile_distances(items: np.ndarray, pair_scores) -> np.ndarray:
+    """1 - score of each pair of ``items``, in ``np.triu_indices`` order,
+    as one float64 row. It is filled a piece of about ``_BATCH_ENTRIES``
+    pairs at a time: consecutive rows i of the upper triangle, whose pairs
+    (i, j > i) ``np.nonzero`` lists in that order, so the index arrays and
+    score temporaries stay a piece long."""
+    t = len(items)
+    # where each triangle row's pairs start; row t - 1 has none
+    starts = np.zeros(t, dtype=np.int64)
+    np.cumsum(np.arange(t - 1, 0, -1), out=starts[1:])
+    dist = np.empty(starts[-1])
+    cols = np.arange(t)
+    lo = 0
+    while lo < t - 1:
+        hi = int(np.searchsorted(starts, starts[lo] + _BATCH_ENTRIES,
+                                 side="right")) - 1
+        hi = max(hi, lo + 1)
+        i, j = np.nonzero(cols[lo:hi, None] < cols)
+        scores = pair_scores(items[i + lo], items[j])
+        np.subtract(1.0, scores, out=dist[starts[lo]:starts[hi]])
+        lo = hi
+    return dist
 
 
 def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,

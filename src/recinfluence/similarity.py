@@ -127,9 +127,10 @@ def _pearson_parts(nc, su, sv, suu, svv, suv):
 
 
 def _bounded_ratio(num, denom, ok) -> np.ndarray:
-    """num / denom where ``ok`` (else 0), clipped to [-1, 1]."""
+    """num / denom where ``ok`` (else 0), clipped to [-1, 1]; divided into
+    the zeroed output, so no masked copy of an operand is made."""
     out = np.zeros(num.shape)
-    out[ok] = num[ok] / denom[ok]
+    np.divide(num, denom, out=out, where=ok)
     np.clip(out, -1.0, 1.0, out=out)
     return out
 
@@ -285,11 +286,13 @@ def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
 
 def _item_pair_scores(ds: RatingsDataset, kind: str):
     """beta8's unshrunk item similarities, as a function of index arrays
-    (a, b) giving each pair the value ``item_distance_submatrix`` gives it.
+    (a, b) giving each pair the value ``item_distance_submatrix`` gives it,
+    as a fresh float64 array the caller may overwrite.
     Item Pearson reads the m x m ``_similarity_rows`` of ``_transposed``;
     item cosine slices the float32 Gram h.T @ h (m * m * 4 bytes), exact in
     any BLAS order where ``_exact_sums`` over n_users gives float32, and
-    scales it back by 0.25. Otherwise item cosine gives None."""
+    scales it back by 0.25; its norm product is formed in place. Otherwise
+    item cosine gives None."""
     if kind != "cosine":
         sims = _similarity_rows(kind, _transposed(ds), shrink=None)
         return lambda a, b: sims[a, b]
@@ -301,5 +304,7 @@ def _item_pair_scores(ds: RatingsDataset, kind: str):
 
     def scores(a, b):
         dot = np.multiply(gram[a, b], 0.25, dtype=np.float64)
-        return _scores("cosine", (dot, norms[a] * norms[b]))
+        norm = norms[a]
+        norm *= norms[b]
+        return _scores("cosine", (dot, norm))
     return scores

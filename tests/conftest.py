@@ -103,3 +103,20 @@ def hub_dataset(n_users=50, n_items=100, hub_fraction=0.8, profile=5,
 @pytest.fixture
 def toy():
     return toy_dataset()
+
+
+def order_statistic_arrays(seed: int) -> list[np.ndarray]:
+    """Seeded float arrays that tell a quantile or median rule apart from
+    numpy's on ties and signed zeros: n = 1 and 2, all-equal arrays (of
+    +0.0, -0.0 and a value), ±0.0 mixes, and tie-heavy quarter steps."""
+    rng = np.random.default_rng(seed)
+    arrays = [np.array([0.5]), np.array([-0.0]), np.array([0.0, -0.0]),
+              np.array([-0.0, -0.0]), np.array([3.0, 1.25]),
+              np.full(7, -0.0), np.full(6, 0.0), np.full(5, 0.75)]
+    for n in rng.integers(1, 40, size=30):
+        values = rng.integers(-3, 4, size=n) * 0.25
+        zeros = values == 0
+        values[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        arrays.append(values)
+    arrays += [rng.random(n) for n in (3, 10, 101)]
+    return arrays

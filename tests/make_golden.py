@@ -10,16 +10,24 @@ bound) and digests each artifact the exact kNN and feature paths write:
 ``dataset.tsv``, ``influence.csv``, ``group_influence.csv``,
 ``features.csv``, ``tree.json``, ``boundaries.csv``, the kNN ``train``
 dump and the kNN ``evaluate.json``. ``tests/test_golden.py`` runs it again
-and compares; only this script writes the file. NMF and MDS artifacts are
-left out, as their bits follow the order in which BLAS adds a product.
+and compares; only this script writes the file.
+
+The ``mds`` stage's ``embedding.csv`` and ``dispersion.csv``, and the
+``report.json`` bundled over them and the kNN Pearson influence run, are
+kept apart: their bits follow the order in which BLAS adds a product and
+LAPACK reduces in ``eigh``. They are stored with ``blas_config()``, the
+BLAS build and the kernel and CPU it runs on, and compared only under the
+same configuration. NMF artifacts are left out.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 import warnings
@@ -31,6 +39,46 @@ from recinfluence.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
 N_USERS, N_ITEMS, DENSITY = 60, 90, 0.15
+# artifacts whose bits follow BLAS and LAPACK, and the datasets they run on
+BLAS_FILES = ("embedding.csv", "dispersion.csv", "report.json")
+MDS_DATASETS = ("half", "off_grid")
+
+
+def _blas_core() -> str | None:
+    """The kernel name the loaded OpenBLAS picked for this CPU, or None."""
+    with contextlib.suppress(OSError):
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+        for lib in map(ctypes.CDLL, paths):
+            for name in ("scipy_openblas_get_corename64_",
+                         "openblas_get_corename"):
+                call = getattr(lib, name, None)
+                if call:
+                    call.argtypes, call.restype = [], ctypes.c_char_p
+                    return call().decode()
+    return None
+
+
+def _cpu_model() -> str:
+    with contextlib.suppress(OSError):
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    return platform.processor() or platform.machine()
+
+
+def blas_config() -> dict:
+    """What the ``BLAS_FILES`` digests depend on besides the code: the BLAS
+    build numpy links, the kernel it picked and the CPU model."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": f"{blas['name']} {blas['version']}",
+            "blas_core": _blas_core(), "cpu": _cpu_model()}
+
+
+def is_blas_bound(key: str) -> bool:
+    """Whether the digest keyed ``key`` follows BLAS (``BLAS_FILES``)."""
+    return key.rsplit("/", 1)[-1] in BLAS_FILES
 
 
 def _ratings(name: str, rng) -> np.ndarray:
@@ -64,7 +112,7 @@ def _write_ratings(name: str, path: Path) -> None:
 
 def _digest(path: Path) -> str:
     data = path.read_bytes()
-    if path.name == "evaluate.json":
+    if path.name in ("evaluate.json", "report.json"):
         # the config embeds the output directory
         payload = json.loads(data)
         payload["config"]["out_dir"] = ""
@@ -120,6 +168,13 @@ def _dataset_runs(name: str, root: Path) -> dict[str, str]:
               "--influence",
               str(base / "influence_pearson" / "influence.csv"),
               "--min-samples-leaf", "3", "--out-dir", str(base / "tree")])
+    if name in MDS_DATASETS:
+        # beside the influence run, so the report takes its median too
+        pipeline = base / "influence_pearson"
+        _run(["mds", "--dataset", dump, "--influence",
+              str(pipeline / "influence.csv"), "--refine-iters", "10",
+              "--segments", "3", "--out-dir", str(pipeline)])
+        _run(["report", "--out-dir", str(pipeline)])
     artifacts = sorted([base / "dataset.tsv",
                         *base.glob("*/*.csv"), *base.glob("*/*.json"),
                         *base.glob("train/model.tsv")])
@@ -137,7 +192,14 @@ def run_cases() -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    golden = {"numpy": np.__version__, "digests": run_cases()}
+    digests = run_cases()
+    golden = {"numpy": np.__version__,
+              "digests": {key: value for key, value in digests.items()
+                          if not is_blas_bound(key)},
+              "blas": {"config": blas_config(),
+                       "digests": {key: value for key, value in
+                                   digests.items() if is_blas_bound(key)}}}
     GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
-    print(f"wrote {len(golden['digests'])} digests to {GOLDEN}",
+    print(f"wrote {len(golden['digests'])} digests and "
+          f"{len(golden['blas']['digests'])} BLAS-bound digests to {GOLDEN}",
           file=sys.stderr)

@@ -21,7 +21,7 @@ from recinfluence.features import centrality, neighborhood_membership
 from recinfluence.influence import influence_all, influence_oracle
 from recinfluence.recommender import ModelConfig, train_knn
 
-from conftest import TOY_ROWS, random_dataset
+from conftest import TOY_ROWS, order_statistic_arrays, random_dataset
 
 
 def write_toy_csv(tmp_path):
@@ -710,6 +710,14 @@ class TestMdsAndReport:
         assert doc["summary"]["n_users"] == 5
         assert doc["summary"]["influence_max"] >= \
             doc["summary"]["influence_median"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_median_equals_np_median(self, seed):
+        # report's median of the finite influence values, bit for bit
+        for values in order_statistic_arrays(seed):
+            got, want = cli._median(values.tolist()), np.median(values)
+            assert np.float64(got).view(np.int64) == \
+                np.float64(want).view(np.int64), values.tolist()
 
 
 class TestOneParserPerProcess:

@@ -22,7 +22,8 @@ from recinfluence.similarity import (item_distance_submatrix,
                                      user_similarity_matrix)
 
 import oracles
-from conftest import build_dataset, clone_users_dataset, random_dataset
+from conftest import (build_dataset, clone_users_dataset,
+                      order_statistic_arrays, random_dataset)
 
 
 def indicator(lists, n_items):
@@ -485,20 +486,77 @@ class TestBatchedColumns:
     """``extract_all``'s whole-array columns against the one-user reference
     functions, bit for bit."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_suite(self, seed):
+    @staticmethod
+    def random_suite_dataset(seed):
+        """The random suite's dataset for ``seed``, and the generator that
+        drew its shape."""
         rng = np.random.default_rng(100 + seed)
         grade = ("int", "half", "continuous")[seed % 3]
         ds = graded_dataset(int(rng.integers(4, 61)),
                             int(rng.integers(5, 301)),
                             rng.uniform(0.05, 0.4), seed, grade,
                             full_user=seed % 4 == 0)
+        return ds, rng
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_suite(self, seed):
+        ds, rng = self.random_suite_dataset(seed)
         for cfg in (FeatureConfig(),
                     FeatureConfig(similarity="cosine",
                                   user_distance="pearson",
                                   item_distance="pearson")):
             assert_same_bits(*table_and_reference(
                 ds, cfg, k=int(rng.integers(1, ds.n_users + 2))))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_overlap_blocks_of_any_height(self, seed, monkeypatch):
+        ds, _ = self.random_suite_dataset(seed)
+        _, listed, _ = feature_inputs(ds, FeatureConfig())
+        lists = [np.flatnonzero(row) for row in listed]
+        want = np.array([recommendation_overlap(ds, u, lists)
+                         for u in range(ds.n_users)])
+        for rows in (1, 7, ds.n_users, ds.n_users + 5):
+            monkeypatch.setattr(features, "_OVERLAP_ROWS", rows)
+            got = recommendation_overlaps(ds, listed)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @staticmethod
+    def assert_pieces_equal_reference(ds, monkeypatch):
+        """beta8 with batches and pieces of 1 and 7 item pairs against the
+        one-user reference, for both item kinds."""
+        pieced = []
+        real = features._profile_distances
+
+        def spy(items, pair_scores):
+            pieced.append(len(items))
+            return real(items, pair_scores)
+
+        monkeypatch.setattr(features, "_profile_distances", spy)
+        for kind in ("cosine", "pearson"):
+            want = np.array([intra_profile_distance(ds, u, kind)
+                             for u in range(ds.n_users)])
+            for piece in (1, 7):
+                monkeypatch.setattr(features, "_BATCH_ENTRIES", piece)
+                got = features._intra_profile_distances(ds, kind)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (kind, piece)
+        # item Pearson always scores pairs, so a profile of three items or
+        # more is pieced at these sizes
+        assert bool(pieced) == (ds.user_counts.max() >= 3)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_profile_pieces_on_the_random_suite(self, seed, monkeypatch):
+        ds, _ = self.random_suite_dataset(seed)
+        self.assert_pieces_equal_reference(ds, monkeypatch)
+
+    @pytest.mark.parametrize("grade", ["int", "half", "continuous"])
+    def test_profile_pieces_at_the_edges(self, grade, monkeypatch):
+        full = graded_dataset(25, 40, 0.2, 6, grade, full_user=True)
+        assert full.user_counts[0] == full.n_items
+        sparse = graded_dataset(30, 80, 0.02, 5, grade)
+        assert np.any(sparse.user_counts == 1)
+        for ds in (full, sparse):
+            self.assert_pieces_equal_reference(ds, monkeypatch)
 
     def test_single_user(self):
         ds = build_dataset([("a", "x", 3.0), ("a", "y", 4.5),
@@ -660,8 +718,8 @@ class TestFeatureMemory:
         def batched():
             extract_all(ds, model, listed, centralities(sims), cfg)
 
-        # a first call imports modules lazily (np.unique loads numpy.ma),
-        # which both routes would otherwise count
+        # a first call may import modules lazily, which both routes would
+        # otherwise count (no stage imports numpy.ma: see test_imports)
         batched()
         limit = peak(reference) + ds.n_items ** 2 * 4
         assert peak(batched) <= limit
@@ -783,3 +841,38 @@ class TestItemCosineDistances:
         want = oracles.item_cosine_distances(cut, np.arange(6))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(got[4, np.arange(6) != 4] == 1.0)
+
+
+def same_float(a, b) -> bool:
+    """Equal bits, so +0.0 and -0.0 differ."""
+    return bool(np.float64(a).view(np.int64) == np.float64(b).view(np.int64))
+
+
+class TestEpsilonQuantile:
+    """``features._quantile`` against ``np.quantile``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_np_quantile(self, seed):
+        rng = np.random.default_rng(seed)
+        for values in order_statistic_arrays(seed):
+            for q in (0.0, 0.25, 0.5, 1.0, *rng.random(4)):
+                want = np.quantile(values, q)
+                assert same_float(features._quantile(values, q), want), \
+                    (values.tolist(), q)
+
+    def test_integer_quantile_from_a_config_file(self):
+        # a config file's "features.epsilon_quantile = 1" reads as int 1
+        values = np.array([0.5, 0.25, 1.5, 0.75])
+        for q in (0, 1):
+            assert same_float(features._quantile(values, q),
+                              np.quantile(values, float(q)))
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3.0, -0.0, 1.0, 0.0, 2.0])
+        features._quantile(values, 0.3)
+        assert values.tolist() == [3.0, -0.0, 1.0, 0.0, 2.0]
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, float("nan")])
+    def test_out_of_range_refused(self, q):
+        with pytest.raises(ValueError, match="range"):
+            features._quantile(np.arange(4.0), q)
