@@ -9,17 +9,15 @@ tree predicting influence from those features.
 from .data import (DatasetError, DatasetStats, RatingsDataset, compute_stats,
                    drop_user, load_dataset, load_ratings, sample_items,
                    sample_users, save_dataset)
-from .recommender import (KnnModel, ModelConfig, NmfModel,
-                          RecommendationList, TrainingError, evaluate,
-                          predict_knn, recommend, top_items, train_knn,
+from .recommender import (KnnModel, ModelConfig, NmfModel, TrainingError,
+                          evaluate, predict_knn, top_items, train_knn,
                           train_nmf, train_test_split)
 from .influence import (GroupInfluenceCurve, InfluenceReport,
                         group_influence, influence_all, influence_oracle,
-                        jaccard_distance, prediction_shift_oracle)
+                        jaccard_distance)
 from .features import FeatureConfig, FeatureTable, extract_all
-from .predictor import (RegressionTree, export_boundaries,
-                        feature_importance, fit_metrics, fit_tree,
-                        predict_tree)
+from .predictor import (RegressionTree, export_boundaries, fit_metrics,
+                        fit_tree, predict_tree)
 from .analysis import (MdsEmbedding, centrality_dispersion, classical_mds,
                        influence_ranking_curve, mds_embed,
                        segment_by_influence)
@@ -30,15 +28,13 @@ __all__ = [
     "DatasetError", "DatasetStats", "RatingsDataset", "compute_stats",
     "drop_user", "load_dataset", "load_ratings", "sample_items",
     "sample_users", "save_dataset",
-    "KnnModel", "ModelConfig", "NmfModel", "RecommendationList",
-    "TrainingError", "evaluate", "predict_knn", "recommend", "top_items",
-    "train_knn", "train_nmf", "train_test_split",
+    "KnnModel", "ModelConfig", "NmfModel", "TrainingError", "evaluate",
+    "predict_knn", "top_items", "train_knn", "train_nmf", "train_test_split",
     "GroupInfluenceCurve", "InfluenceReport", "group_influence",
     "influence_all", "influence_oracle", "jaccard_distance",
-    "prediction_shift_oracle",
     "FeatureConfig", "FeatureTable", "extract_all",
-    "RegressionTree", "export_boundaries", "feature_importance",
-    "fit_metrics", "fit_tree", "predict_tree",
+    "RegressionTree", "export_boundaries", "fit_metrics", "fit_tree",
+    "predict_tree",
     "MdsEmbedding", "centrality_dispersion", "classical_mds",
     "influence_ranking_curve", "mds_embed", "segment_by_influence",
 ]

@@ -12,9 +12,11 @@ interface:
   beta7  similarity of u to the centroid user (per-item mean ratings)
   beta8  mean pairwise distance between the items in I_u
 
-The one-user functions (``centrality``, ``intra_profile_distance``, ...)
-are the reference definitions. ``extract_all`` computes each column for
-all users in whole-array passes that give the same bits:
+The one-user reference definitions of beta1..beta7 live in the tests
+(``tests/oracles.py``); beta8's, ``intra_profile_distance``, stays here,
+as ``extract_all`` runs it where item pairs cannot be looked up (see
+beta8 below). ``extract_all`` computes each column for all users in
+whole-array passes that give the same bits:
 
 - beta2 and beta5 reduce rows of an n x n matrix with the diagonal
   dropped, so each row holds the same n - 1 contiguous values in the same
@@ -47,9 +49,8 @@ import numpy as np
 from .data import RatingsDataset, _present
 from .recommender import KnnModel, _row_chunks
 from .similarity import (SHRINK_COUNT, _exact_dtype, _item_pair_scores,
-                         _scores, _similarity_loop, _sums_against,
-                         item_distance_submatrix, user_distance_matrix,
-                         user_similarity_matrix)
+                         _scores, _sums_against, item_distance_submatrix,
+                         user_distance_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
@@ -85,23 +86,10 @@ class FeatureTable:
         return len(self.user_ids)
 
 
-def profile_size(ds: RatingsDataset, u: int) -> int:
-    """beta1: number of items rated by u."""
-    return int(ds.user_counts[u])
-
-
-def centrality(ds: RatingsDataset, u: int, similarity: str = "pearson",
-               sim_matrix: np.ndarray | None = None) -> float:
-    """beta2: mean similarity of u to every other user."""
-    if sim_matrix is None:
-        sim_matrix = user_similarity_matrix(ds, kind=similarity)
-    row = np.delete(sim_matrix[u], u)
-    return float(row.mean()) if len(row) else 0.0
-
-
 def centralities(sim_matrix: np.ndarray) -> np.ndarray:
-    """beta2 of every user, ``centrality`` of each row of the n x n
-    similarity matrix, a chunk of rows at a time."""
+    """beta2 of every user, the mean of each row of the n x n similarity
+    matrix without its diagonal entry (the one-user reference
+    ``centrality`` is in ``tests/oracles.py``), a chunk of rows at a time."""
     n = sim_matrix.shape[0]
     out = np.zeros(n)
     if n > 1:
@@ -110,39 +98,10 @@ def centralities(sim_matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def neighborhood_membership(model: KnnModel, u: int) -> int:
-    """beta3: how many other users carry u in their neighbor list."""
-    others = np.delete(model.neighbors, u, axis=0)
-    return int(np.count_nonzero(others == u))
-
-
-def neighborhood_density(ds: RatingsDataset, u: int, epsilon: float,
-                         distance: str = "cosine",
-                         dist_matrix: np.ndarray | None = None) -> int:
-    """beta4: count of other users strictly within distance epsilon of u."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    if dist_matrix is None:
-        dist_matrix = user_distance_matrix(ds, kind=distance)
-    row = np.delete(dist_matrix[u], u)
-    return int(np.count_nonzero(row < epsilon))
-
-
-def recommendation_overlap(ds: RatingsDataset, u: int, lists) -> float:
-    """beta5: mean Jaccard similarity of u's profile to others' lists."""
-    profile = set(int(i) for i in ds.user_items(u))
-    sims = []
-    for v, items in enumerate(lists):
-        if v == u:
-            continue
-        other = set(int(i) for i in items)
-        union = profile | other
-        sims.append(len(profile & other) / len(union) if union else 0.0)
-    return float(np.mean(sims)) if sims else 0.0
-
-
 def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
-    """beta5 of every user: ``recommendation_overlap`` as one matrix pass.
+    """beta5 of every user: the mean Jaccard similarity of each profile to
+    the other users' lists, as one matrix pass. The one-user reference,
+    ``recommendation_overlap``, is in ``tests/oracles.py``.
 
     The intersections are one product of the 0/1 profile and list
     indicators (``listed``, as ``top_lists`` returns it); below 2**24 items
@@ -170,27 +129,6 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     return out
 
 
-def median_item_popularity(ds: RatingsDataset, u: int) -> float:
-    """beta6: median rater count over u's items (even count: middle mean)."""
-    pops = ds.item_counts[ds.user_items(u)]
-    return float(np.median(pops))
-
-
-def centroid_similarity(ds: RatingsDataset, u: int,
-                        similarity: str = "pearson") -> float:
-    """beta7: similarity of u's ratings to per-item mean ratings.
-
-    Scored over u's rated items by the routine user similarities use
-    (Pearson shrink included); degenerate variance scores 0.
-    """
-    items = ds.user_items(u)
-    x = ds.user_values(u)
-    y = ds.item_sums[items] / ds.item_counts[items]
-    observed = np.ones((1, len(x)), dtype=bool)
-    return float(_similarity_loop(similarity, x[None, :], observed,
-                                  y[None, :], observed)[0, 0])
-
-
 def intra_profile_distance(ds: RatingsDataset, u: int,
                            item_distance: str = "cosine") -> float:
     """beta8: mean pairwise distance over u's rated items; < 2 items gives 0."""
@@ -203,14 +141,15 @@ def intra_profile_distance(ds: RatingsDataset, u: int,
 
 
 def resolve_epsilon(ds: RatingsDataset, config: FeatureConfig,
-                    dist_matrix: np.ndarray | None = None) -> float:
-    """Quantile-based epsilon over the pairwise distance distribution."""
+                    dist_matrix: np.ndarray) -> float:
+    """beta4's epsilon: the explicit one, which must be > 0, or the
+    configured quantile of the pairwise distances ``dist_matrix``."""
     if config.epsilon is not None:
+        if config.epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
         return float(config.epsilon)
     if ds.n_users < 2:
         raise ValueError("the epsilon quantile needs two users; set --epsilon")
-    if dist_matrix is None:
-        dist_matrix = user_distance_matrix(ds, kind=config.user_distance)
     n = ds.n_users
     if n > EPSILON_SAMPLE:
         rng = np.random.default_rng(config.seed)
@@ -347,7 +286,8 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
     config.similarity))``, so the caller can free that matrix first.
 
     Each column is computed for all users at once and equals the one-user
-    reference function's value bit for bit (see the module docstring).
+    reference's value bit for bit (see the module docstring; the references
+    of beta1..beta7 are in ``tests/oracles.py``).
     Beside the caller's arrays at most one n x n matrix is held at a time,
     beta4's distances, and beta8 one m x m matrix: item cosine's float32
     Gram on half-star ratings, or item Pearson's float64 similarities.
@@ -358,9 +298,7 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
     values = np.empty((n, 8))
     # beta4 first, its distance matrix freed before beta5's products
     dists = user_distance_matrix(ds, kind=config.user_distance)
-    epsilon = resolve_epsilon(ds, config, dist_matrix=dists)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    epsilon = resolve_epsilon(ds, config, dists)
     # the zero diagonal is below epsilon, and a user is not its own neighbor
     values[:, 3] = np.count_nonzero(dists < epsilon, axis=1) - 1
     del dists

@@ -291,14 +291,6 @@ class LeaveOneOutEngine:
         return _jaccard_rows(inter, union)
 
 
-def _retrained(ds: RatingsDataset, config: ModelConfig, u: int):
-    """The oracles' retrain step: the model trained on ``ds`` from scratch,
-    and the one retrained from scratch on ``ds`` without user ``u``."""
-    if not 0 <= u < ds.n_users:
-        raise ValueError(f"user index {u} out of range")
-    return config.train(ds), config.train(drop_user(ds, u))
-
-
 def influence_oracle(ds: RatingsDataset, config: ModelConfig, u: int,
                      l: int) -> float:
     """Naive reference: retrain everything from scratch and sum distances.
@@ -307,7 +299,10 @@ def influence_oracle(ds: RatingsDataset, config: ModelConfig, u: int,
     with the same seed and hyperparameters, and sums the per-user Jaccard
     distances between the before and after top-l lists.
     """
-    full_model, reduced_model = _retrained(ds, config, u)
+    if not 0 <= u < ds.n_users:
+        raise ValueError(f"user index {u} out of range")
+    full_model = config.train(ds)
+    reduced_model = config.train(drop_user(ds, u))
     # Same n-length layout and reduction as the engine, so the two routes
     # agree bit for bit.
     dists = np.zeros(ds.n_users)
@@ -377,27 +372,3 @@ def group_influence(report: InfluenceReport, top_k: int,
                       for theta in thresholds)
     return GroupInfluenceCurve(top_k, tuple(float(t) for t in thresholds),
                                fractions)
-
-
-def prediction_shift_oracle(ds: RatingsDataset, config: ModelConfig,
-                            u: int) -> float:
-    """Mean absolute change in predicted scores caused by removing ``u``.
-
-    Averages |score(with u) - score(without u)| over every other user and
-    every item outside that user's profile. This is the score-level
-    baseline that list-level influence deliberately ignores: shifts on
-    items that never crack a top-l list move this number but not
-    list influence.
-    """
-    full_model, reduced_model = _retrained(ds, config, u)
-    mask = ds.mask
-    total = 0.0
-    count = 0
-    for v_red in range(ds.n_users - 1):
-        v = v_red if v_red < u else v_red + 1
-        unrated = ~mask[v]
-        before = full_model.scores_for(v)[unrated]
-        after = reduced_model.scores_for(v_red)[unrated]
-        total += float(np.sum(np.abs(before - after)))
-        count += int(np.count_nonzero(unrated))
-    return total / count if count else 0.0

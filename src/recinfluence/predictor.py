@@ -187,11 +187,6 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int = 8,
                           importances, metrics["r2"], metrics["mse"])
 
 
-def feature_importance(tree: RegressionTree) -> np.ndarray:
-    """Normalized squared-error reduction per feature (zeros for one leaf)."""
-    return tree.importances
-
-
 def predict_tree(tree: RegressionTree, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     node = tree.root

@@ -152,13 +152,6 @@ class NmfModel(_RowScorer):
         np.matmul(self.p[rows, None, :], self.q.T, out=out[:, None, :])
 
 
-@dataclass(frozen=True)
-class RecommendationList:
-    user: int
-    items: tuple[int, ...]
-    scores: tuple[float, ...]
-
-
 def _cut(scores: np.ndarray, d: int):
     """The one selection rule of ``_neighbor_order`` and ``_top_lists``: the
     (rows, m) bool mask of each row's entries above its d-th largest value
@@ -424,30 +417,15 @@ def continue_nmf(ds: RatingsDataset, p0: np.ndarray, q0: np.ndarray,
     return _fit_nmf(ds, p, q, seed, n_iters, 0.0, masked)
 
 
-def _ranked(model, u: int, l: int):
-    """(items, scores) of u's top-l list, scored by one ``scores_for``."""
+def top_items(model, u: int, l: int) -> np.ndarray:
+    """Indices of the top-l eligible items, score descending, index
+    ascending, from one ``scores_for`` of u."""
     if l < 1:
         raise ValueError("l must be >= 1")
     ds = model.dataset
-    mask = ds.mask
-    candidates = np.flatnonzero(~mask[u] & (ds.item_counts > 0))
-    if len(candidates) == 0:
-        return candidates, np.empty(0)
+    candidates = np.flatnonzero(~ds.mask[u] & (ds.item_counts > 0))
     scores = model.scores_for(u)[candidates]
-    order = np.lexsort((candidates, -scores))[:l]
-    return candidates[order], scores[order]
-
-
-def top_items(model, u: int, l: int) -> np.ndarray:
-    """Indices of the top-l eligible items, score descending, index ascending."""
-    return _ranked(model, u, l)[0]
-
-
-def recommend(model, u: int, l: int) -> RecommendationList:
-    """``top_items`` with each item's score, from one scoring of u."""
-    items, scores = _ranked(model, u, l)
-    return RecommendationList(u, tuple(items.tolist()),
-                              tuple(scores.tolist()))
+    return candidates[np.lexsort((candidates, -scores))[:l]]
 
 
 def _top_lists(scores, cand, l):

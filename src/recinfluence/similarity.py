@@ -37,8 +37,8 @@ product through the same ratio and clip. The sums are formed three ways:
   products and np.sum of ``_sums_against``. Both paths give the same bits
   wherever the first applies.
 - ``_similarity_loop`` alone scores the one-pair references: beta7's
-  ``features.centroid_similarity`` and the per-profile item Pearson of
-  ``item_distance_submatrix``. ``features.extract_all`` calls
+  ``centroid_similarity`` (in ``tests/oracles.py``) and the per-profile
+  item Pearson of ``item_distance_submatrix``. ``features.extract_all`` calls
   ``_sums_against`` on paired (users, t) rows, so each beta7 score is the
   loop's for that one pair.
 - Item cosine sums are one ``cols.T @ cols`` product (beta8's

@@ -15,9 +15,11 @@ and compares; only this script writes the file.
 The ``mds`` stage's ``embedding.csv`` and ``dispersion.csv``, and the
 ``report.json`` bundled over them and the kNN Pearson influence run, are
 kept apart: their bits follow the order in which BLAS adds a product and
-LAPACK reduces in ``eigh``. They are stored with ``blas_config()``, the
-BLAS build and the kernel and CPU it runs on, and compared only under the
-same configuration. NMF artifacts are left out.
+LAPACK reduces in ``eigh``. So are the NMF runs on the half-star dataset
+(masked, ``--no-masked`` and ``--warm-start`` influence, and the ``train``
+dump), whose factors come from BLAS products. They are stored with
+``blas_config()``, the BLAS build and the kernel and CPU it runs on, and
+compared only under the same configuration.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ N_USERS, N_ITEMS, DENSITY = 60, 90, 0.15
 # artifacts whose bits follow BLAS and LAPACK, and the datasets they run on
 BLAS_FILES = ("embedding.csv", "dispersion.csv", "report.json")
 MDS_DATASETS = ("half", "off_grid")
+# NMF runs on the half-star dataset, all BLAS-bound
+NMF = ["--algo", "nmf", "--iters", "15", "--l", "5"]
+NMF_RUNS = {
+    "nmf_masked": ["influence", *NMF, "--top-k", "2,5"],
+    "nmf_unmasked": ["influence", *NMF, "--no-masked", "--top-k", "2,5"],
+    "nmf_warm_start": ["influence", *NMF, "--warm-start", "--top-k", "2,5"],
+    "nmf_train": ["train", *NMF],
+}
 
 
 def _blas_core() -> str | None:
@@ -76,9 +86,20 @@ def blas_config() -> dict:
             "blas_core": _blas_core(), "cpu": _cpu_model()}
 
 
-def is_blas_bound(key: str) -> bool:
-    """Whether the digest keyed ``key`` follows BLAS (``BLAS_FILES``)."""
+def is_nmf(key: str) -> bool:
+    """Whether the digest keyed ``key`` is of an NMF run (``NMF_RUNS``)."""
+    return key.split("/")[1] in NMF_RUNS
+
+
+def is_mds(key: str) -> bool:
+    """Whether the digest keyed ``key`` is of an MDS-stage file
+    (``BLAS_FILES``)."""
     return key.rsplit("/", 1)[-1] in BLAS_FILES
+
+
+def is_blas_bound(key: str) -> bool:
+    """Whether the digest keyed ``key`` follows BLAS."""
+    return is_mds(key) or is_nmf(key)
 
 
 def _ratings(name: str, rng) -> np.ndarray:
@@ -157,6 +178,7 @@ def _dataset_runs(name: str, root: Path) -> dict[str, str]:
         runs["influence_k_past_n"] = ["influence", "--algo", "knn", "--k",
                                       str(N_USERS + 6), "--l", "5",
                                       "--top-k", "2,5"]
+        runs.update(NMF_RUNS)
     if name == "half_wide":
         runs = {key: runs[key] for key in ("features_item_cosine",
                                            "features_item_pearson")}
@@ -177,7 +199,7 @@ def _dataset_runs(name: str, root: Path) -> dict[str, str]:
         _run(["report", "--out-dir", str(pipeline)])
     artifacts = sorted([base / "dataset.tsv",
                         *base.glob("*/*.csv"), *base.glob("*/*.json"),
-                        *base.glob("train/model.tsv")])
+                        *base.glob("*train/model.tsv")])
     return {f"{name}/{path.relative_to(base).as_posix()}": _digest(path)
             for path in artifacts if not path.name.endswith(".meta.json")}
 

@@ -1,11 +1,21 @@
-"""Independent reference implementations used to check the package.
+"""Reference implementations used to check the package.
 
-Everything here is written in the most literal way possible (per-pair
+Most of what is here is written in the most literal way possible (per-pair
 loops, textbook formulas) and deliberately shares no code with the package
-under test.
+under test. The one-user definitions at the end (features beta1..beta7,
+``recommend`` and ``prediction_shift_oracle``) are the exceptions: they
+are the package's former public functions, built on its kernels and
+retrain route, and its whole-array passes must match them bit for bit.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from recinfluence.data import RatingsDataset, drop_user
+from recinfluence.recommender import KnnModel, ModelConfig, top_items
+from recinfluence.similarity import (_similarity_loop, user_distance_matrix,
+                                     user_similarity_matrix)
 
 
 def corated(ds, u, v):
@@ -49,7 +59,15 @@ def pair_similarity(ds, u, v, kind="pearson"):
 
 
 def neighbor_list(ds, u, k, kind="pearson"):
-    """Top-k other users by similarity desc, index asc on ties."""
+    """Top-k other users by similarity desc, index asc on equal computed
+    values.
+
+    Its Pearson arithmetic (two-pass centered sums) is not ``train_knn``'s,
+    so two similarities that are equal mathematically can differ in their
+    last bits here or there and rank the other way round: on
+    ``random_dataset(20, 40, 0.25, seed=300)`` with Pearson and k = 1,
+    user 8 gets [11] here and [4] from ``train_knn``. Compare neighbor
+    lists with it only on data without such ties."""
     sims = [(-pair_similarity(ds, u, v, kind), v)
             for v in range(ds.n_users) if v != u]
     sims.sort()
@@ -127,7 +145,6 @@ def jaccard_dist(a, b):
 
 def drop_user_keep_items(ds, u):
     """Reduced dataset replay: remove u's rows, keep the item axis."""
-    from recinfluence.data import RatingsDataset
     keep = ds.user_idx != u
     new_u = ds.user_idx[keep] - (ds.user_idx[keep] > u)
     users = [x for j, x in enumerate(ds.user_ids) if j != u]
@@ -403,3 +420,108 @@ def centered_squares(dist):
     n = dist.shape[0]
     j = np.eye(n) - np.full((n, n), 1.0 / n)
     return -0.5 * j @ (dist * dist) @ j
+
+
+def profile_size(ds: RatingsDataset, u: int) -> int:
+    """beta1: number of items rated by u."""
+    return int(ds.user_counts[u])
+
+
+def centrality(ds: RatingsDataset, u: int, similarity: str = "pearson",
+               sim_matrix: np.ndarray | None = None) -> float:
+    """beta2: mean similarity of u to every other user."""
+    if sim_matrix is None:
+        sim_matrix = user_similarity_matrix(ds, kind=similarity)
+    row = np.delete(sim_matrix[u], u)
+    return float(row.mean()) if len(row) else 0.0
+
+
+def neighborhood_membership(model: KnnModel, u: int) -> int:
+    """beta3: how many other users carry u in their neighbor list."""
+    others = np.delete(model.neighbors, u, axis=0)
+    return int(np.count_nonzero(others == u))
+
+
+def neighborhood_density(ds: RatingsDataset, u: int, epsilon: float,
+                         distance: str = "cosine",
+                         dist_matrix: np.ndarray | None = None) -> int:
+    """beta4: count of other users strictly within distance epsilon of u."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    if dist_matrix is None:
+        dist_matrix = user_distance_matrix(ds, kind=distance)
+    row = np.delete(dist_matrix[u], u)
+    return int(np.count_nonzero(row < epsilon))
+
+
+def recommendation_overlap(ds: RatingsDataset, u: int, lists) -> float:
+    """beta5: mean Jaccard similarity of u's profile to others' lists."""
+    profile = set(int(i) for i in ds.user_items(u))
+    sims = []
+    for v, items in enumerate(lists):
+        if v == u:
+            continue
+        other = set(int(i) for i in items)
+        union = profile | other
+        sims.append(len(profile & other) / len(union) if union else 0.0)
+    return float(np.mean(sims)) if sims else 0.0
+
+
+def median_item_popularity(ds: RatingsDataset, u: int) -> float:
+    """beta6: median rater count over u's items (even count: middle mean)."""
+    pops = ds.item_counts[ds.user_items(u)]
+    return float(np.median(pops))
+
+
+def centroid_similarity(ds: RatingsDataset, u: int,
+                        similarity: str = "pearson") -> float:
+    """beta7: similarity of u's ratings to per-item mean ratings.
+
+    Scored over u's rated items by the routine user similarities use
+    (Pearson shrink included); degenerate variance scores 0.
+    """
+    items = ds.user_items(u)
+    x = ds.user_values(u)
+    y = ds.item_sums[items] / ds.item_counts[items]
+    observed = np.ones((1, len(x)), dtype=bool)
+    return float(_similarity_loop(similarity, x[None, :], observed,
+                                  y[None, :], observed)[0, 0])
+
+
+@dataclass(frozen=True)
+class RecommendationList:
+    user: int
+    items: tuple[int, ...]
+    scores: tuple[float, ...]
+
+
+def recommend(model, u, l):
+    """``top_items`` with each item's score."""
+    items = top_items(model, u, l)
+    return RecommendationList(u, tuple(items.tolist()),
+                              tuple(model.scores_for(u)[items].tolist()))
+
+
+def prediction_shift_oracle(ds: RatingsDataset, config: ModelConfig,
+                            u: int) -> float:
+    """Mean absolute change in predicted scores caused by removing ``u``.
+
+    Averages |score(with u) - score(without u)| over every other user and
+    every item outside that user's profile. This is the score-level
+    baseline that list-level influence deliberately ignores: shifts on
+    items that never crack a top-l list move this number but not
+    list influence.
+    """
+    full_model = config.train(ds)
+    reduced_model = config.train(drop_user(ds, u))
+    mask = ds.mask
+    total = 0.0
+    count = 0
+    for v_red in range(ds.n_users - 1):
+        v = v_red if v_red < u else v_red + 1
+        unrated = ~mask[v]
+        before = full_model.scores_for(v)[unrated]
+        after = reduced_model.scores_for(v_red)[unrated]
+        total += float(np.sum(np.abs(before - after)))
+        count += int(np.count_nonzero(unrated))
+    return total / count if count else 0.0

@@ -7,11 +7,12 @@ import pytest
 from recinfluence import artifacts, data
 from recinfluence.data import load_dataset, save_dataset
 from recinfluence.influence import influence_all
-from recinfluence.recommender import (ModelConfig, continue_nmf, recommend,
-                                      train_knn, train_nmf)
+from recinfluence.recommender import (ModelConfig, continue_nmf, train_knn,
+                                      train_nmf)
 from recinfluence.predictor import fit_tree
 
 from conftest import build_dataset, random_dataset
+from oracles import recommend
 
 
 class TestModelDump:

@@ -17,11 +17,11 @@ from recinfluence import (analysis, artifacts, cli, features, influence,
 from recinfluence.cli import (DEFAULTS, build_parser, main,
                               parse_config_file, resolve_config)
 from recinfluence.data import load_dataset
-from recinfluence.features import centrality, neighborhood_membership
 from recinfluence.influence import influence_all, influence_oracle
 from recinfluence.recommender import ModelConfig, train_knn
 
 from conftest import TOY_ROWS, order_statistic_arrays, random_dataset
+from oracles import centrality, neighborhood_membership
 
 
 def write_toy_csv(tmp_path):
@@ -503,7 +503,6 @@ class TestFeatureAndTreeCommands:
         # beta3 comes from the k=2 neighborhood structure
         from recinfluence.data import load_dataset as _ld
         from recinfluence.recommender import train_knn
-        from recinfluence.features import neighborhood_membership
         ds = _ld(out / "dataset.tsv")
         knn_model = train_knn(ds, 2, "pearson")
         for u in range(5):

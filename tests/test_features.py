@@ -7,13 +7,7 @@ import pytest
 from recinfluence import features, similarity
 from recinfluence.data import RatingsDataset
 from recinfluence.features import (FEATURE_NAMES, FeatureConfig, centralities,
-                                   centrality, centroid_similarity,
-                                   extract_all,
-                                   intra_profile_distance,
-                                   median_item_popularity,
-                                   neighborhood_density,
-                                   neighborhood_membership, profile_size,
-                                   recommendation_overlap,
+                                   extract_all, intra_profile_distance,
                                    recommendation_overlaps, resolve_epsilon)
 from recinfluence.recommender import (ModelConfig, top_items, top_lists,
                                       train_knn)
@@ -24,6 +18,9 @@ from recinfluence.similarity import (item_distance_submatrix,
 import oracles
 from conftest import (build_dataset, clone_users_dataset,
                       order_statistic_arrays, random_dataset)
+from oracles import (centrality, centroid_similarity, median_item_popularity,
+                     neighborhood_density, neighborhood_membership,
+                     profile_size, recommendation_overlap)
 
 
 def indicator(lists, n_items):
@@ -349,10 +346,10 @@ class TestExtractAll:
         cfg = FeatureConfig(epsilon_quantile=0.25)
         dist = user_distance_matrix(toy, kind="cosine")
         iu = np.triu_indices(5, k=1)
-        assert resolve_epsilon(toy, cfg) == \
+        assert resolve_epsilon(toy, cfg, dist) == \
             pytest.approx(float(np.quantile(dist[iu], 0.25)))
         explicit = FeatureConfig(epsilon=0.3)
-        assert resolve_epsilon(toy, explicit) == 0.3
+        assert resolve_epsilon(toy, explicit, dist) == 0.3
 
     def test_user_relabeling_equivariance(self):
         # dense continuous ratings keep all pairwise similarities distinct,
@@ -769,8 +766,8 @@ CENTROID_DATASETS = {
 
 class TestCentroidColumn:
     """beta7 from ``extract_all`` (paired (users, t) rows through
-    ``similarity._sums_against``) against ``centroid_similarity``, which
-    scores one user at a time through ``similarity._similarity_rows``."""
+    ``similarity._sums_against``) against ``oracles.centroid_similarity``,
+    which scores one user at a time through ``similarity._similarity_loop``."""
 
     @staticmethod
     def column(ds, kind):

@@ -9,8 +9,7 @@ from recinfluence import influence, recommender
 from recinfluence.data import DatasetError, RatingsDataset, drop_user
 from recinfluence.influence import (LeaveOneOutEngine, group_influence,
                                     influence_all, influence_oracle,
-                                    jaccard_distance,
-                                    prediction_shift_oracle)
+                                    jaccard_distance)
 from recinfluence.recommender import (ModelConfig, NmfModel, TrainingError,
                                       continue_nmf, predict_knn, top_items,
                                       train_knn)
@@ -18,6 +17,7 @@ from recinfluence.recommender import (ModelConfig, NmfModel, TrainingError,
 import oracles
 from conftest import (build_dataset, clone_users_dataset, hub_dataset,
                       mutual_disruption_dataset, random_dataset, toy_dataset)
+from oracles import prediction_shift_oracle
 
 KNN2 = ModelConfig("knn", k=2, similarity="pearson")
 FLAKY_NMF = ModelConfig("nmf", factors=2, seed=1, n_iters=20)

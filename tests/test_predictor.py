@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from recinfluence.predictor import (RegressionTree, export_boundaries,
-                                    feature_importance, fit_metrics,
-                                    fit_tree, predict_tree)
+                                    fit_metrics, fit_tree, predict_tree)
 
 import oracles
 
@@ -120,7 +119,7 @@ class TestImportances:
             x = rng.random((25, 5))
             y = rng.random(25)
             tree = fit_tree(x, y, max_depth=4, min_samples_leaf=2)
-            imp = feature_importance(tree)
+            imp = tree.importances
             assert np.all(imp >= 0)
             if tree.root.is_leaf:
                 assert imp.sum() == 0.0
@@ -132,7 +131,7 @@ class TestImportances:
         y = np.array([0.0, 0.0, 5.0, 5.0])
         tree = fit_tree(x, y, max_depth=1, min_samples_leaf=1)
         assert tree.root.feature == 0
-        assert feature_importance(tree).tolist() == [1.0, 0.0]
+        assert tree.importances.tolist() == [1.0, 0.0]
 
     def test_importance_matches_manual_reduction(self):
         rng = np.random.default_rng(6)

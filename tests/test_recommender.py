@@ -9,8 +9,8 @@ import pytest
 from recinfluence.data import RatingsDataset, _transposed, drop_user
 from recinfluence.recommender import (ModelConfig, TrainingError,
                                       continue_nmf, evaluate, predict_knn,
-                                      recommend, top_items, train_knn,
-                                      train_nmf, train_test_split)
+                                      top_items, train_knn, train_nmf,
+                                      train_test_split)
 from recinfluence import influence, recommender, similarity
 from recinfluence.artifacts import save_model
 from recinfluence.similarity import user_similarity_matrix
@@ -18,6 +18,7 @@ from recinfluence.similarity import user_similarity_matrix
 import oracles
 from conftest import (build_dataset, clone_users_dataset, hub_dataset,
                       random_dataset, revalued, toy_dataset)
+from oracles import recommend
 
 
 def _grid_dataset(n_users, n_items, density, seed, values):
@@ -1110,11 +1111,13 @@ class TestRecommend:
             return real(self, u)
 
         monkeypatch.setattr(type(model), "scores_for", counted)
+        for u, (items, _) in expected.items():
+            assert np.array_equal(top_items(model, u, 6), items)
+        assert calls == list(expected)
         for u, (items, scores) in expected.items():
             out = recommend(model, u, 6)
             assert out.items == tuple(items.tolist())
             assert out.scores == tuple(scores[items].tolist())
-        assert calls == list(expected)
 
 
 class TestEvaluate:
