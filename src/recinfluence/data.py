@@ -484,6 +484,9 @@ def load_dataset(tsv_path) -> RatingsDataset:
     except FileNotFoundError:
         raise DatasetError(f"{tsv_path}: no sidecar {side_path}; --dataset "
                            "takes a dump written by ingest") from None
+    for key in ("user_ids", "item_ids", "r_min", "r_max"):
+        if not isinstance(side, dict) or key not in side:
+            raise DatasetError(f"{tsv_path}: sidecar {side_path} lacks {key}")
     try:
         idx, values = _dump_table(tsv_path)
     except ValueError:

@@ -19,9 +19,9 @@ beta8 below). ``extract_all`` computes each column for all users in
 whole-array passes that give the same bits:
 
 - beta2 and beta5 reduce rows of an n x n matrix with the diagonal
-  dropped, so each row holds the same n - 1 contiguous values in the same
-  order as ``np.delete(row, u)``, and a row mean is the same pairwise sum.
-  beta5 forms its exact float32 counts ``_OVERLAP_ROWS`` users at a time.
+  dropped, ``_BLOCK_ROWS`` users at a time, so each row holds the same
+  n - 1 contiguous values in the same order as ``np.delete(row, u)``, and
+  a row mean is the same pairwise sum; beta5 forms exact float32 counts.
   beta4 counts a whole distance row and subtracts its zero diagonal; its
   epsilon quantile is ``_quantile``, numpy's rule without ``np.quantile``,
   which would import ``numpy.ma`` (no stage does).
@@ -33,9 +33,9 @@ whole-array passes that give the same bits:
 - beta8 looks up each profile's item pairs in
   ``similarity._item_pair_scores``, which owns item cosine's float32 Gram
   and item Pearson's m x m matrix; a pair's value depends on its two
-  columns alone. Batches hold about ``_BATCH_ENTRIES`` pairs, and a
-  profile with more is scored a piece of that size at a time into its one
-  row of distances. Where it gives none (item cosine off the half-star
+  columns alone. Profiles of every size go in row blocks of about
+  ``_BATCH_ENTRIES`` pairs, or one profile each, filled a piece of that
+  size at a time. Where it gives none (item cosine off the half-star
   grid or past the Gram's bound), beta8 is the reference per profile,
   whose columns come from the raters of its items alone.
 """
@@ -47,21 +47,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingsDataset, _present
-from .recommender import KnnModel, _row_chunks
+from .recommender import KnnModel
 from .similarity import (SHRINK_COUNT, _exact_dtype, _item_pair_scores,
                          _scores, _sums_against, item_distance_submatrix,
                          user_distance_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
-# Users per block of beta5's product. Each count is a small integer, exact
-# in float32, so any height gives the same bits; a (rows, n) block holds a
-# few float64 temporaries. At 6040 x 3706 integer ratings (one OpenBLAS
-# thread, 2-vCPU Xeon VM), beta5 took 44 s in one-row chunks and 5.4 s in
-# 64-row blocks (BENCH_features.json).
-_OVERLAP_ROWS = 64
-# Item pairs per batch of beta8 profiles; a profile with more pairs is
-# scored in pieces of about this many into one row of its distances.
+# Users per block of beta2's and beta5's n x n row reductions. Row means
+# are row-local and beta5's counts small integers, exact in float32, so any
+# height gives the same bits; a (rows, n) block holds a few float64
+# temporaries. At 6040 x 3706 integer ratings (one OpenBLAS thread, 2-vCPU
+# Xeon VM), beta5 took 44 s in one-row chunks and 5.4 s in 64-row blocks
+# (BENCH_features.json).
+_BLOCK_ROWS = 64
+# Item pairs per beta8 row block (or one profile, if it has more) and per
+# piece of a block that is scored at once.
 _BATCH_ENTRIES = 2 ** 15
 
 
@@ -79,7 +80,7 @@ class FeatureConfig:
 class FeatureTable:
     user_ids: tuple[str, ...]
     values: np.ndarray        # (n, 8)
-    config: dict              # resolved snapshot (epsilon, k, l, metric names)
+    config: dict              # resolved snapshot (epsilon, k, metric names)
 
     @property
     def n_users(self) -> int:
@@ -89,11 +90,11 @@ class FeatureTable:
 def centralities(sim_matrix: np.ndarray) -> np.ndarray:
     """beta2 of every user, the mean of each row of the n x n similarity
     matrix without its diagonal entry (the one-user reference
-    ``centrality`` is in ``tests/oracles.py``), a chunk of rows at a time."""
+    ``centrality`` is in ``tests/oracles.py``), a block of rows at a time."""
     n = sim_matrix.shape[0]
     out = np.zeros(n)
     if n > 1:
-        for rows in _row_chunks(np.arange(n), n):
+        for rows in np.split(np.arange(n), range(_BLOCK_ROWS, n, _BLOCK_ROWS)):
             out[rows] = _drop_self(sim_matrix[rows], rows).mean(axis=1)
     return out
 
@@ -109,7 +110,7 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     unions are small integers too, exact in float64, so each Jaccard value
     is the reference's integer ratio, and each row's mean runs over v != u
     in order: every value is the reference's to the bit. Rows go
-    ``_OVERLAP_ROWS`` at a time, so the temporaries stay a few blocks.
+    ``_BLOCK_ROWS`` at a time, so the temporaries stay a few blocks.
     """
     n, m = ds.n_users, ds.n_items
     out = np.zeros(n)
@@ -119,8 +120,7 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     counts = _exact_dtype(m)
     listed = listed.astype(counts)
     rated = ds.mask
-    for lo in range(0, n, _OVERLAP_ROWS):
-        rows = np.arange(lo, min(lo + _OVERLAP_ROWS, n))
+    for rows in np.split(np.arange(n), range(_BLOCK_ROWS, n, _BLOCK_ROWS)):
         shared = rated[rows].astype(counts) @ listed.T
         union = ds.user_counts[rows, None] + sizes - shared
         jaccard = np.divide(shared, union, out=np.zeros(union.shape),
@@ -213,12 +213,13 @@ def _intra_profile_distances(ds: RatingsDataset,
     Each item pair is scored by ``similarity._item_pair_scores``, whose
     value depends on the pair's two columns alone; where it gives none
     (item cosine off the half-star grid or past its float32 bound) this is
-    the reference per user. Profiles of one size t go together, about
-    ``_BATCH_ENTRIES`` item pairs at a time: row r of a batch holds user
-    r's t(t-1)/2 pairs in ``np.triu_indices`` order, one contiguous row
-    that ``np.mean`` reduces as it reduces the reference's upper triangle.
-    A profile with more pairs than a batch fills such a row alone, a piece
-    at a time (``_profile_distances``). Each 1 - score is formed in place.
+    the reference per user. Profiles of one size t go in batches of
+    max(1, ``_BATCH_ENTRIES`` // pairs) users: row r of a batch's block
+    holds user r's t(t-1)/2 pairs in ``np.triu_indices`` order, one
+    contiguous row that ``np.mean`` reduces as it reduces the reference's
+    upper triangle. The block is filled a piece at a time
+    (``_triangle_pieces``); a group whose triangle is one piece lists its
+    pairs once.
     """
     pair_scores = _item_pair_scores(ds, item_distance)
     if pair_scores is None:
@@ -230,47 +231,37 @@ def _intra_profile_distances(ds: RatingsDataset,
         pairs = t * (t - 1) // 2
         if pairs == 0:
             continue
-        if pairs > _BATCH_ENTRIES:
-            for u, row in zip(users, pos):
-                out[u] = np.mean(_profile_distances(ds.item_idx[row],
-                                                    pair_scores))
-            continue
-        upper = np.triu_indices(t, k=1)
-        step = _BATCH_ENTRIES // pairs
+        once = list(_triangle_pieces(t)) if pairs <= _BATCH_ENTRIES else None
+        step = max(1, _BATCH_ENTRIES // pairs)
         for lo in range(0, len(users), step):
             items = ds.item_idx[pos[lo:lo + step]]
-            # np.take keeps each user's pairs in one contiguous row
-            a, b = (np.take(items, side, axis=1) for side in upper)
-            # 1 - similarity, as similarity._distances gives it off the
-            # diagonal
-            dist = pair_scores(a, b)
-            out[users[lo:lo + step]] = np.mean(
-                np.subtract(1.0, dist, out=dist), axis=1)
+            block = np.empty((len(items), pairs))
+            # np.take, where items[:, i] is 3x slower on one long row
+            for span, i, j in once or _triangle_pieces(t):
+                dist = block[:, span]
+                pair_scores(np.take(items, i, axis=1),
+                            np.take(items, j, axis=1), dist)
+                # 1 - similarity (similarity._distances), while in cache
+                np.subtract(1.0, dist, out=dist)
+            out[users[lo:lo + step]] = np.mean(block, axis=1)
     return out
 
 
-def _profile_distances(items: np.ndarray, pair_scores) -> np.ndarray:
-    """1 - score of each pair of ``items``, in ``np.triu_indices`` order,
-    as one float64 row. It is filled a piece of about ``_BATCH_ENTRIES``
-    pairs at a time: consecutive rows i of the upper triangle, whose pairs
-    (i, j > i) ``np.nonzero`` lists in that order, so the index arrays and
-    score temporaries stay a piece long."""
-    t = len(items)
+def _triangle_pieces(t: int):
+    """The pairs (i, j > i) of t items in ``np.triu_indices`` order, in
+    pieces of consecutive triangle rows holding about ``_BATCH_ENTRIES``
+    pairs (one row at least): (span, i, j), each piece's slice and indices."""
     # where each triangle row's pairs start; row t - 1 has none
-    starts = np.zeros(t, dtype=np.int64)
-    np.cumsum(np.arange(t - 1, 0, -1), out=starts[1:])
-    dist = np.empty(starts[-1])
+    starts = np.concatenate(([0], np.cumsum(np.arange(t - 1, 0, -1))))
     cols = np.arange(t)
     lo = 0
     while lo < t - 1:
-        hi = int(np.searchsorted(starts, starts[lo] + _BATCH_ENTRIES,
-                                 side="right")) - 1
-        hi = max(hi, lo + 1)
+        hi = max(lo + 1, int(np.searchsorted(
+            starts, starts[lo] + _BATCH_ENTRIES, side="right")) - 1)
         i, j = np.nonzero(cols[lo:hi, None] < cols)
-        scores = pair_scores(items[i + lo], items[j])
-        np.subtract(1.0, scores, out=dist[starts[lo]:starts[hi]])
+        i += lo
+        yield slice(starts[lo], starts[hi]), i, j
         lo = hi
-    return dist
 
 
 def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
@@ -322,6 +313,5 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
         "item_distance": config.item_distance,
         "epsilon": epsilon,
         "k": knn_model.k,
-        "l": int(np.count_nonzero(listed, axis=1).max()),
     }
     return FeatureTable(ds.user_ids, values, snapshot)

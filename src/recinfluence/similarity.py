@@ -126,28 +126,33 @@ def _pearson_parts(nc, su, sv, suu, svv, suv):
     return num, denom, (nc > 0) & (denom > _DEGENERATE)
 
 
-def _bounded_ratio(num, denom, ok) -> np.ndarray:
+def _bounded_ratio(num, denom, ok, out=None) -> np.ndarray:
     """num / denom where ``ok`` (else 0), clipped to [-1, 1]; divided into
-    the zeroed output, so no masked copy of an operand is made."""
-    out = np.zeros(num.shape)
+    the zeroed output, so no masked copy of an operand is made. ``out``,
+    which may be ``num``, is zeroed only where not ``ok``."""
+    if out is None:
+        out = np.zeros(num.shape)
+    else:
+        np.copyto(out, 0.0, where=~ok)
     np.divide(num, denom, out=out, where=ok)
     np.clip(out, -1.0, 1.0, out=out)
     return out
 
 
-def _scores(kind: str, sums: tuple, shrink: int | None = None) -> np.ndarray:
-    """Scores from per-pair sums, elementwise: Pearson's six (co-rated
-    count, two sums, two sums of squares, cross product), shrunk by
-    min(count, shrink) / shrink when ``shrink`` is set, or cosine's (dot
-    product, norm product), never shrunk."""
+def _scores(kind: str, sums: tuple, shrink: int | None = None,
+            out=None) -> np.ndarray:
+    """Scores from per-pair sums, elementwise, into a fresh array or
+    ``out``: Pearson's six (co-rated count, two sums, two sums of squares,
+    cross product), shrunk by min(count, shrink) / shrink when ``shrink``
+    is set, or cosine's (dot product, norm product), never shrunk."""
     if kind == "pearson":
-        out = _bounded_ratio(*_pearson_parts(*sums))
+        out = _bounded_ratio(*_pearson_parts(*sums), out)
         if shrink:
             out *= np.minimum(sums[0], shrink) / shrink
         return out
     if kind == "cosine":
         dot, norms = sums
-        return _bounded_ratio(dot, norms, norms > 0)
+        return _bounded_ratio(dot, norms, norms > 0, out)
     raise ValueError(f"unknown similarity {kind!r}")
 
 
@@ -286,25 +291,26 @@ def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
 
 def _item_pair_scores(ds: RatingsDataset, kind: str):
     """beta8's unshrunk item similarities, as a function of index arrays
-    (a, b) giving each pair the value ``item_distance_submatrix`` gives it,
-    as a fresh float64 array the caller may overwrite.
-    Item Pearson reads the m x m ``_similarity_rows`` of ``_transposed``;
-    item cosine slices the float32 Gram h.T @ h (m * m * 4 bytes), exact in
-    any BLAS order where ``_exact_sums`` over n_users gives float32, and
-    scales it back by 0.25; its norm product is formed in place. Otherwise
-    item cosine gives None."""
+    (a, b) and a float64 array ``out`` of their shape (a view will do),
+    which it fills with the value ``item_distance_submatrix`` gives each
+    pair. Item Pearson reads the m x m ``_similarity_rows`` of
+    ``_transposed``; item cosine slices the float32 Gram h.T @ h
+    (m * m * 4 bytes), exact in any BLAS order where ``_exact_sums`` over
+    n_users gives float32, and scales it back by 0.25; its norm product is
+    formed in place. Otherwise item cosine gives None."""
     if kind != "cosine":
         sims = _similarity_rows(kind, _transposed(ds), shrink=None)
-        return lambda a, b: sims[a, b]
+        return lambda a, b, out: np.copyto(out, sims[a, b])
     if _exact_sums(ds.values, ds.n_users) is not np.float32:
         return None
     h = _doubled(ds, np.float32)
     gram = h.T @ h
     norms = np.sqrt(np.multiply(np.diagonal(gram), 0.25, dtype=np.float64))
 
-    def scores(a, b):
-        dot = np.multiply(gram[a, b], 0.25, dtype=np.float64)
+    def scores(a, b, out):
+        # out holds the dot products until their scores overwrite them
+        np.multiply(gram[a, b], 0.25, out=out, dtype=np.float64)
         norm = norms[a]
         norm *= norms[b]
-        return _scores("cosine", (dot, norm))
+        _scores("cosine", (out, norm), out=out)
     return scores

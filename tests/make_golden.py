@@ -12,14 +12,24 @@ bound) and digests each artifact the exact kNN and feature paths write:
 dump and the kNN ``evaluate.json``. ``tests/test_golden.py`` runs it again
 and compares; only this script writes the file.
 
-The ``mds`` stage's ``embedding.csv`` and ``dispersion.csv``, and the
-``report.json`` bundled over them and the kNN Pearson influence run, are
-kept apart: their bits follow the order in which BLAS adds a product and
-LAPACK reduces in ``eigh``. So are the NMF runs on the half-star dataset
-(masked, ``--no-masked`` and ``--warm-start`` influence, and the ``train``
-dump), whose factors come from BLAS products. They are stored with
-``blas_config()``, the BLAS build and the kernel and CPU it runs on, and
-compared only under the same configuration.
+Some artifacts are kept apart, as their bits follow the order in which
+BLAS adds a product:
+
+- the ``mds`` stage's ``embedding.csv`` and ``dispersion.csv``, and the
+  ``report.json`` bundled over them and the kNN Pearson influence run
+  (LAPACK's ``eigh`` reduces in its own order too);
+- the NMF runs on the half-star dataset (masked, ``--no-masked`` and
+  ``--warm-start`` influence, and the ``train`` dump), whose factors come
+  from BLAS products;
+- item cosine ``features.csv`` on the off-grid dataset, and the tree
+  fitted on it: off the half-star grid there is no exact Gram, so its
+  beta8 sums are each profile's float64 ``cols.T @ cols``
+  (``similarity.item_distance_submatrix``).
+
+They are stored with ``blas_config()``, the BLAS build and the kernel and
+CPU it runs on, and compared only under the same configuration. Every
+other digest is the same under any BLAS kernel: ``tests/test_golden.py``
+checks them under a second one.
 """
 
 from __future__ import annotations
@@ -97,9 +107,16 @@ def is_mds(key: str) -> bool:
     return key.rsplit("/", 1)[-1] in BLAS_FILES
 
 
+def is_off_grid_item_cosine(key: str) -> bool:
+    """Whether the digest keyed ``key`` is of the off-grid item cosine
+    ``features.csv`` or of the tree fitted on it."""
+    return key.startswith(("off_grid/features_item_cosine/",
+                           "off_grid/tree/"))
+
+
 def is_blas_bound(key: str) -> bool:
     """Whether the digest keyed ``key`` follows BLAS."""
-    return is_mds(key) or is_nmf(key)
+    return is_mds(key) or is_nmf(key) or is_off_grid_item_cosine(key)
 
 
 def _ratings(name: str, rng) -> np.ndarray:

@@ -117,6 +117,21 @@ class TestIngest:
                        "; --dataset takes a dump written by ingest\n")
         assert not (tmp_path / "influence.csv").exists()
 
+    def test_sidecar_without_r_min_exits_2(self, tmp_path, capsys):
+        out = ingest_toy(tmp_path)
+        side_path = out / "dataset.json"
+        side = json.loads(side_path.read_text())
+        del side["r_min"]
+        side_path.write_text(json.dumps(side))
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "knn", "--k", "2",
+                     "--out-dir", str(tmp_path / "model")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'dataset.tsv'}: sidecar {side_path} lacks "
+            "r_min\n")
+        assert not (tmp_path / "model" / "model.tsv").exists()
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("u1,i1,oops\n")
@@ -337,6 +352,24 @@ class TestFeatureAndTreeCommands:
         assert values[0, 5] == 3.0          # u1 median popularity
         meta = json.loads((out / "features.csv.meta.json").read_text())
         assert meta["feature_config"]["epsilon"] > 0
+
+    def test_sidecar_records_only_the_run_list_length(self, tmp_path):
+        # 8 items: no list can reach l = 10, so the longest list is shorter
+        rng = np.random.default_rng(3)
+        raw = tmp_path / "ratings.csv"
+        raw.write_text("".join(f"u{u},i{i},{rng.integers(1, 6)}\n"
+                               for u in range(12) for i in range(8)
+                               if i == u % 8 or rng.random() < 0.5))
+        out = tmp_path / "work"
+        assert main(["ingest", "--input", str(raw), "--format", "csv",
+                     "--out-dir", str(out)]) == 0
+        assert main(["features", "--dataset", str(out / "dataset.tsv"),
+                     "--k", "3", "--l", "10", "--epsilon", "0.5",
+                     "--out-dir", str(out)]) == 0
+        meta = json.loads((out / "features.csv.meta.json").read_text())
+        assert meta["config"]["list.length"] == 10
+        assert sorted(meta["feature_config"]) == [
+            "epsilon", "item_distance", "k", "similarity", "user_distance"]
 
     def test_features_bytes_equal_across_blas_threads(self, tmp_path):
         # Half-star ratings take the matrix-product similarity kernel and,

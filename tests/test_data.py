@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,25 @@ class TestRoundTrip:
         lines[5] = line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match=r"dump.tsv: line 6: bad dump"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["user_ids", "item_ids", "r_min",
+                                     "r_max"])
+    def test_sidecar_without_a_key_names_it(self, tmp_path, toy, key):
+        path = save_dataset(toy, tmp_path / "dump.tsv")
+        side_path = tmp_path / "dump.json"
+        side = json.loads(side_path.read_text())
+        del side[key]
+        side_path.write_text(json.dumps(side))
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: sidecar {side_path} lacks {key}"
+
+    @pytest.mark.parametrize("text", ["null", "[\"user_ids\"]", "3"])
+    def test_sidecar_that_is_not_an_object(self, tmp_path, toy, text):
+        path = save_dataset(toy, tmp_path / "dump.tsv")
+        (tmp_path / "dump.json").write_text(text)
+        with pytest.raises(DatasetError, match="dump.json lacks user_ids"):
             load_dataset(path)
 
     def test_empty_dump_is_an_empty_dataset(self, tmp_path, toy):

@@ -507,28 +507,35 @@ class TestBatchedColumns:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_overlap_blocks_of_any_height(self, seed, monkeypatch):
+        # beta5 and beta2, the two n x n row reductions
         ds, _ = self.random_suite_dataset(seed)
-        _, listed, _ = feature_inputs(ds, FeatureConfig())
+        _, listed, sims = feature_inputs(ds, FeatureConfig())
         lists = [np.flatnonzero(row) for row in listed]
         want = np.array([recommendation_overlap(ds, u, lists)
                          for u in range(ds.n_users)])
+        want_beta2 = np.array([centrality(ds, u, sim_matrix=sims)
+                               for u in range(ds.n_users)])
         for rows in (1, 7, ds.n_users, ds.n_users + 5):
-            monkeypatch.setattr(features, "_OVERLAP_ROWS", rows)
+            monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
             got = recommendation_overlaps(ds, listed)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got = centralities(sims)
+            assert np.array_equal(got.view(np.int64),
+                                  want_beta2.view(np.int64))
 
     @staticmethod
     def assert_pieces_equal_reference(ds, monkeypatch):
         """beta8 with batches and pieces of 1 and 7 item pairs against the
         one-user reference, for both item kinds."""
-        pieced = []
-        real = features._profile_distances
+        split = []
+        real = features._triangle_pieces
 
-        def spy(items, pair_scores):
-            pieced.append(len(items))
-            return real(items, pair_scores)
+        def spy(t):
+            pieces = list(real(t))
+            split.append(len(pieces) > 1)
+            return iter(pieces)
 
-        monkeypatch.setattr(features, "_profile_distances", spy)
+        monkeypatch.setattr(features, "_triangle_pieces", spy)
         for kind in ("cosine", "pearson"):
             want = np.array([intra_profile_distance(ds, u, kind)
                              for u in range(ds.n_users)])
@@ -538,8 +545,8 @@ class TestBatchedColumns:
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), (kind, piece)
         # item Pearson always scores pairs, so a profile of three items or
-        # more is pieced at these sizes
-        assert bool(pieced) == (ds.user_counts.max() >= 3)
+        # more is split across pieces of one pair
+        assert any(split) == (ds.user_counts.max() >= 3)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_profile_pieces_on_the_random_suite(self, seed, monkeypatch):
@@ -554,6 +561,22 @@ class TestBatchedColumns:
         assert np.any(sparse.user_counts == 1)
         for ds in (full, sparse):
             self.assert_pieces_equal_reference(ds, monkeypatch)
+
+    def test_profile_pieces_with_zero_norm_items(self, monkeypatch):
+        # items rated 0.0 or -0.0 by everyone have no norm: their cosine
+        # scores are 0, written over the dot products in place
+        rng = np.random.default_rng(17)
+        mask = rng.random((20, 30)) < 0.4
+        mask[:, :2] = True
+        users, items = np.nonzero(mask)
+        values = rng.integers(-4, 5, len(users)) / 2
+        values[items == 0] = 0.0
+        values[items == 1] = -0.0
+        ds = RatingsDataset.build([f"u{u}" for u in range(20)],
+                                  [f"i{i}" for i in range(30)],
+                                  users, items, values)
+        assert similarity._item_pair_scores(ds, "cosine") is not None
+        self.assert_pieces_equal_reference(ds, monkeypatch)
 
     def test_single_user(self):
         ds = build_dataset([("a", "x", 3.0), ("a", "y", 4.5),
