@@ -24,9 +24,9 @@ from .data import (FORMATS, ITEM_SAMPLE_MODES, DatasetError, _save_dataset,
                    sample_users)
 # top_items is unused here but stays bound: the benchmark's tracer test
 # checks that every binding of it is wrapped
-from .recommender import (ModelConfig, TrainingError, top_items, top_lists,
-                          train_knn, train_test_split, evaluate)
-from .similarity import SIMILARITIES, user_similarity_matrix
+from .recommender import (ModelConfig, TrainingError, top_items,
+                          train_test_split, evaluate)
+from .similarity import SIMILARITIES
 
 
 class ConfigError(ValueError):
@@ -216,9 +216,9 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
         ds = sample_items(ds, cfg["data.sample_items"],
                           mode=cfg["data.item_sample_mode"], seed=cfg["seed"])
     path = out / "dataset.tsv"
-    # the dump is formatted once, and hashed as it is written
-    ds_hash = _save_dataset(ds, path)
     stats = compute_stats(ds)
+    # the dump is formatted once, and hashed as it is written
+    ds_hash = _save_dataset(ds, path, stats)
     artifacts.write_sidecar(path, cfg, ds_hash, {"stats": stats.to_dict()})
     print(f"ingested {stats.n_ratings} ratings: {stats.n_users} users x "
           f"{stats.n_items} items, sparsity {stats.sparsity:.4f}")
@@ -293,16 +293,7 @@ def cmd_features(args, cfg: dict, out: Path) -> int:
                    "features.item_distance", "features.epsilon",
                    "features.epsilon_quantile")
     ds = load_dataset(args.dataset)
-    # beta2 and, if its kind is the same, the kNN fit read one matrix, then
-    # it goes before any other n x n array is built
-    sims = user_similarity_matrix(ds, kind=fc.similarity)
-    beta2 = features.centralities(sims)
-    sims = sims if mc.similarity == fc.similarity else None
-    knn_model = train_knn(ds, mc.k, mc.similarity, sim_matrix=sims)
-    del sims
-    model = knn_model if mc.algorithm == "knn" else mc.train(ds)
-    listed, _ = top_lists(model, cfg["list.length"])
-    table = features.extract_all(ds, knn_model, listed, beta2, fc)
+    table = features.extract_all(ds, mc, cfg["list.length"], fc)
     path = artifacts.write_features_csv(table, out / "features.csv")
     artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds),
                             {"feature_config": table.config})

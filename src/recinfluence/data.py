@@ -60,7 +60,8 @@ class RatingsDataset:
     @classmethod
     def build(cls, user_ids, item_ids, user_idx, item_idx, values,
               r_min=None, r_max=None) -> "RatingsDataset":
-        """Sort triplets, freeze arrays, validate index ranges and bounds."""
+        """Sort triplets, freeze arrays, validate index ranges, finiteness
+        and bounds."""
         user_idx = np.asarray(user_idx, dtype=np.int64)
         item_idx = np.asarray(item_idx, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -68,6 +69,10 @@ class RatingsDataset:
             raise DatasetError("triplet arrays have mismatched lengths")
         if len(values) == 0:
             raise DatasetError("empty dataset")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise DatasetError(
+                f"rating {float(values[~finite][0])!r} is not finite")
         for name, idx, ids in (("user", user_idx, user_ids),
                                ("item", item_idx, item_ids)):
             if idx.min() < 0 or idx.max() >= len(ids):
@@ -406,9 +411,9 @@ def _dump_digest(ds: RatingsDataset, fh=None) -> str:
     return digest.hexdigest()
 
 
-def _save_dataset(ds: RatingsDataset, tsv_path) -> str:
-    """``save_dataset``, returning the dump's digest, which it takes from
-    the blocks it writes."""
+def _save_dataset(ds: RatingsDataset, tsv_path, stats: DatasetStats) -> str:
+    """``save_dataset`` with the dataset's ``compute_stats``, returning the
+    dump's digest, which it takes from the blocks it writes."""
     tsv_path = Path(tsv_path)
     with open(tsv_path, "wb") as fh:
         digest = _dump_digest(ds, fh)
@@ -417,7 +422,7 @@ def _save_dataset(ds: RatingsDataset, tsv_path) -> str:
         "item_ids": list(ds.item_ids),
         "r_min": ds.r_min,
         "r_max": ds.r_max,
-        "stats": compute_stats(ds).to_dict(),
+        "stats": stats.to_dict(),
     }
     side_path = tsv_path.with_suffix(".json")
     side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n",
@@ -427,7 +432,7 @@ def _save_dataset(ds: RatingsDataset, tsv_path) -> str:
 
 def save_dataset(ds: RatingsDataset, tsv_path) -> Path:
     """Write the canonical 3-column dump plus its JSON sidecar."""
-    _save_dataset(ds, tsv_path)
+    _save_dataset(ds, tsv_path, compute_stats(ds))
     return Path(tsv_path)
 
 
@@ -475,7 +480,8 @@ def load_dataset(tsv_path) -> RatingsDataset:
     """Read back a canonical dump written by :func:`save_dataset`.
 
     A row that is not two integer indices and a rating raises
-    ``DatasetError`` with its line number; empty lines are skipped.
+    ``DatasetError`` with its line number; empty lines are skipped. Every
+    error, ``RatingsDataset.build``'s included, names the dump.
     """
     tsv_path = Path(tsv_path)
     side_path = tsv_path.with_suffix(".json")
@@ -492,6 +498,9 @@ def load_dataset(tsv_path) -> RatingsDataset:
     except ValueError:
         raise DatasetError(f"{tsv_path}: {_bad_dump_line(tsv_path)}: "
                            "bad dump row") from None
-    return RatingsDataset.build(side["user_ids"], side["item_ids"],
-                                idx[:, 0], idx[:, 1], values,
-                                r_min=side["r_min"], r_max=side["r_max"])
+    try:
+        return RatingsDataset.build(side["user_ids"], side["item_ids"],
+                                    idx[:, 0], idx[:, 1], values,
+                                    r_min=side["r_min"], r_max=side["r_max"])
+    except DatasetError as exc:
+        raise DatasetError(f"{tsv_path}: {exc}") from None

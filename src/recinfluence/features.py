@@ -15,13 +15,15 @@ interface:
 The one-user reference definitions of beta1..beta7 live in the tests
 (``tests/oracles.py``); beta8's, ``intra_profile_distance``, stays here,
 as ``extract_all`` runs it where item pairs cannot be looked up (see
-beta8 below). ``extract_all`` computes each column for all users in
-whole-array passes that give the same bits:
+beta8 below). ``extract_all`` builds its own inputs for the studied
+``ModelConfig`` and computes each column for all users in whole-array
+passes that give the same bits:
 
 - beta2 and beta5 reduce rows of an n x n matrix with the diagonal
-  dropped, ``_BLOCK_ROWS`` users at a time, so each row holds the same
-  n - 1 contiguous values in the same order as ``np.delete(row, u)``, and
-  a row mean is the same pairwise sum; beta5 forms exact float32 counts.
+  dropped, ``_BLOCK_ROWS`` users at a time (``_other_user_means``), so
+  each row holds the same n - 1 contiguous values in the same order as
+  ``np.delete(row, u)``, and a row mean is the same pairwise sum; beta5
+  forms exact float32 counts.
   beta4 counts a whole distance row and subtracts its zero diagonal; its
   epsilon quantile is ``_quantile``, numpy's rule without ``np.quantile``,
   which would import ``numpy.ma`` (no stage does).
@@ -46,11 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingsDataset, _present
-from .recommender import KnnModel
+from .data import RatingsDataset, _present, _spans
+from .recommender import ModelConfig, top_lists, train_knn
 from .similarity import (SHRINK_COUNT, _exact_dtype, _item_pair_scores,
                          _scores, _sums_against, item_distance_submatrix,
-                         user_distance_matrix)
+                         user_distance_matrix, user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
@@ -90,13 +92,8 @@ class FeatureTable:
 def centralities(sim_matrix: np.ndarray) -> np.ndarray:
     """beta2 of every user, the mean of each row of the n x n similarity
     matrix without its diagonal entry (the one-user reference
-    ``centrality`` is in ``tests/oracles.py``), a block of rows at a time."""
-    n = sim_matrix.shape[0]
-    out = np.zeros(n)
-    if n > 1:
-        for rows in np.split(np.arange(n), range(_BLOCK_ROWS, n, _BLOCK_ROWS)):
-            out[rows] = _drop_self(sim_matrix[rows], rows).mean(axis=1)
-    return out
+    ``centrality`` is in ``tests/oracles.py``)."""
+    return _other_user_means(len(sim_matrix), lambda rows: sim_matrix[rows])
 
 
 def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
@@ -109,23 +106,29 @@ def recommendation_overlaps(ds: RatingsDataset, listed) -> np.ndarray:
     every partial count is an exact float32, in any order BLAS adds. The
     unions are small integers too, exact in float64, so each Jaccard value
     is the reference's integer ratio, and each row's mean runs over v != u
-    in order: every value is the reference's to the bit. Rows go
-    ``_BLOCK_ROWS`` at a time, so the temporaries stay a few blocks.
+    in order: every value is the reference's to the bit.
     """
-    n, m = ds.n_users, ds.n_items
-    out = np.zeros(n)
-    if n < 2:
-        return out
     sizes = np.count_nonzero(listed, axis=1)
-    counts = _exact_dtype(m)
+    counts = _exact_dtype(ds.n_items)
     listed = listed.astype(counts)
-    rated = ds.mask
-    for rows in np.split(np.arange(n), range(_BLOCK_ROWS, n, _BLOCK_ROWS)):
-        shared = rated[rows].astype(counts) @ listed.T
+
+    def jaccard(rows):
+        shared = ds.mask[rows].astype(counts) @ listed.T
         union = ds.user_counts[rows, None] + sizes - shared
-        jaccard = np.divide(shared, union, out=np.zeros(union.shape),
-                            where=union > 0)
-        out[rows] = _drop_self(jaccard, rows).mean(axis=1)
+        return np.divide(shared, union, out=np.zeros(union.shape),
+                         where=union > 0)
+    return _other_user_means(ds.n_users, jaccard)
+
+
+def _other_user_means(n: int, block) -> np.ndarray:
+    """Each user's mean over the other users (0.0 alone) of the n x n
+    matrix whose rows ``block(rows)`` gives, ``_BLOCK_ROWS`` at a time."""
+    out = np.zeros(n)
+    if n > 1:
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = np.arange(lo, min(lo + _BLOCK_ROWS, n))
+            keep = np.arange(n) != rows[:, None]
+            out[rows] = block(rows)[keep].reshape(len(rows), -1).mean(axis=1)
     return out
 
 
@@ -188,14 +191,6 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
-def _drop_self(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``block`` (one row per user in ``rows``, one column per user) without
-    each row's own column: row r is ``np.delete(block[r], rows[r])``, as one
-    contiguous (len(rows), n - 1) array."""
-    keep = np.arange(block.shape[1]) != rows[:, None]
-    return block[keep].reshape(len(rows), -1)
-
-
 def _size_groups(ds: RatingsDataset):
     """(users, positions) per profile size t: the users rating t items and
     the (users, t) positions of their ratings in ``ds.item_idx`` and
@@ -253,39 +248,42 @@ def _triangle_pieces(t: int):
     pairs (one row at least): (span, i, j), each piece's slice and indices."""
     # where each triangle row's pairs start; row t - 1 has none
     starts = np.concatenate(([0], np.cumsum(np.arange(t - 1, 0, -1))))
-    cols = np.arange(t)
     lo = 0
     while lo < t - 1:
         hi = max(lo + 1, int(np.searchsorted(
             starts, starts[lo] + _BATCH_ENTRIES, side="right")) - 1)
-        i, j = np.nonzero(cols[lo:hi, None] < cols)
-        i += lo
-        yield slice(starts[lo], starts[hi]), i, j
+        rows = np.arange(lo, hi)
+        sizes = t - 1 - rows
+        yield (slice(starts[lo], starts[hi]), np.repeat(rows, sizes),
+               _spans(rows + 1, sizes))
         lo = hi
 
 
-def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
-                beta2: np.ndarray,
+def extract_all(ds: RatingsDataset, model: ModelConfig, l: int,
                 config: FeatureConfig = FeatureConfig()) -> FeatureTable:
-    """All eight features for every user.
+    """All eight features for every user, under the studied ``model`` and
+    its top-``l`` lists.
 
-    ``knn_model`` supplies the neighbor structure for beta3 (when the run
-    under study is a factorization model, a standalone neighborhood
-    structure is fitted for this purpose); ``listed`` is the (n, m) bool
-    indicator of the studied model's top-l lists (``top_lists``), for beta5.
-    ``beta2`` is ``centralities(user_similarity_matrix(ds,
-    config.similarity))``, so the caller can free that matrix first.
+    beta2 reads the ``config.similarity`` user matrix, which the kNN fit
+    of ``model.k`` and ``model.similarity`` for beta3 reuses when the
+    kinds agree (for a factorization model it serves beta3 alone); it is
+    dropped before any other n x n array is built, so at most one is held
+    at a time. beta5 reads ``top_lists`` of the studied model, and beta8
+    one m x m matrix: item cosine's float32 Gram on half-star ratings, or
+    item Pearson's float64 similarities.
 
     Each column is computed for all users at once and equals the one-user
     reference's value bit for bit (see the module docstring; the references
     of beta1..beta7 are in ``tests/oracles.py``).
-    Beside the caller's arrays at most one n x n matrix is held at a time,
-    beta4's distances, and beta8 one m x m matrix: item cosine's float32
-    Gram on half-star ratings, or item Pearson's float64 similarities.
     """
+    sims = user_similarity_matrix(ds, kind=config.similarity)
+    beta2 = centralities(sims)
+    sims = sims if model.similarity == config.similarity else None
+    knn = train_knn(ds, model.k, model.similarity, sim_matrix=sims)
+    del sims
+    studied = knn if model.algorithm == "knn" else model.train(ds)
+    listed, _ = top_lists(studied, l)
     n = ds.n_users
-    if listed.shape != (n, ds.n_items):
-        raise ValueError("need one recommendation list per user")
     values = np.empty((n, 8))
     # beta4 first, its distance matrix freed before beta5's products
     dists = user_distance_matrix(ds, kind=config.user_distance)
@@ -296,7 +294,7 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
     values[:, 4] = recommendation_overlaps(ds, listed)
     values[:, 0] = ds.user_counts
     values[:, 1] = beta2
-    values[:, 2] = np.bincount(knn_model.neighbors.ravel(), minlength=n)
+    values[:, 2] = np.bincount(knn.neighbors.ravel(), minlength=n)
     for users, pos in _size_groups(ds):
         items = ds.item_idx[pos]
         values[users, 5] = np.median(ds.item_counts[items], axis=1)
@@ -312,6 +310,6 @@ def extract_all(ds: RatingsDataset, knn_model: KnnModel, listed,
         "user_distance": config.user_distance,
         "item_distance": config.item_distance,
         "epsilon": epsilon,
-        "k": knn_model.k,
+        "k": knn.k,
     }
     return FeatureTable(ds.user_ids, values, snapshot)

@@ -277,14 +277,14 @@ def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
     gives it on ``data._transposed``."""
     pos, slot = ds._item_ratings(items)
     cols = np.zeros((ds.n_users, len(items)), order="F")
-    observed = np.zeros(cols.shape, dtype=bool, order="F")
     where = (ds.user_idx[pos], slot)
     cols[where] = ds.values[pos]
-    observed[where] = True
     if kind == "cosine":
         norms = np.sqrt(np.sum(cols * cols, axis=0))
         return _distances(_scores("cosine", (cols.T @ cols,
                                              np.outer(norms, norms))))
+    observed = np.zeros(cols.shape, dtype=bool, order="F")
+    observed[where] = True
     return _distances(_similarity_loop(kind, cols.T, observed.T, cols.T,
                                        observed.T, shrink=None))
 

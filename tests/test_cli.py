@@ -277,7 +277,24 @@ class TestInfluenceCommand:
                      "--k", "2", "--l", "2", "--out-dir", str(out)]) == 2
         name, size = ("user", 5) if field == 0 else ("item", 6)
         assert capsys.readouterr().err == (
-            f"error: {name} index {index} out of range [0, {size})\n")
+            f"error: {dump}: {name} index {index} out of range "
+            f"[0, {size})\n")
+        assert not (out / "influence.csv").exists()
+
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf"])
+    def test_dump_rating_not_finite_exits_2(self, tmp_path, capsys, rating):
+        out = ingest_toy(tmp_path)
+        dump = out / "dataset.tsv"
+        lines = dump.read_text().splitlines()
+        parts = lines[4].split("\t")
+        parts[2] = rating
+        lines[4] = "\t".join(parts)
+        dump.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["influence", "--dataset", str(dump), "--algo", "knn",
+                     "--k", "2", "--l", "2", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dump}: rating {rating} is not finite\n")
         assert not (out / "influence.csv").exists()
 
     @pytest.mark.parametrize("iters", ["0", "-5"])
@@ -431,13 +448,16 @@ class TestFeatureAndTreeCommands:
             blobs.append([(d / name).read_bytes() for name in names])
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("knn_kind", ["pearson", "cosine"])
+    @pytest.mark.parametrize("algo,knn_kind", [
+        pytest.param("knn", "pearson", id="pearson"),
+        pytest.param("knn", "cosine", id="cosine"),
+        pytest.param("nmf", "pearson", id="nmf")])
     def test_similarity_matrix_freed_before_other_square_arrays(
-            self, tmp_path, monkeypatch, knn_kind):
+            self, tmp_path, monkeypatch, algo, knn_kind):
         # features.similarity stays pearson; knn.similarity agrees or not
         out = ingest_random(tmp_path)
         refs, live = [], []
-        real = cli.user_similarity_matrix
+        real = features.user_similarity_matrix
 
         def built(*args, **kwargs):
             sims = real(*args, **kwargs)
@@ -452,15 +472,19 @@ class TestFeatureAndTreeCommands:
                 return inner(*args, **kwargs)
             monkeypatch.setattr(module, name, run)
 
-        monkeypatch.setattr(cli, "user_similarity_matrix", built)
+        monkeypatch.setattr(features, "user_similarity_matrix", built)
         checked(features, "user_distance_matrix")
-        checked(cli, "top_lists")
+        checked(features, "top_lists")
         # the kNN fit's own pass, when the kinds differ
         checked(recommender, "user_similarity_matrix")
+        checked(recommender, "train_nmf")
         assert main(["features", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", algo, "--factors", "3", "--iters", "10",
                      "--k", "3", "--l", "4", "--similarity", knn_kind,
                      "--out-dir", str(out)]) == 0
         expected = [("top_lists", False), ("user_distance_matrix", False)]
+        if algo == "nmf":
+            expected.insert(0, ("train_nmf", False))
         if knn_kind != "pearson":
             expected.insert(0, ("user_similarity_matrix", False))
         assert len(refs) == 1

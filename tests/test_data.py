@@ -151,6 +151,15 @@ class TestBuild:
         with pytest.raises(DatasetError, match="outside declared scale"):
             self.build([0, 1], [0, 1], [0.5, 3.0], r_min=1.0, r_max=5.0)
 
+    @pytest.mark.parametrize("bounds", [{}, {"r_min": 1.0, "r_max": 5.0}],
+                             ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_rating(self, bad, bounds):
+        with pytest.raises(DatasetError,
+                           match=f"^rating {bad!r} is not finite$"):
+            self.build([0, 1, 2], [0, 1, 2], [1.0, bad, 3.0], **bounds)
+
     @pytest.mark.parametrize("u_idx,i_idx,message", [
         ([0, 3], [0, 1], "user index 3 out of range \\[0, 3\\)"),
         ([0, -1], [0, 1], "user index -1 out of range \\[0, 3\\)"),

@@ -327,9 +327,7 @@ class TestExtractAll:
         model = train_knn(toy, 2, "pearson")
         lists = [frozenset(top_items(model, v, 3).tolist())
                  for v in range(5)]
-        cfg = FeatureConfig()
-        table = extract_all(toy, model, indicator(lists, toy.n_items),
-                            centralities(user_similarity_matrix(toy)), cfg)
+        table = extract_all(toy, ModelConfig(k=2), 3)
         assert table.values.shape == (5, 8)
         eps = table.config["epsilon"]
         for u in range(5):
@@ -373,36 +371,20 @@ class TestExtractAll:
         ds2 = build_dataset(rows, users=[f"u{j}" for j in range(8)],
                             items=list(ds.item_ids))
         cfg = FeatureConfig(epsilon=0.4)
-        m1 = train_knn(ds, 3, "pearson")
-        m2 = train_knn(ds2, 3, "pearson")
-        l1 = [frozenset(top_items(m1, v, 4).tolist()) for v in range(8)]
-        l2 = [frozenset(top_items(m2, v, 4).tolist()) for v in range(8)]
-        t1 = extract_all(ds, m1, indicator(l1, ds.n_items),
-                         centralities(user_similarity_matrix(ds)), cfg)
-        t2 = extract_all(ds2, m2, indicator(l2, ds2.n_items),
-                         centralities(user_similarity_matrix(ds2)), cfg)
+        t1 = extract_all(ds, ModelConfig(k=3), 4, cfg)
+        t2 = extract_all(ds2, ModelConfig(k=3), 4, cfg)
         for new, orig in enumerate(perm):
             np.testing.assert_allclose(t2.values[new], t1.values[orig],
                                        atol=1e-12)
 
     def test_column_count_always_eight(self):
         ds = random_dataset(6, 10, 0.3, seed=4)
-        model = train_knn(ds, 2, "pearson")
-        lists = [frozenset(top_items(model, v, 2).tolist())
-                 for v in range(6)]
-        table = extract_all(ds, model, indicator(lists, ds.n_items),
-                            centralities(user_similarity_matrix(ds)),
-                            FeatureConfig())
+        table = extract_all(ds, ModelConfig(k=2), 2, FeatureConfig())
         assert table.values.shape[1] == 8
 
     def test_invariant_ranges(self):
         ds = random_dataset(10, 18, 0.3, seed=5)
-        model = train_knn(ds, 3, "pearson")
-        lists = [frozenset(top_items(model, v, 4).tolist())
-                 for v in range(10)]
-        table = extract_all(ds, model, indicator(lists, ds.n_items),
-                            centralities(user_similarity_matrix(ds)),
-                            FeatureConfig())
+        table = extract_all(ds, ModelConfig(k=3), 4, FeatureConfig())
         v = table.values
         assert np.all(v[:, 0] >= 1)
         assert np.all(v[:, 2] == v[:, 2].astype(int))
@@ -452,21 +434,34 @@ def reference_values(ds, model, listed, sims, cfg, epsilon):
         for u in range(ds.n_users)]).reshape(ds.n_users, 8)
 
 
-def feature_inputs(ds, cfg, k=3, l=5, algo="knn"):
-    """The kNN model, top-l list indicator and similarity matrix
-    ``extract_all`` takes, built as the ``features`` command builds them."""
+def studied_model(cfg, k=3, algo="knn"):
+    """The run under study: kNN of ``cfg.similarity``, or a small NMF."""
+    return ModelConfig(algo, k=k, similarity=cfg.similarity, factors=3,
+                       seed=2, n_iters=20)
+
+
+def feature_inputs(ds, cfg, mc, l):
+    """The kNN model, top-l list indicator and similarity matrix that
+    ``extract_all(ds, mc, l, cfg)`` reads, each built on its own for the
+    one-user references."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # k >= n is reduced
-        model = train_knn(ds, k, cfg.similarity)
-    studied = model if algo == "knn" else ModelConfig(
-        "nmf", factors=3, seed=2, n_iters=20).train(ds)
+        model = train_knn(ds, mc.k, mc.similarity)
+    studied = model if mc.algorithm == "knn" else mc.train(ds)
     listed, _ = top_lists(studied, l)
     return model, listed, user_similarity_matrix(ds, kind=cfg.similarity)
 
 
-def table_and_reference(ds, cfg=FeatureConfig(), **kwargs):
-    model, listed, sims = feature_inputs(ds, cfg, **kwargs)
-    table = extract_all(ds, model, listed, centralities(sims), cfg)
+def extract(ds, mc, l, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # k >= n is reduced
+        return extract_all(ds, mc, l, cfg)
+
+
+def table_and_reference(ds, cfg=FeatureConfig(), k=3, l=5, algo="knn"):
+    mc = studied_model(cfg, k, algo)
+    table = extract(ds, mc, l, cfg)
+    model, listed, sims = feature_inputs(ds, cfg, mc, l)
     return table.values, reference_values(ds, model, listed, sims, cfg,
                                           table.config["epsilon"])
 
@@ -509,7 +504,8 @@ class TestBatchedColumns:
     def test_overlap_blocks_of_any_height(self, seed, monkeypatch):
         # beta5 and beta2, the two n x n row reductions
         ds, _ = self.random_suite_dataset(seed)
-        _, listed, sims = feature_inputs(ds, FeatureConfig())
+        cfg = FeatureConfig()
+        _, listed, sims = feature_inputs(ds, cfg, studied_model(cfg), 5)
         lists = [np.flatnonzero(row) for row in listed]
         want = np.array([recommendation_overlap(ds, u, lists)
                          for u in range(ds.n_users)])
@@ -547,6 +543,23 @@ class TestBatchedColumns:
         # item Pearson always scores pairs, so a profile of three items or
         # more is split across pieces of one pair
         assert any(split) == (ds.user_counts.max() >= 3)
+
+    @pytest.mark.parametrize("t,entries", [
+        (2, 2 ** 15), (3, 1), (7, 1), (7, 7), (60, 7), (60, 100),
+        (300, 2 ** 15)])
+    def test_triangle_pieces_are_the_upper_triangle(self, t, entries,
+                                                    monkeypatch):
+        # entries below t - 1 put one row alone past the budget
+        monkeypatch.setattr(features, "_BATCH_ENTRIES", entries)
+        spans, i, j = zip(*features._triangle_pieces(t))
+        want_i, want_j = np.triu_indices(t, 1)
+        for got, want in ((i, want_i), (j, want_j)):
+            got = np.concatenate(got)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert [span.stop - span.start for span in spans] == \
+            [len(piece) for piece in i]
+        assert spans[0].start == 0 and spans[-1].stop == len(want_i)
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_profile_pieces_on_the_random_suite(self, seed, monkeypatch):
@@ -654,11 +667,8 @@ class TestBatchedColumns:
         assert_same_bits(*table_and_reference(shifted))
 
     def test_explicit_epsilon_must_be_positive(self, toy):
-        model = train_knn(toy, 2)
-        listed, _ = top_lists(model, 3)
         with pytest.raises(ValueError, match="epsilon must be > 0"):
-            extract_all(toy, model, listed,
-                        centralities(user_similarity_matrix(toy)),
+            extract_all(toy, ModelConfig(k=2), 3,
                         FeatureConfig(epsilon=-0.5))
 
 
@@ -675,8 +685,7 @@ class TestBeta8Routes:
         monkeypatch.setattr(features, "item_distance_submatrix", refuse)
         for kind, reference in expected.items():
             cfg = FeatureConfig(item_distance=kind)
-            model, listed, sims = feature_inputs(ds, cfg)
-            table = extract_all(ds, model, listed, centralities(sims), cfg)
+            table = extract(ds, studied_model(cfg), 5, cfg)
             assert_same_bits(table.values, reference)
 
     @pytest.mark.parametrize("grade,top", [("continuous", 5.0),
@@ -710,7 +719,8 @@ class TestFeatureMemory:
         # profile-analysis shape: 300 x 600 half stars at 4% density
         ds = graded_dataset(300, 600, 0.04, 16)
         cfg = FeatureConfig()
-        model, listed, sims = feature_inputs(ds, cfg, k=20, l=10)
+        mc = studied_model(cfg, k=20)
+        model, listed, sims = feature_inputs(ds, cfg, mc, 10)
         lists = [np.flatnonzero(row) for row in listed]
 
         def reference():
@@ -736,7 +746,7 @@ class TestFeatureMemory:
                 tracemalloc.stop()
 
         def batched():
-            extract_all(ds, model, listed, centralities(sims), cfg)
+            extract_all(ds, mc, 10, cfg)
 
         # a first call may import modules lazily, which both routes would
         # otherwise count (no stage imports numpy.ma: see test_imports)
@@ -795,9 +805,7 @@ class TestCentroidColumn:
     @staticmethod
     def column(ds, kind):
         cfg = FeatureConfig(similarity=kind, epsilon=0.5)
-        model, listed, sims = feature_inputs(ds, cfg, k=1, l=1)
-        return extract_all(ds, model, listed, centralities(sims),
-                           cfg).values[:, 6]
+        return extract(ds, studied_model(cfg, k=1), 1, cfg).values[:, 6]
 
     @staticmethod
     def reference(ds, kind):
@@ -835,9 +843,8 @@ class TestCentroidColumn:
 
     def test_unknown_kind_refused(self, toy):
         cfg = FeatureConfig(epsilon=0.5)
-        model, listed, sims = feature_inputs(toy, cfg)
         with pytest.raises(ValueError, match="unknown similarity"):
-            extract_all(toy, model, listed, centralities(sims),
+            extract_all(toy, studied_model(cfg), 5,
                         FeatureConfig(similarity="foo", epsilon=0.5))
 
 

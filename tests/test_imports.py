@@ -43,6 +43,15 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} without use"
 
 
+def test_cli_leaves_the_features_inputs_to_features():
+    # extract_all builds the similarity matrix, kNN fit and lists itself
+    source = (MODULES[0].parent / "cli.py").read_text("utf-8")
+    imported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"train_knn", "top_lists", "user_similarity_matrix"}
+
+
 def test_detects_an_unused_import():
     source = ("import json\nfrom os import path, sep\n"
               "__all__ = ['sep']\nprint(json)\n")

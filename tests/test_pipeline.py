@@ -4,12 +4,10 @@ import numpy as np
 
 from recinfluence.analysis import (centrality_dispersion, mds_embed,
                                    segment_by_influence)
-from recinfluence.features import (FeatureConfig, centralities,
-                                   extract_all)
+from recinfluence.features import FeatureConfig, extract_all
 from recinfluence.influence import influence_all
 from recinfluence.predictor import export_boundaries, fit_tree, predict_tree
-from recinfluence.recommender import ModelConfig, top_lists, train_knn
-from recinfluence.similarity import user_similarity_matrix
+from recinfluence.recommender import ModelConfig
 
 from conftest import build_dataset, random_dataset
 
@@ -38,11 +36,7 @@ def test_neighborhood_membership_tracks_knn_influence_best():
     ds = heterogeneous_dataset()
     cfg = ModelConfig("knn", k=5)
     report = influence_all(ds, cfg, 10)
-    model = train_knn(ds, 5)
-    listed, _ = top_lists(model, 10)
-    table = extract_all(ds, model, listed,
-                        centralities(user_similarity_matrix(ds)),
-                        FeatureConfig())
+    table = extract_all(ds, cfg, 10, FeatureConfig())
     corrs = [spearman(table.values[:, j], report.influence)
              for j in range(8)]
     assert np.argmax(corrs) == 2
@@ -53,11 +47,7 @@ def test_full_stage_chain_is_consistent():
     ds = random_dataset(25, 40, 0.2, seed=31)
     cfg = ModelConfig("knn", k=4)
     report = influence_all(ds, cfg, 5)
-    model = train_knn(ds, 4)
-    listed, _ = top_lists(model, 5)
-    table = extract_all(ds, model, listed,
-                        centralities(user_similarity_matrix(ds)),
-                        FeatureConfig())
+    table = extract_all(ds, cfg, 5, FeatureConfig())
     tree = fit_tree(table.values, report.influence,
                     max_depth=6, min_samples_leaf=2)
     total = tree.importances.sum()
