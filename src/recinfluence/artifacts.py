@@ -3,17 +3,19 @@
 All CSVs carry a header row, UTF-8, LF line endings; floats are written
 with repr so they round-trip exactly and two identical runs produce
 byte-identical files. Each artifact gets a JSON sidecar embedding the
-resolved run configuration and a content hash of the input dataset.
+resolved run configuration and the SHA-256 of the bytes of the dataset dump
+it was computed from (``file_sha256``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .data import RatingsDataset, _dump_digest
+from .data import RatingsDataset
 from .influence import GroupInfluenceCurve, InfluenceReport
 from .features import FEATURE_NAMES, FeatureTable
 from .predictor import RegressionTree
@@ -49,10 +51,21 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, rows[1:]
 
 
-def dataset_hash(ds: RatingsDataset) -> str:
-    """Content hash over the canonical dump that ``save_dataset`` writes,
-    formatted and hashed in blocks of ratings."""
-    return _dump_digest(ds)
+# Bytes read at a time when a file is hashed: hashing a dump holds this one
+# buffer whatever the dump's size (13 MiB at ML-1M shape).
+_HASH_BLOCK = 65536
+
+
+def file_sha256(path) -> str:
+    """SHA-256 hex digest of the bytes of the file at ``path``, read into
+    one ``_HASH_BLOCK`` buffer: the ``dataset_sha256`` of every stage."""
+    digest = hashlib.sha256()
+    buf = bytearray(_HASH_BLOCK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.hexdigest()
 
 
 def write_sidecar(artifact_path, config: dict, ds_hash: str,
@@ -133,18 +146,14 @@ def write_tree_json(tree: RegressionTree, path) -> Path:
     return path
 
 
-def read_tree_json(path) -> RegressionTree:
-    return RegressionTree.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def save_model(model, base_path, ds_hash: str | None = None) -> Path:
+def save_model(model, base_path, ds_hash: str) -> Path:
     """Model dump: ``<base>.json`` header plus ``<base>.tsv`` payload.
 
     The kNN payload rows are ``N u v sim`` (neighbor lists in order),
     ``M i mean`` (item means) and ``G mean`` (global mean); the
     factorization payload rows are ``P row f...``, ``Q row f...`` and
-    ``H iter objective``. ``ds_hash`` is ``dataset_hash(model.dataset)``
-    when the caller has it already; otherwise it is computed here.
+    ``H iter objective``. ``ds_hash`` is the ``file_sha256`` of the dump
+    the model was trained on.
     """
     base = Path(base_path)
     lines = []
@@ -169,49 +178,10 @@ def save_model(model, base_path, ds_hash: str | None = None) -> Path:
             lines.append(f"H\t{it}\t{repr(float(obj))}")
     else:
         raise TypeError(f"cannot dump {type(model).__name__}")
-    header["dataset_sha256"] = ds_hash or dataset_hash(model.dataset)
+    header["dataset_sha256"] = ds_hash
     base.with_suffix(".json").write_text(
         json.dumps(header, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     base.with_suffix(".tsv").write_text("\n".join(lines) + "\n",
                                         encoding="utf-8", newline="\n")
     return base.with_suffix(".json")
 
-
-def load_model(base_path, ds: RatingsDataset):
-    """Rebuild a dumped model against its training dataset."""
-    base = Path(base_path)
-    header = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
-    if header["dataset_sha256"] != dataset_hash(ds):
-        raise ValueError(f"{base}: dataset does not match the model dump")
-    rows: dict[str, list[list[str]]] = {}
-    for line in base.with_suffix(".tsv").read_text(encoding="utf-8").split("\n"):
-        if line:
-            tag, *rest = line.split("\t")
-            rows.setdefault(tag, []).append(rest)
-    if header["algorithm"] == "knn":
-        k_eff = len(rows.get("N", [])) // ds.n_users if ds.n_users else 0
-        neighbors = np.zeros((ds.n_users, k_eff), dtype=np.int64)
-        sims = np.zeros((ds.n_users, k_eff))
-        position = np.zeros(ds.n_users, dtype=np.int64)
-        for u_s, v_s, s_s in rows.get("N", []):
-            u = int(u_s)
-            neighbors[u, position[u]] = int(v_s)
-            sims[u, position[u]] = float(s_s)
-            position[u] += 1
-        item_means = np.zeros(ds.n_items)
-        for i_s, m_s in rows.get("M", []):
-            item_means[int(i_s)] = float(m_s)
-        global_mean = float(rows["G"][0][0])
-        for arr in (neighbors, sims, item_means):
-            arr.flags.writeable = False
-        return KnnModel(ds, header["k"], header["similarity"], neighbors,
-                        sims, item_means, global_mean)
-    if header["algorithm"] == "nmf":
-        p = np.array([[float(v) for v in rest[1:]] for rest in rows["P"]])
-        q = np.array([[float(v) for v in rest[1:]] for rest in rows["Q"]])
-        p.flags.writeable = False
-        q.flags.writeable = False
-        history = tuple(float(rest[1]) for rest in rows["H"])
-        return NmfModel(ds, header["factors"], header["seed"],
-                        header["n_iters"], header["masked"], p, q, history)
-    raise ValueError(f"{base}: unknown algorithm {header['algorithm']!r}")

@@ -2,8 +2,9 @@
 
 Stages communicate through on-disk artifacts (dataset dump, model dump,
 influence CSV, feature CSV, tree JSON) so long runs are resumable. Every
-artifact gets a sidecar with the fully resolved configuration and the input
-dataset's content hash. Defaults < config file < command-line flags.
+artifact gets a sidecar with the fully resolved configuration and the
+SHA-256 of the dataset dump file it read (``artifacts.file_sha256``).
+Defaults < config file < command-line flags.
 
 Exit codes: 0 success, 1 computation failure, 2 usage or IO error.
 """
@@ -217,9 +218,9 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
                           mode=cfg["data.item_sample_mode"], seed=cfg["seed"])
     path = out / "dataset.tsv"
     stats = compute_stats(ds)
-    # the dump is formatted once, and hashed as it is written
-    ds_hash = _save_dataset(ds, path, stats)
-    artifacts.write_sidecar(path, cfg, ds_hash, {"stats": stats.to_dict()})
+    _save_dataset(ds, path, stats)
+    artifacts.write_sidecar(path, cfg, artifacts.file_sha256(path),
+                            {"stats": stats.to_dict()})
     print(f"ingested {stats.n_ratings} ratings: {stats.n_users} users x "
           f"{stats.n_items} items, sparsity {stats.sparsity:.4f}")
     return 0
@@ -228,8 +229,8 @@ def cmd_ingest(args, cfg: dict, out: Path) -> int:
 def cmd_train(args, cfg: dict, out: Path) -> int:
     mc = model_config(cfg)
     ds = load_dataset(args.dataset)
+    ds_hash = artifacts.file_sha256(args.dataset)
     model = mc.train(ds)
-    ds_hash = artifacts.dataset_hash(ds)
     artifacts.save_model(model, out / "model", ds_hash)
     artifacts.write_sidecar(out / "model.json", cfg, ds_hash)
     print(f"trained {model.algorithm} model on {ds.n_users} users")
@@ -240,11 +241,12 @@ def cmd_evaluate(args, cfg: dict, out: Path) -> int:
     mc = model_config(cfg)
     _check_options(cfg, "list.length", "eval.test_fraction")
     ds = load_dataset(args.dataset)
+    ds_hash = artifacts.file_sha256(args.dataset)
     train, test = train_test_split(ds, cfg["eval.test_fraction"], cfg["seed"])
     model = mc.train(train)
     metrics = evaluate(model, test, cfg["list.length"],
                        cfg["eval.relevance_threshold"])
-    payload = {"config": cfg, "dataset_sha256": artifacts.dataset_hash(ds),
+    payload = {"config": cfg, "dataset_sha256": ds_hash,
                "metrics": metrics}
     (out / "evaluate.json").write_text(
         json.dumps(payload, sort_keys=True, indent=1) + "\n",
@@ -261,11 +263,11 @@ def cmd_influence(args, cfg: dict, out: Path) -> int:
                    "influence.warm_iters")
     top_ks = _numbers(cfg, "influence.top_k", int)
     ds = load_dataset(args.dataset)
+    ds_hash = artifacts.file_sha256(args.dataset)
     report = influence.influence_all(
         ds, mc, cfg["list.length"],
         warm_start=cfg["influence.warm_start"],
         warm_iters=cfg["influence.warm_iters"])
-    ds_hash = artifacts.dataset_hash(ds)
     path = artifacts.write_influence_csv(report, ds, out / "influence.csv")
     artifacts.write_sidecar(path, cfg, ds_hash, report.to_meta())
     # top sets larger than the dataset clamp to "everyone"
@@ -293,9 +295,10 @@ def cmd_features(args, cfg: dict, out: Path) -> int:
                    "features.item_distance", "features.epsilon",
                    "features.epsilon_quantile")
     ds = load_dataset(args.dataset)
+    ds_hash = artifacts.file_sha256(args.dataset)
     table = features.extract_all(ds, mc, cfg["list.length"], fc)
     path = artifacts.write_features_csv(table, out / "features.csv")
-    artifacts.write_sidecar(path, cfg, artifacts.dataset_hash(ds),
+    artifacts.write_sidecar(path, cfg, ds_hash,
                             {"feature_config": table.config})
     print(f"extracted {table.values.shape[1]} features for "
           f"{table.n_users} users")
@@ -339,6 +342,7 @@ def cmd_mds(args, cfg: dict, out: Path) -> int:
     _check_options(cfg, "mds.distance", "mds.max_points", "mds.segments",
                    "mds.refine_iters")
     ds = load_dataset(args.dataset)
+    ds_hash = artifacts.file_sha256(args.dataset)
     ids, infl = artifacts.read_influence_csv(args.influence)
     if list(ids) != list(ds.user_ids):
         raise DatasetError("influence report does not match the dataset")
@@ -347,7 +351,6 @@ def cmd_mds(args, cfg: dict, out: Path) -> int:
                                    seed=cfg["seed"],
                                    refine_iters=cfg["mds.refine_iters"])
     labels = analysis.segment_by_influence(infl, cfg["mds.segments"])
-    ds_hash = artifacts.dataset_hash(ds)
     epath = artifacts.write_embedding_csv(embedding, ds, infl, labels,
                                           out / "embedding.csv")
     artifacts.write_sidecar(epath, cfg, ds_hash, {"stress": embedding.stress})

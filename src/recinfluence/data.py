@@ -12,7 +12,6 @@ audit on half-star data never holds them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -379,8 +378,8 @@ def drop_user(ds: RatingsDataset, u: int) -> RatingsDataset:
                      np.arange(ds.n_items))
 
 
-# Ratings formatted at a time when the dump is written or hashed, so no
-# stage holds the whole dump text (171 MiB at ML-1M shape, 12 MiB in blocks).
+# Ratings formatted at a time when the dump is written, so ingest never
+# holds the whole dump text (171 MiB at ML-1M shape, 12 MiB in blocks).
 _DUMP_BLOCK = 65536
 
 
@@ -400,23 +399,11 @@ def _dump_blocks(ds: RatingsDataset):
                                          ds.values[part].tolist())).encode()
 
 
-def _dump_digest(ds: RatingsDataset, fh=None) -> str:
-    """SHA-256 hex digest of the canonical dump, formatted block by block;
-    each block is also written to the binary file ``fh`` when given."""
-    digest = hashlib.sha256()
-    for block in _dump_blocks(ds):
-        digest.update(block)
-        if fh is not None:
-            fh.write(block)
-    return digest.hexdigest()
-
-
-def _save_dataset(ds: RatingsDataset, tsv_path, stats: DatasetStats) -> str:
-    """``save_dataset`` with the dataset's ``compute_stats``, returning the
-    dump's digest, which it takes from the blocks it writes."""
+def _save_dataset(ds: RatingsDataset, tsv_path, stats: DatasetStats) -> None:
+    """``save_dataset`` with the dataset's ``compute_stats``."""
     tsv_path = Path(tsv_path)
     with open(tsv_path, "wb") as fh:
-        digest = _dump_digest(ds, fh)
+        fh.writelines(_dump_blocks(ds))
     sidecar = {
         "user_ids": list(ds.user_ids),
         "item_ids": list(ds.item_ids),
@@ -427,7 +414,6 @@ def _save_dataset(ds: RatingsDataset, tsv_path, stats: DatasetStats) -> str:
     side_path = tsv_path.with_suffix(".json")
     side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n",
                          encoding="utf-8")
-    return digest
 
 
 def save_dataset(ds: RatingsDataset, tsv_path) -> Path:

@@ -275,7 +275,13 @@ def extract_all(ds: RatingsDataset, model: ModelConfig, l: int,
     Each column is computed for all users at once and equals the one-user
     reference's value bit for bit (see the module docstring; the references
     of beta1..beta7 are in ``tests/oracles.py``).
+
+    ``l < 1`` and ``model.k < 1`` raise ``ValueError`` before any work.
     """
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if model.k < 1:
+        raise ValueError("k must be >= 1")
     sims = user_similarity_matrix(ds, kind=config.similarity)
     beta2 = centralities(sims)
     sims = sims if model.similarity == config.similarity else None

@@ -39,15 +39,6 @@ class TreeNode:
             d["right"] = self.right.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        node = cls(d["value"], d["n_samples"], d["mse"],
-                   d.get("feature"), d.get("threshold"))
-        if node.feature is not None:
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
-
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
@@ -85,13 +76,6 @@ class RegressionTree:
             "mse": self.mse,
             "root": self.root.to_dict(),
         }, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegressionTree":
-        d = json.loads(text)
-        return cls(TreeNode.from_dict(d["root"]), d["n_features"],
-                   d["max_depth"], d["min_samples_leaf"],
-                   np.array(d["importances"]), d["r2"], d["mse"])
 
 
 def _node_mse(y: np.ndarray) -> float:

@@ -6,14 +6,19 @@ under test. The one-user definitions at the end (features beta1..beta7,
 ``recommend`` and ``prediction_shift_oracle``) are the exceptions: they
 are the package's former public functions, built on its kernels and
 retrain route, and its whole-array passes must match them bit for bit.
+``load_model``, last, reads back the model dump that ``train`` writes and
+no stage reads.
 """
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from recinfluence.data import RatingsDataset, drop_user
-from recinfluence.recommender import KnnModel, ModelConfig, top_items
+from recinfluence.recommender import (KnnModel, ModelConfig, NmfModel,
+                                      top_items)
 from recinfluence.similarity import (_similarity_loop, user_distance_matrix,
                                      user_similarity_matrix)
 
@@ -525,3 +530,43 @@ def prediction_shift_oracle(ds: RatingsDataset, config: ModelConfig,
         total += float(np.sum(np.abs(before - after)))
         count += int(np.count_nonzero(unrated))
     return total / count if count else 0.0
+
+
+def load_model(base_path, ds: RatingsDataset):
+    """Rebuild a model dumped by ``artifacts.save_model`` against its
+    training dataset ``ds``, which the caller vouches for: the dump's
+    round-trip check."""
+    base = Path(base_path)
+    header = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+    rows: dict[str, list[list[str]]] = {}
+    for line in base.with_suffix(".tsv").read_text(encoding="utf-8").split("\n"):
+        if line:
+            tag, *rest = line.split("\t")
+            rows.setdefault(tag, []).append(rest)
+    if header["algorithm"] == "knn":
+        k_eff = len(rows.get("N", [])) // ds.n_users if ds.n_users else 0
+        neighbors = np.zeros((ds.n_users, k_eff), dtype=np.int64)
+        sims = np.zeros((ds.n_users, k_eff))
+        position = np.zeros(ds.n_users, dtype=np.int64)
+        for u_s, v_s, s_s in rows.get("N", []):
+            u = int(u_s)
+            neighbors[u, position[u]] = int(v_s)
+            sims[u, position[u]] = float(s_s)
+            position[u] += 1
+        item_means = np.zeros(ds.n_items)
+        for i_s, m_s in rows.get("M", []):
+            item_means[int(i_s)] = float(m_s)
+        global_mean = float(rows["G"][0][0])
+        for arr in (neighbors, sims, item_means):
+            arr.flags.writeable = False
+        return KnnModel(ds, header["k"], header["similarity"], neighbors,
+                        sims, item_means, global_mean)
+    if header["algorithm"] == "nmf":
+        p = np.array([[float(v) for v in rest[1:]] for rest in rows["P"]])
+        q = np.array([[float(v) for v in rest[1:]] for rest in rows["Q"]])
+        p.flags.writeable = False
+        q.flags.writeable = False
+        history = tuple(float(rest[1]) for rest in rows["H"])
+        return NmfModel(ds, header["factors"], header["seed"],
+                        header["n_iters"], header["masked"], p, q, history)
+    raise ValueError(f"{base}: unknown algorithm {header['algorithm']!r}")

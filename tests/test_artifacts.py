@@ -12,14 +12,19 @@ from recinfluence.recommender import (ModelConfig, continue_nmf, train_knn,
 from recinfluence.predictor import fit_tree
 
 from conftest import build_dataset, random_dataset
-from oracles import recommend
+from oracles import load_model, recommend
+
+
+def dump_hash(ds, tmp_path):
+    return artifacts.file_sha256(save_dataset(ds, tmp_path / "d.tsv"))
 
 
 class TestModelDump:
     def test_knn_round_trip_reproduces_recommendations(self, tmp_path, toy):
         model = train_knn(toy, 2, "pearson")
-        artifacts.save_model(model, tmp_path / "model")
-        back = artifacts.load_model(tmp_path / "model", toy)
+        artifacts.save_model(model, tmp_path / "model",
+                             dump_hash(toy, tmp_path))
+        back = load_model(tmp_path / "model", toy)
         assert np.array_equal(back.neighbors, model.neighbors)
         assert np.array_equal(back.neighbor_sims, model.neighbor_sims)
         assert np.array_equal(back.item_means, model.item_means)
@@ -28,26 +33,22 @@ class TestModelDump:
 
     def test_nmf_round_trip_bit_exact(self, tmp_path, toy):
         model = train_nmf(toy, 2, seed=9, n_iters=40)
-        artifacts.save_model(model, tmp_path / "model")
-        back = artifacts.load_model(tmp_path / "model", toy)
+        artifacts.save_model(model, tmp_path / "model",
+                             dump_hash(toy, tmp_path))
+        back = load_model(tmp_path / "model", toy)
         assert np.array_equal(back.p, model.p)
         assert np.array_equal(back.q, model.q)
         assert back.objective_history == model.objective_history
 
-    def test_dump_rejects_wrong_dataset(self, tmp_path, toy):
-        model = train_knn(toy, 2, "pearson")
-        artifacts.save_model(model, tmp_path / "model")
-        other = random_dataset(5, 6, 0.5, seed=1)
-        with pytest.raises(ValueError, match="does not match"):
-            artifacts.load_model(tmp_path / "model", other)
-
     def test_header_lists_hyperparameters(self, tmp_path, toy):
         model = train_nmf(toy, 2, seed=9, n_iters=40)
-        artifacts.save_model(model, tmp_path / "model")
+        digest = dump_hash(toy, tmp_path)
+        artifacts.save_model(model, tmp_path / "model", digest)
         header = json.loads((tmp_path / "model.json").read_text())
         assert header["algorithm"] == "nmf"
         assert header["factors"] == 2
         assert header["seed"] == 9
+        assert header["dataset_sha256"] == digest
 
 
 class TestCsvFormats:
@@ -69,21 +70,33 @@ class TestCsvFormats:
     def test_sidecar_carries_config_and_hash(self, tmp_path, toy):
         path = save_dataset(toy, tmp_path / "d.tsv")
         side = artifacts.write_sidecar(path, {"algo": "knn"},
-                                       artifacts.dataset_hash(toy))
+                                       artifacts.file_sha256(path))
         doc = json.loads(side.read_text())
         assert doc["config"] == {"algo": "knn"}
-        assert doc["dataset_sha256"] == artifacts.dataset_hash(toy)
+        assert doc["dataset_sha256"] == artifacts.file_sha256(path)
 
-    def test_dataset_hash_tracks_content(self, toy):
+    def test_file_sha256_tracks_content(self, tmp_path, toy):
         other = random_dataset(5, 6, 0.5, seed=3)
-        assert artifacts.dataset_hash(toy) != artifacts.dataset_hash(other)
-        assert artifacts.dataset_hash(toy) == artifacts.dataset_hash(toy)
+        path = save_dataset(toy, tmp_path / "d.tsv")
+        other_path = save_dataset(other, tmp_path / "other.tsv")
+        assert artifacts.file_sha256(path) != artifacts.file_sha256(other_path)
+        assert artifacts.file_sha256(path) == artifacts.file_sha256(path)
 
-    def test_dataset_hash_is_sha256_of_saved_dump(self, tmp_path):
+    def test_file_sha256_is_sha256_of_saved_dump(self, tmp_path):
         ds = random_dataset(30, 50, 0.2, seed=9)
         path = save_dataset(ds, tmp_path / "d.tsv")
-        assert artifacts.dataset_hash(ds) == \
+        assert artifacts.file_sha256(path) == \
             hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 200000])
+    @pytest.mark.parametrize("block", [1, 7, 65536])
+    def test_file_sha256_reads_every_block(self, tmp_path, monkeypatch,
+                                           size, block):
+        raw = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        path = tmp_path / "f.bin"
+        path.write_bytes(raw)
+        monkeypatch.setattr(artifacts, "_HASH_BLOCK", block)
+        assert artifacts.file_sha256(path) == hashlib.sha256(raw).hexdigest()
 
     def test_dump_and_hash_equal_numpy_scalar_formula(self, tmp_path):
         # the dump formats tolist() values; the old formula formatted the
@@ -99,7 +112,7 @@ class TestCsvFormats:
         path = save_dataset(ds, tmp_path / "d.tsv")
         assert path.read_bytes() == old.encode()
         digest = hashlib.sha256(old.encode()).hexdigest()
-        assert artifacts.dataset_hash(ds) == digest
+        assert artifacts.file_sha256(path) == digest
         reread = load_dataset(path)
         assert np.array_equal(reread.values.view(np.int64),
                               ds.values.view(np.int64))
@@ -115,15 +128,16 @@ class TestCsvFormats:
         monkeypatch.setattr(data, "_DUMP_BLOCK", block)
         path = save_dataset(ds, tmp_path / "d.tsv")
         assert path.read_bytes() == whole
-        assert artifacts.dataset_hash(ds) == hashlib.sha256(whole).hexdigest()
+        assert artifacts.file_sha256(path) == \
+            hashlib.sha256(whole).hexdigest()
 
     def test_tree_json_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         x = rng.random((20, 3))
         tree = fit_tree(x, rng.random(20), max_depth=3, min_samples_leaf=2)
         path = artifacts.write_tree_json(tree, tmp_path / "tree.json")
-        back = artifacts.read_tree_json(path)
-        assert back.to_json() == tree.to_json()
+        assert json.loads(path.read_text(encoding="utf-8")) == \
+            json.loads(tree.to_json())
 
 
 class TestNmfModes:

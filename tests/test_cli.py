@@ -21,7 +21,7 @@ from recinfluence.influence import influence_all, influence_oracle
 from recinfluence.recommender import ModelConfig, train_knn
 
 from conftest import TOY_ROWS, order_statistic_arrays, random_dataset
-from oracles import centrality, neighborhood_membership
+from oracles import centrality, load_model, neighborhood_membership
 
 
 def write_toy_csv(tmp_path):
@@ -73,8 +73,7 @@ class TestIngest:
                 lines.extend(block.splitlines())
                 yield block
 
-        # 15 ratings in blocks of 4: each is formatted once, written and
-        # hashed in the same pass
+        # 15 ratings in blocks of 4: each is formatted once and written
         monkeypatch.setattr(data, "_DUMP_BLOCK", 4)
         monkeypatch.setattr(data, "_dump_blocks", counting)
         out = ingest_toy(tmp_path)
@@ -83,8 +82,8 @@ class TestIngest:
         meta = json.loads((out / "dataset.tsv.meta.json").read_text())
         assert meta["dataset_sha256"] == hashlib.sha256(
             (out / "dataset.tsv").read_bytes()).hexdigest()
-        assert meta["dataset_sha256"] == artifacts.dataset_hash(
-            load_dataset(out / "dataset.tsv"))
+        assert meta["dataset_sha256"] == artifacts.file_sha256(
+            out / "dataset.tsv")
 
     def test_round_trips_through_load(self, tmp_path):
         out = ingest_toy(tmp_path)
@@ -174,7 +173,7 @@ class TestTrainAndEvaluate:
                      "--algo", "nmf", "--factors", "2", "--seed", "42",
                      "--iters", "50", "--out-dir", str(out)]) == 0
         ds = load_dataset(out / "dataset.tsv")
-        model = artifacts.load_model(out / "model", ds)
+        model = load_model(out / "model", ds)
         direct = ModelConfig("nmf", factors=2, seed=42, n_iters=50).train(ds)
         assert np.array_equal(model.p, direct.p)
         assert np.array_equal(model.q, direct.q)
@@ -185,29 +184,10 @@ class TestTrainAndEvaluate:
                      "--algo", "knn", "--k", "2", "--similarity", "cosine",
                      "--out-dir", str(out)]) == 0
         ds = load_dataset(out / "dataset.tsv")
-        model = artifacts.load_model(out / "model", ds)
+        model = load_model(out / "model", ds)
         direct = ModelConfig("knn", k=2, similarity="cosine").train(ds)
         assert np.array_equal(model.neighbors, direct.neighbors)
         assert np.array_equal(model.neighbor_sims, direct.neighbor_sims)
-
-    def test_train_hashes_the_dataset_once(self, tmp_path, monkeypatch):
-        out = ingest_toy(tmp_path)
-        calls = []
-        real = artifacts.dataset_hash
-
-        def counting(ds):
-            calls.append(ds)
-            return real(ds)
-
-        monkeypatch.setattr(artifacts, "dataset_hash", counting)
-        assert main(["train", "--dataset", str(out / "dataset.tsv"),
-                     "--algo", "knn", "--k", "2", "--out-dir", str(out)]) == 0
-        assert len(calls) == 1
-        digest = real(load_dataset(out / "dataset.tsv"))
-        header = json.loads((out / "model.json").read_text())
-        sidecar = json.loads((out / "model.json.meta.json").read_text())
-        assert header["dataset_sha256"] == digest
-        assert sidecar["dataset_sha256"] == digest
 
     def test_evaluate_writes_metrics(self, tmp_path):
         out = ingest_toy(tmp_path)
@@ -221,6 +201,56 @@ class TestTrainAndEvaluate:
         assert 0.0 <= doc["metrics"]["precision_at_l"] <= 1.0
         assert 0.0 <= doc["metrics"]["recall_at_l"] <= 1.0
         assert doc["config"]["eval.test_fraction"] == 0.34
+
+
+class TestDatasetSha256:
+    def test_hand_written_dump_hashes_as_its_bytes(self, tmp_path):
+        # "4" where ingest writes "4.0": the same dataset, other bytes
+        dump = tmp_path / "dataset.tsv"
+        dump.write_bytes("".join(f"{u}\t{i}\t{v}\n" for u, i, v in [
+            (0, 0, 4), (0, 1, 3.5), (1, 0, 2), (1, 2, 5), (2, 1, 1),
+            (2, 2, 4)]).encode())
+        (tmp_path / "dataset.json").write_text(json.dumps({
+            "user_ids": ["a", "b", "c"], "item_ids": ["x", "y", "z"],
+            "r_min": 1.0, "r_max": 5.0}))
+        digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+        out = tmp_path / "work"
+        for stage, extra in (("train", []), ("influence", ["--top-k", "1"])):
+            assert main([stage, "--dataset", str(dump), "--algo", "knn",
+                         "--k", "1", "--l", "1", *extra,
+                         "--out-dir", str(out)]) == 0
+        for name in ("model.json", "model.json.meta.json",
+                     "influence.csv.meta.json",
+                     "group_influence.csv.meta.json"):
+            doc = json.loads((out / name).read_text())
+            assert doc["dataset_sha256"] == digest, name
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate", "influence",
+                                       "features", "mds"])
+    def test_stage_hashes_the_dump_file_once(self, tmp_path, monkeypatch,
+                                             stage):
+        from recinfluence import data
+        out = ingest_random(tmp_path)
+        dump = out / "dataset.tsv"
+        assert main(["influence", "--dataset", str(dump), "--k", "2",
+                     "--l", "2", "--out-dir", str(out)]) == 0
+        hashed, formatted = [], []
+        real = artifacts.file_sha256
+        monkeypatch.setattr(artifacts, "file_sha256",
+                            lambda path: hashed.append(path) or real(path))
+        monkeypatch.setattr(data, "_dump_blocks",
+                            lambda ds: formatted.append(ds) or iter(()))
+        options = (["--influence", str(out / "influence.csv")]
+                   if stage == "mds" else ["--k", "2", "--l", "2"])
+        run = tmp_path / stage
+        assert main([stage, "--dataset", str(dump), *options,
+                     "--out-dir", str(run)]) == 0
+        assert len(hashed) == 1 and formatted == []
+        # the sidecars, and train's model.json and evaluate.json
+        written = [json.loads(path.read_text()) for path in run.glob("*.json")]
+        digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+        assert written and all(doc["dataset_sha256"] == digest
+                               for doc in written)
 
 
 class TestInfluenceCommand:

@@ -340,6 +340,18 @@ class TestExtractAll:
             assert table.values[u, 6] == centroid_similarity(toy, u)
             assert table.values[u, 7] == intra_profile_distance(toy, u)
 
+    @pytest.mark.parametrize("model, l, message", [
+        (ModelConfig("nmf", k=0), 3, "k must be >= 1"),
+        (ModelConfig(k=2), 0, "l must be >= 1")])
+    def test_refuses_l_and_k_before_any_work(self, toy, monkeypatch, model,
+                                             l, message):
+        calls = []
+        monkeypatch.setattr(features, "user_similarity_matrix",
+                            lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            extract_all(toy, model, l)
+        assert calls == []
+
     def test_epsilon_recorded_and_quantile_resolved(self, toy):
         cfg = FeatureConfig(epsilon_quantile=0.25)
         dist = user_distance_matrix(toy, kind="cosine")

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from recinfluence.predictor import (RegressionTree, export_boundaries,
-                                    fit_metrics, fit_tree, predict_tree)
+from recinfluence.predictor import (export_boundaries, fit_metrics, fit_tree,
+                                    predict_tree)
 
 import oracles
 
@@ -247,8 +249,14 @@ class TestSerialization:
         x = rng.random((30, 4))
         y = rng.random(30)
         tree = fit_tree(x, y, max_depth=4, min_samples_leaf=2)
-        back = RegressionTree.from_json(tree.to_json())
+        doc = json.loads(tree.to_json())
+        assert doc["root"] == tree.root.to_dict()
         for row in x:
-            assert predict_tree(back, row) == predict_tree(tree, row)
-        np.testing.assert_array_equal(back.importances, tree.importances)
-        assert (back.r2, back.mse) == (tree.r2, tree.mse)
+            node = doc["root"]
+            while "feature" in node:
+                side = "left" if row[node["feature"]] < node["threshold"] \
+                    else "right"
+                node = node[side]
+            assert node["value"] == predict_tree(tree, row)
+        np.testing.assert_array_equal(doc["importances"], tree.importances)
+        assert (doc["r2"], doc["mse"]) == (tree.r2, tree.mse)

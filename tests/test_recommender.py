@@ -467,8 +467,9 @@ class TestTrainKnn:
                 assert arr.flags.c_contiguous and not arr.flags.writeable
             assert (given.k, given.similarity, given.global_mean) == \
                 (own.k, own.similarity, own.global_mean)
+            # both dumps name the same dataset, so any digest serves
             for model, base in ((given, "given"), (own, "own")):
-                save_model(model, tmp_path / base)
+                save_model(model, tmp_path / base, "0" * 64)
             for ext in (".json", ".tsv"):
                 assert (tmp_path / f"given{ext}").read_bytes() == \
                     (tmp_path / f"own{ext}").read_bytes()
