@@ -19,8 +19,7 @@ from .features import FeatureConfig, FeatureTable, extract_all
 from .predictor import (RegressionTree, export_boundaries, fit_metrics,
                         fit_tree, predict_tree)
 from .analysis import (MdsEmbedding, centrality_dispersion, classical_mds,
-                       influence_ranking_curve, mds_embed,
-                       segment_by_influence)
+                       mds_embed, segment_by_influence)
 
 __version__ = "0.1.0"
 
@@ -35,6 +34,6 @@ __all__ = [
     "FeatureConfig", "FeatureTable", "extract_all",
     "RegressionTree", "export_boundaries", "fit_metrics", "fit_tree",
     "predict_tree",
-    "MdsEmbedding", "centrality_dispersion", "classical_mds",
-    "influence_ranking_curve", "mds_embed", "segment_by_influence",
+    "MdsEmbedding", "centrality_dispersion", "classical_mds", "mds_embed",
+    "segment_by_influence",
 ]

@@ -1,4 +1,4 @@
-"""Analysis artifacts: ranked influence curves, 2-D embeddings, segments.
+"""Analysis artifacts: 2-D embeddings and influence segments.
 
 The embedding uses classical (Torgerson) multidimensional scaling: double
 center the squared distance matrix and take the top two spectral
@@ -86,8 +86,8 @@ def _one_blas_thread():
 
 
 @_one_blas_thread()
-def classical_mds(dist: np.ndarray, n_dims: int = 2) -> np.ndarray:
-    """Torgerson embedding of a symmetric distance matrix.
+def classical_mds(dist: np.ndarray) -> np.ndarray:
+    """Torgerson embedding of a symmetric distance matrix in 2-D.
 
     The doubly centered matrix -0.5 * j @ (dist * dist) @ j, with j the
     centering matrix, is formed in three (n, n) buffers, which are freed
@@ -110,7 +110,7 @@ def classical_mds(dist: np.ndarray, n_dims: int = 2) -> np.ndarray:
     np.matmul(half, j, out=b)
     del j, half
     evals, evecs = np.linalg.eigh(b)
-    order = np.argsort(evals)[::-1][:n_dims]
+    order = np.argsort(evals)[::-1][:2]
     lams = np.maximum(evals[order], 0.0)
     coords = evecs[:, order] * np.sqrt(lams)
     # Fix each axis sign so equal inputs embed identically everywhere.
@@ -173,12 +173,6 @@ def mds_embed(ds: RatingsDataset, distance: str = "cosine",
             coords, stress = refined, refined_stress
     coords.flags.writeable = False
     return MdsEmbedding(coords, stress, distance, chosen)
-
-
-def influence_ranking_curve(influence: np.ndarray) -> list[tuple[int, float]]:
-    """(rank, influence) pairs, most influential first, ranks 1-based."""
-    return [(rank + 1, float(influence[u]))
-            for rank, u in enumerate(_rank_users(influence))]
 
 
 def segment_by_influence(influence: np.ndarray,

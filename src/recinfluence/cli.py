@@ -164,13 +164,14 @@ def _numbers(cfg: dict, key: str, kind) -> tuple:
 
 
 _MODEL_KEYS = {"knn": ("knn.k", "knn.similarity"),
-               "nmf": ("nmf.factors", "nmf.iters")}
+               "nmf": ("nmf.factors", "nmf.iters", "nmf.rel_tol")}
 # Each name-valued key's names; a key whose default is a kind takes any kind.
 _CHOICES = {**{key: SIMILARITIES for key, value in DEFAULTS.items()
                if value in SIMILARITIES},
             "data.item_sample_mode": ITEM_SAMPLE_MODES}
 _FLOORS = {"data.sample_users": 0, "data.sample_items": 0,
-           "features.epsilon": 0, "mds.max_points": 3, "mds.refine_iters": 0}
+           "features.epsilon": 0, "mds.max_points": 3, "mds.refine_iters": 0,
+           "nmf.rel_tol": 0, "seed": 0}
 
 
 def _check_options(cfg: dict, *keys: str) -> None:
@@ -505,6 +506,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         if args.workers is not None and args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
+        _check_options(cfg, "seed")
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         return command(args, cfg, out)

@@ -154,10 +154,6 @@ class RatingsDataset:
         lo, hi = self._user_ptr[u], self._user_ptr[u + 1]
         return self.item_idx[lo:hi]
 
-    def user_values(self, u: int) -> np.ndarray:
-        lo, hi = self._user_ptr[u], self._user_ptr[u + 1]
-        return self.values[lo:hi]
-
     @cached_property
     def user_counts(self) -> np.ndarray:
         return np.diff(self._user_ptr)
@@ -215,16 +211,13 @@ def _sorted_ids(tokens) -> list[str]:
 
 def load_ratings(path, format: str = "delimited", sep: str = ",",
                  columns: tuple[str, ...] = ("user", "item", "rating"),
-                 has_header: bool = False, value_map: dict | None = None,
-                 r_min: float | None = None,
-                 r_max: float | None = None) -> RatingsDataset:
+                 has_header: bool = False) -> RatingsDataset:
     """Parse a delimited ratings file into a :class:`RatingsDataset`.
 
     ``columns`` names the field order; fields other than user/item/rating are
-    ignored. Duplicate (user, item) records keep the last occurrence.
-    ``value_map`` translates ordinal interaction labels to numeric ratings.
-    A rating whose square times n_users * n_items is not a finite float64
-    is refused.
+    ignored. Duplicate (user, item) records keep the last occurrence. The
+    rating scale is the span of the ratings read. A rating whose square
+    times n_users * n_items is not a finite float64 is refused.
     """
     if format not in FORMATS:
         raise DatasetError(f"unknown format {format!r}")
@@ -254,26 +247,15 @@ def load_ratings(path, format: str = "delimited", sep: str = ",",
             user = parts[ucol].strip()
             item = parts[icol].strip()
             tok = parts[rcol].strip()
-            if value_map is not None:
-                if tok not in value_map:
-                    raise DatasetError(
-                        f"{path}: line {lineno}: unmapped interaction {tok!r}")
-                value = float(value_map[tok])
-            else:
-                try:
-                    value = float(tok)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: line {lineno}: unparseable rating {tok!r}"
-                    ) from None
+            try:
+                value = float(tok)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: line {lineno}: unparseable rating {tok!r}"
+                ) from None
             if not math.isfinite(value):
                 raise DatasetError(
                     f"{path}: line {lineno}: non-finite rating {tok!r}")
-            if (r_min is not None and value < r_min) or \
-               (r_max is not None and value > r_max):
-                raise DatasetError(
-                    f"{path}: line {lineno}: rating {value} outside "
-                    f"[{r_min}, {r_max}]")
             records[(user, item)] = value
 
     if not records:
@@ -293,8 +275,7 @@ def load_ratings(path, format: str = "delimited", sep: str = ",",
         if not np.isfinite(len(user_ids) * len(item_ids) * np.square(big)):
             raise DatasetError(f"{path}: rating {big!r} is too large: n_users"
                                " * n_items * rating**2 overflows float64")
-    return RatingsDataset.build(user_ids, item_ids, u_idx, i_idx, vals,
-                                r_min=r_min, r_max=r_max)
+    return RatingsDataset.build(user_ids, item_ids, u_idx, i_idx, vals)
 
 
 def compute_stats(ds: RatingsDataset) -> DatasetStats:
@@ -466,8 +447,10 @@ def load_dataset(tsv_path) -> RatingsDataset:
     """Read back a canonical dump written by :func:`save_dataset`.
 
     A row that is not two integer indices and a rating raises
-    ``DatasetError`` with its line number; empty lines are skipped. Every
-    error, ``RatingsDataset.build``'s included, names the dump.
+    ``DatasetError`` with its line number; empty lines are skipped. So does
+    a sidecar whose ids are not lists of strings or whose bounds are not
+    finite numbers. Every error, ``RatingsDataset.build``'s included, names
+    the dump.
     """
     tsv_path = Path(tsv_path)
     side_path = tsv_path.with_suffix(".json")
@@ -479,6 +462,16 @@ def load_dataset(tsv_path) -> RatingsDataset:
     for key in ("user_ids", "item_ids", "r_min", "r_max"):
         if not isinstance(side, dict) or key not in side:
             raise DatasetError(f"{tsv_path}: sidecar {side_path} lacks {key}")
+        value = side[key]
+        if key.endswith("_ids"):
+            ok, kind = (isinstance(value, list) and all(
+                isinstance(v, str) for v in value)), "a list of strings"
+        else:
+            ok, kind = (isinstance(value, (int, float)) and not isinstance(
+                value, bool) and math.isfinite(value)), "a finite number"
+        if not ok:
+            raise DatasetError(f"{tsv_path}: sidecar {side_path}: {key} is "
+                               f"not {kind}")
     try:
         idx, values = _dump_table(tsv_path)
     except ValueError:

@@ -12,12 +12,12 @@ interface:
   beta7  similarity of u to the centroid user (per-item mean ratings)
   beta8  mean pairwise distance between the items in I_u
 
-The one-user reference definitions of beta1..beta7 live in the tests
-(``tests/oracles.py``); beta8's, ``intra_profile_distance``, stays here,
-as ``extract_all`` runs it where item pairs cannot be looked up (see
-beta8 below). ``extract_all`` builds its own inputs for the studied
-``ModelConfig`` and computes each column for all users in whole-array
-passes that give the same bits:
+The one-user reference definitions of beta1..beta7, and of beta8 under
+item Pearson, live in the tests (``tests/oracles.py``); beta8's under item
+cosine, ``intra_profile_distance``, stays here, as ``extract_all`` runs it
+where item pairs cannot be looked up (see beta8 below). ``extract_all``
+builds its own inputs for the studied ``ModelConfig`` and computes each
+column for all users in whole-array passes that give the same bits:
 
 - beta2 and beta5 reduce rows of an n x n matrix with the diagonal
   dropped, ``_BLOCK_ROWS`` users at a time (``_other_user_means``), so
@@ -38,8 +38,8 @@ passes that give the same bits:
   columns alone. Profiles of every size go in row blocks of about
   ``_BATCH_ENTRIES`` pairs, or one profile each, filled a piece of that
   size at a time. Where it gives none (item cosine off the half-star
-  grid or past the Gram's bound), beta8 is the reference per profile,
-  whose columns come from the raters of its items alone.
+  grid or past the Gram's bound), beta8 is the item cosine reference per
+  profile, whose columns come from the raters of its items alone.
 """
 
 from __future__ import annotations
@@ -132,14 +132,14 @@ def _other_user_means(n: int, block) -> np.ndarray:
     return out
 
 
-def intra_profile_distance(ds: RatingsDataset, u: int,
-                           item_distance: str = "cosine") -> float:
-    """beta8: mean pairwise distance over u's rated items; < 2 items gives 0."""
+def intra_profile_distance(ds: RatingsDataset, u: int) -> float:
+    """beta8 under item cosine: mean pairwise distance over u's rated items;
+    < 2 items gives 0."""
     items = ds.user_items(u)
     t = len(items)
     if t < 2:
         return 0.0
-    dist = item_distance_submatrix(ds, items, kind=item_distance)
+    dist = item_distance_submatrix(ds, items)
     return float(np.mean(dist[np.triu_indices(t, k=1)]))
 
 
@@ -203,13 +203,13 @@ def _size_groups(ds: RatingsDataset):
 
 def _intra_profile_distances(ds: RatingsDataset,
                              item_distance: str) -> np.ndarray:
-    """beta8 of every user, bit-identical to ``intra_profile_distance``.
+    """beta8 of every user, bit-identical to the one-user reference.
 
     Each item pair is scored by ``similarity._item_pair_scores``, whose
     value depends on the pair's two columns alone; where it gives none
     (item cosine off the half-star grid or past its float32 bound) this is
-    the reference per user. Profiles of one size t go in batches of
-    max(1, ``_BATCH_ENTRIES`` // pairs) users: row r of a batch's block
+    ``intra_profile_distance`` per user. Profiles of one size t go in
+    batches of max(1, ``_BATCH_ENTRIES`` // pairs) users: row r of a block
     holds user r's t(t-1)/2 pairs in ``np.triu_indices`` order, one
     contiguous row that ``np.mean`` reduces as it reduces the reference's
     upper triangle. The block is filled a piece at a time
@@ -218,7 +218,7 @@ def _intra_profile_distances(ds: RatingsDataset,
     """
     pair_scores = _item_pair_scores(ds, item_distance)
     if pair_scores is None:
-        return np.array([intra_profile_distance(ds, u, item_distance)
+        return np.array([intra_profile_distance(ds, u)
                          for u in range(ds.n_users)])
     out = np.zeros(ds.n_users)
     for users, pos in _size_groups(ds):
@@ -273,8 +273,8 @@ def extract_all(ds: RatingsDataset, model: ModelConfig, l: int,
     item Pearson's float64 similarities.
 
     Each column is computed for all users at once and equals the one-user
-    reference's value bit for bit (see the module docstring; the references
-    of beta1..beta7 are in ``tests/oracles.py``).
+    reference's value bit for bit (see the module docstring; all references
+    but beta8's under item cosine are in ``tests/oracles.py``).
 
     ``l < 1`` and ``model.k < 1`` raise ``ValueError`` before any work.
     """

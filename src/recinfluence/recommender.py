@@ -141,10 +141,6 @@ class NmfModel(_RowScorer):
     def algorithm(self) -> str:
         return "nmf"
 
-    @property
-    def final_objective(self) -> float:
-        return self.objective_history[-1]
-
     def score_rows(self, rows, out) -> None:
         """Scores of users ``rows`` into ``out`` (len(rows), m): stacked
         (1, f) @ (f, m) slices, each the gemv of one user's ``p[u] @ q.T``
@@ -385,12 +381,14 @@ def train_nmf(ds: RatingsDataset, factors: int, seed: int,
     sqrt(mean rating / factors). ``masked=True`` (default) fits observed
     entries only; ``masked=False`` fits the zero-imputed full matrix.
     Stops at ``n_iters`` or when the relative objective improvement drops
-    below ``rel_tol`` (0 disables early stopping).
+    below ``rel_tol`` (0 disables early stopping; below 0 or NaN raises).
     """
     if factors < 1:
         raise ValueError("factors must be >= 1")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
+    if not rel_tol >= 0:
+        raise ValueError("rel_tol must be >= 0")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(ds.global_mean / factors)
     p = rng.random((ds.n_users, factors)) * scale

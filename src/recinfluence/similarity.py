@@ -36,11 +36,10 @@ product through the same ratio and clip. The sums are formed three ways:
   the tests' reference, which reduces each pair with the elementwise
   products and np.sum of ``_sums_against``. Both paths give the same bits
   wherever the first applies.
-- ``_similarity_loop`` alone scores the one-pair references: beta7's
-  ``centroid_similarity`` (in ``tests/oracles.py``) and the per-profile
-  item Pearson of ``item_distance_submatrix``. ``features.extract_all`` calls
-  ``_sums_against`` on paired (users, t) rows, so each beta7 score is the
-  loop's for that one pair.
+- ``_similarity_loop`` alone scores the one-pair references in
+  ``tests/oracles.py``: beta7's ``centroid_similarity`` and the per-profile
+  item Pearson. ``features.extract_all`` calls ``_sums_against`` on paired
+  (users, t) rows, so each beta7 score is the loop's for that one pair.
 - Item cosine sums are one ``cols.T @ cols`` product (beta8's
   ``_item_pair_scores`` slices a float32 Gram of h where ``_exact_sums``
   allows): item distances are never reused across removals, so they carry
@@ -269,35 +268,29 @@ def user_distance_matrix(ds: RatingsDataset, kind: str = "cosine") -> np.ndarray
     return _distances(_similarity_rows(kind, ds, shrink=None))
 
 
-def item_distance_submatrix(ds: RatingsDataset, items: np.ndarray,
-                            kind: str = "cosine") -> np.ndarray:
-    """Pairwise distances between the rating columns of ``items`` (repeats
-    allowed). Item cosine is one column product; item Pearson runs the row
-    loop on the columns, so a pair's value is the one ``_similarity_rows``
-    gives it on ``data._transposed``."""
+def item_distance_submatrix(ds: RatingsDataset,
+                            items: np.ndarray) -> np.ndarray:
+    """Pairwise item cosine distances between the rating columns of
+    ``items`` (repeats allowed), from one column product."""
     pos, slot = ds._item_ratings(items)
     cols = np.zeros((ds.n_users, len(items)), order="F")
-    where = (ds.user_idx[pos], slot)
-    cols[where] = ds.values[pos]
-    if kind == "cosine":
-        norms = np.sqrt(np.sum(cols * cols, axis=0))
-        return _distances(_scores("cosine", (cols.T @ cols,
-                                             np.outer(norms, norms))))
-    observed = np.zeros(cols.shape, dtype=bool, order="F")
-    observed[where] = True
-    return _distances(_similarity_loop(kind, cols.T, observed.T, cols.T,
-                                       observed.T, shrink=None))
+    cols[ds.user_idx[pos], slot] = ds.values[pos]
+    norms = np.sqrt(np.sum(cols * cols, axis=0))
+    return _distances(_scores("cosine", (cols.T @ cols,
+                                         np.outer(norms, norms))))
 
 
 def _item_pair_scores(ds: RatingsDataset, kind: str):
     """beta8's unshrunk item similarities, as a function of index arrays
     (a, b) and a float64 array ``out`` of their shape (a view will do),
-    which it fills with the value ``item_distance_submatrix`` gives each
-    pair. Item Pearson reads the m x m ``_similarity_rows`` of
-    ``_transposed``; item cosine slices the float32 Gram h.T @ h
-    (m * m * 4 bytes), exact in any BLAS order where ``_exact_sums`` over
-    n_users gives float32, and scales it back by 0.25; its norm product is
-    formed in place. Otherwise item cosine gives None."""
+    which it fills with the value the per-profile route gives each pair:
+    ``item_distance_submatrix`` for item cosine, the row loop on the
+    profile's columns (``tests/oracles.py``) for item Pearson. Item Pearson
+    reads the m x m ``_similarity_rows`` of ``_transposed``; item cosine
+    slices the float32 Gram h.T @ h (m * m * 4 bytes), exact in any BLAS
+    order where ``_exact_sums`` over n_users gives float32, and scales it
+    back by 0.25; its norm product is formed in place. Otherwise item
+    cosine gives None."""
     if kind != "cosine":
         sims = _similarity_rows(kind, _transposed(ds), shrink=None)
         return lambda a, b, out: np.copyto(out, sims[a, b])

@@ -3,9 +3,10 @@
 Most of what is here is written in the most literal way possible (per-pair
 loops, textbook formulas) and deliberately shares no code with the package
 under test. The one-user definitions at the end (features beta1..beta7,
-``recommend`` and ``prediction_shift_oracle``) are the exceptions: they
-are the package's former public functions, built on its kernels and
-retrain route, and its whole-array passes must match them bit for bit.
+beta8 under item Pearson, ``recommend`` and ``prediction_shift_oracle``)
+are the exceptions: they are the package's former public functions and
+branches, built on its kernels and retrain route, and its whole-array
+passes must match them bit for bit.
 ``load_model``, last, reads back the model dump that ``train`` writes and
 no stage reads.
 """
@@ -16,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from recinfluence import features
 from recinfluence.data import RatingsDataset, drop_user
 from recinfluence.recommender import (KnnModel, ModelConfig, NmfModel,
                                       top_items)
-from recinfluence.similarity import (_similarity_loop, user_distance_matrix,
+from recinfluence.similarity import (_distances, _similarity_loop,
+                                     user_distance_matrix,
                                      user_similarity_matrix)
 
 
@@ -427,6 +430,12 @@ def centered_squares(dist):
     return -0.5 * j @ (dist * dist) @ j
 
 
+def user_values(ds: RatingsDataset, u: int) -> np.ndarray:
+    """u's ratings, in the order of ``ds.user_items(u)``."""
+    lo, hi = ds._user_ptr[u], ds._user_ptr[u + 1]
+    return ds.values[lo:hi]
+
+
 def profile_size(ds: RatingsDataset, u: int) -> int:
     """beta1: number of items rated by u."""
     return int(ds.user_counts[u])
@@ -486,11 +495,43 @@ def centroid_similarity(ds: RatingsDataset, u: int,
     (Pearson shrink included); degenerate variance scores 0.
     """
     items = ds.user_items(u)
-    x = ds.user_values(u)
+    x = user_values(ds, u)
     y = ds.item_sums[items] / ds.item_counts[items]
     observed = np.ones((1, len(x)), dtype=bool)
     return float(_similarity_loop(similarity, x[None, :], observed,
                                   y[None, :], observed)[0, 0])
+
+
+def item_pearson_distances(ds: RatingsDataset, items) -> np.ndarray:
+    """Pairwise item Pearson distances between the rating columns of
+    ``items`` (repeats allowed), gathered from the raters of those items
+    alone: the row loop on the columns, so a pair's value is the one
+    ``similarity._similarity_rows`` gives it on ``data._transposed``."""
+    pos, slot = ds._item_ratings(items)
+    cols = np.zeros((ds.n_users, len(items)), order="F")
+    where = (ds.user_idx[pos], slot)
+    cols[where] = ds.values[pos]
+    observed = np.zeros(cols.shape, dtype=bool, order="F")
+    observed[where] = True
+    return _distances(_similarity_loop("pearson", cols.T, observed.T, cols.T,
+                                       observed.T, shrink=None))
+
+
+def intra_profile_distance(ds: RatingsDataset, u: int,
+                           item_distance: str = "cosine") -> float:
+    """beta8: mean pairwise item distance over u's rated items, < 2 items
+    giving 0; the package's ``features.intra_profile_distance`` under item
+    cosine, ``item_pearson_distances`` under item Pearson."""
+    if item_distance == "cosine":
+        return features.intra_profile_distance(ds, u)
+    if item_distance != "pearson":
+        raise ValueError(f"unknown similarity {item_distance!r}")
+    items = ds.user_items(u)
+    t = len(items)
+    if t < 2:
+        return 0.0
+    dist = item_pearson_distances(ds, items)
+    return float(np.mean(dist[np.triu_indices(t, k=1)]))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from recinfluence import analysis, similarity
 from recinfluence.analysis import (MdsEmbedding, centrality_dispersion,
-                                   classical_mds, influence_ranking_curve,
-                                   mds_embed, pairwise_euclidean,
-                                   segment_by_influence, smacof_refine,
-                                   stress_of)
+                                   classical_mds, mds_embed,
+                                   pairwise_euclidean, segment_by_influence,
+                                   smacof_refine, stress_of)
 from recinfluence.data import RatingsDataset
-from recinfluence.influence import influence_all
+from recinfluence.influence import _rank_users, influence_all
 from recinfluence.recommender import ModelConfig
 from recinfluence.similarity import user_distance_matrix
 
@@ -27,23 +26,21 @@ def ranking_of(influence):
                                  -np.nan_to_num(influence[u]), u))
 
 
-class TestRankingCurve:
-    def test_flat_curve_for_equal_influence(self):
-        curve = influence_ranking_curve(np.full(6, 2.0))
-        assert [r for r, _ in curve] == [1, 2, 3, 4, 5, 6]
-        assert all(v == 2.0 for _, v in curve)
+class TestRanking:
+    def test_equal_influence_ranks_in_index_order(self):
+        assert _rank_users(np.full(6, 2.0)).tolist() == [0, 1, 2, 3, 4, 5]
 
-    def test_toy_sorted_pairs_match_sort_oracle(self, toy):
+    def test_toy_report_ranking_matches_sort_oracle(self, toy):
         report = influence_all(toy, ModelConfig("knn", k=2), 2)
-        curve = influence_ranking_curve(report.influence)
+        assert report.ranking.tolist() == ranking_of(report.influence)
         expected = sorted(report.influence.tolist(), reverse=True)
-        assert [v for _, v in curve] == expected
+        assert report.influence[report.ranking].tolist() == expected
 
     def test_failed_removals_rank_last(self):
         influence = np.array([1.0, np.nan, 3.0, np.nan, 1.0])
-        curve = influence_ranking_curve(influence)
-        assert [v for _, v in curve[:3]] == [3.0, 1.0, 1.0]
-        assert all(np.isnan(v) for _, v in curve[3:])
+        ranking = _rank_users(influence)
+        assert ranking.tolist() == [2, 0, 4, 1, 3]
+        assert ranking.tolist() == ranking_of(influence)
 
 
 class TestClassicalMds:

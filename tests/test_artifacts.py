@@ -145,7 +145,7 @@ class TestNmfModes:
         model = train_nmf(toy, 2, seed=3, n_iters=60, masked=False)
         ratings = toy.ratings()
         resid = ratings - model.p @ model.q.T
-        assert model.final_objective == pytest.approx(
+        assert model.objective_history[-1] == pytest.approx(
             float(np.sum(resid ** 2)), rel=1e-9)
         hist = model.objective_history
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))

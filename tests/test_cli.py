@@ -131,6 +131,30 @@ class TestIngest:
             "r_min\n")
         assert not (tmp_path / "model" / "model.tsv").exists()
 
+    @pytest.mark.parametrize("key,value,kind", [
+        ("r_min", "low", "a finite number"),
+        ("item_ids", 7, "a list of strings"),
+        ("r_min", [1], "a finite number"),
+        ("r_max", None, "a finite number"),
+        ("user_ids", "abc", "a list of strings"),
+    ], ids=["r_min-word", "item_ids-int", "r_min-list", "r_max-null",
+            "user_ids-string"])
+    def test_malformed_sidecar_exits_2(self, tmp_path, capsys, key, value,
+                                       kind):
+        out = ingest_toy(tmp_path)
+        side_path = out / "dataset.json"
+        side = json.loads(side_path.read_text())
+        side[key] = value
+        side_path.write_text(json.dumps(side))
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(out / "dataset.tsv"),
+                     "--algo", "knn", "--k", "2",
+                     "--out-dir", str(tmp_path / "model")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'dataset.tsv'}: sidecar {side_path}: {key} is "
+            f"not {kind}\n")
+        assert not (tmp_path / "model" / "model.tsv").exists()
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("u1,i1,oops\n")
@@ -1181,6 +1205,28 @@ class TestGroupOptionsCheckedFirst:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(out.iterdir()) == before
+
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "-inf"])
+    def test_negative_or_nan_rel_tol_exits_2_before_reading_data(
+            self, tmp_path, capsys, no_work, value):
+        for command in MODEL_STAGES:
+            assert run_with_config(
+                tmp_path / command, capsys, command,
+                ["algo = nmf", f"nmf.rel_tol = {value}"]) == (
+                2, f"error: nmf.rel_tol must be at least 0, got {value}\n",
+                set())
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path,
+                                                      capsys, no_work,
+                                                      command):
+        out = tmp_path / "out"
+        assert main([command, *REQUIRED[command], "--seed", "-1",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be at least 0, got -1\n")
+        assert not out.exists()
 
 
 # The stages that read each key whose default is a similarity kind.

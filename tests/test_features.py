@@ -7,8 +7,8 @@ import pytest
 from recinfluence import features, similarity
 from recinfluence.data import RatingsDataset
 from recinfluence.features import (FEATURE_NAMES, FeatureConfig, centralities,
-                                   extract_all, intra_profile_distance,
-                                   recommendation_overlaps, resolve_epsilon)
+                                   extract_all, recommendation_overlaps,
+                                   resolve_epsilon)
 from recinfluence.recommender import (ModelConfig, top_items, top_lists,
                                       train_knn)
 from recinfluence.similarity import (item_distance_submatrix,
@@ -18,9 +18,10 @@ from recinfluence.similarity import (item_distance_submatrix,
 import oracles
 from conftest import (build_dataset, clone_users_dataset,
                       order_statistic_arrays, random_dataset)
-from oracles import (centrality, centroid_similarity, median_item_popularity,
-                     neighborhood_density, neighborhood_membership,
-                     profile_size, recommendation_overlap)
+from oracles import (centrality, centroid_similarity, intra_profile_distance,
+                     median_item_popularity, neighborhood_density,
+                     neighborhood_membership, profile_size,
+                     recommendation_overlap)
 
 
 def indicator(lists, n_items):
@@ -300,7 +301,7 @@ class TestAlternativeDistances:
              for u, i, v in zip(ds.user_idx, ds.item_idx, ds.values)],
             users=list(ds.item_ids), items=list(ds.user_ids))
         items = np.arange(ds.n_items)
-        dist = item_distance_submatrix(ds, items, kind="pearson")
+        dist = oracles.item_pearson_distances(ds, items)
         for a in items:
             assert dist[a, a] == 0.0
             for b in items:
@@ -311,7 +312,8 @@ class TestAlternativeDistances:
 
     def test_unknown_item_distance_refused(self, toy):
         with pytest.raises(ValueError, match="unknown similarity"):
-            item_distance_submatrix(toy, np.arange(3), kind="jaccard")
+            extract_all(toy, ModelConfig(k=2), 3,
+                        FeatureConfig(item_distance="jaccard"))
 
     def test_density_with_pearson_distance(self, toy):
         dist = user_distance_matrix(toy, kind="pearson")
@@ -866,7 +868,7 @@ class TestItemCosineDistances:
         ds = graded_dataset(30, 45, 0.2, 26, grade)
         for items in (np.arange(ds.n_items), ds.user_items(0),
                       np.array([3, 3, 7])):
-            got = item_distance_submatrix(ds, items, kind="cosine")
+            got = item_distance_submatrix(ds, items)
             want = oracles.item_cosine_distances(ds, items)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -876,7 +878,7 @@ class TestItemCosineDistances:
         cut = RatingsDataset.build(ds.user_ids, ds.item_ids,
                                    ds.user_idx[keep], ds.item_idx[keep],
                                    ds.values[keep])
-        got = item_distance_submatrix(cut, np.arange(6), kind="cosine")
+        got = item_distance_submatrix(cut, np.arange(6))
         want = oracles.item_cosine_distances(cut, np.arange(6))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(got[4, np.arange(6) != 4] == 1.0)

@@ -58,6 +58,70 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == {"path"}
 
 
+def defined_names(source: str) -> set[tuple[str, str]]:
+    """(qualified name, name) of each public function ``source`` defines at
+    module level, and of each public method and property of its classes."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            out |= {(f"{node.name}.{fn.name}", fn.name) for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")}
+        elif isinstance(node, ast.FunctionDef) and \
+                not node.name.startswith("_"):
+            out.add((node.name, node.name))
+    return out
+
+
+def named(source: str) -> set[str]:
+    """The names ``source`` reads, looks up as attributes or imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def unreached(defining: list[str], readers: list[str]) -> set[str]:
+    """The public names ``defining`` sources define that no source of
+    ``defining`` or ``readers`` names outside a definition; ``cmd_*``,
+    which ``cli.main`` dispatches by name, and ``main``, the console
+    script, are exempt."""
+    reached = set().union(*map(named, defining + readers))
+    return {full for source in defining
+            for full, name in defined_names(source)
+            if name not in reached and name != "main"
+            and not name.startswith("cmd_")}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_is_reached():
+    # __init__ only re-exports; a name that the stages, the acceptance
+    # suite and the benchmark never name is test-only code
+    defining = [path.read_text("utf-8") for path in MODULES
+                if path.name != "__init__.py"]
+    readers = [path.read_text("utf-8") for path in
+               [ROOT / "tests" / "test_acceptance.py",
+                *sorted((ROOT / "bench").glob("*.py"))]]
+    assert not unreached(defining, readers)
+
+
+def test_detects_an_unreached_name():
+    defining = ["def used():\n    pass\n\ndef unused():\n    used()\n\n"
+                "def cmd_x():\n    pass\n\ndef main():\n    pass\n\n"
+                "class A:\n    def run(self):\n        pass\n\n"
+                "    @property\n    def size(self):\n        return 0\n\n"
+                "    def _private(self):\n        pass\n"]
+    readers = ["from m import A\nA().size\n"]
+    assert unreached(defining, readers) == {"unused", "A.run"}
+
+
 def test_kept_names_are_still_imported_unused():
     for name, kept in KEPT:
         source = (MODULES[0].parent / name).read_text("utf-8")

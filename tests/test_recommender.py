@@ -710,7 +710,7 @@ class TestTrainNmf:
         ratings, mask = toy.ratings(), toy.mask
         # independent recompute of the final objective
         resid = (ratings - model.p @ model.q.T)[mask]
-        assert model.final_objective == pytest.approx(
+        assert model.objective_history[-1] == pytest.approx(
             float(np.sum(resid ** 2)), rel=1e-9)
         hist = model.objective_history
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
@@ -746,6 +746,9 @@ class TestTrainNmf:
             train_nmf(toy, 0, seed=1)
         with pytest.raises(ValueError):
             train_nmf(toy, 2, seed=1, n_iters=0)
+        for rel_tol in (-1.0, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="rel_tol must be >= 0"):
+                train_nmf(toy, 2, seed=1, rel_tol=rel_tol)
 
     @pytest.mark.parametrize("n_iters", [0, -5])
     def test_continue_refuses_fewer_than_one_iteration(self, toy, n_iters):
