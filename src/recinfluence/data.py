@@ -448,9 +448,9 @@ def load_dataset(tsv_path) -> RatingsDataset:
 
     A row that is not two integer indices and a rating raises
     ``DatasetError`` with its line number; empty lines are skipped. So does
-    a sidecar whose ids are not lists of strings or whose bounds are not
-    finite numbers. Every error, ``RatingsDataset.build``'s included, names
-    the dump.
+    a sidecar whose ids are not lists of strings or repeat an id, or whose
+    bounds are not finite numbers. Every error, ``RatingsDataset.build``'s
+    included, names the dump.
     """
     tsv_path = Path(tsv_path)
     side_path = tsv_path.with_suffix(".json")
@@ -472,6 +472,11 @@ def load_dataset(tsv_path) -> RatingsDataset:
         if not ok:
             raise DatasetError(f"{tsv_path}: sidecar {side_path}: {key} is "
                                f"not {kind}")
+        if key.endswith("_ids") and len(set(value)) < len(value):
+            seen = set()
+            repeat = next(v for v in value if v in seen or seen.add(v))
+            raise DatasetError(f"{tsv_path}: sidecar {side_path}: {key} "
+                               f"repeats {repeat!r}")
     try:
         idx, values = _dump_table(tsv_path)
     except ValueError:

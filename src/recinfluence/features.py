@@ -50,9 +50,10 @@ import numpy as np
 
 from .data import RatingsDataset, _present, _spans
 from .recommender import ModelConfig, top_lists, train_knn
-from .similarity import (SHRINK_COUNT, _exact_dtype, _item_pair_scores,
-                         _scores, _sums_against, item_distance_submatrix,
-                         user_distance_matrix, user_similarity_matrix)
+from .similarity import (SHRINK_COUNT, SIMILARITIES, _exact_dtype,
+                         _item_pair_scores, _scores, _sums_against,
+                         item_distance_submatrix, user_distance_matrix,
+                         user_similarity_matrix)
 
 FEATURE_NAMES = tuple(f"beta{j}" for j in range(1, 9))
 EPSILON_SAMPLE = 1000   # users sampled for the epsilon quantile when larger
@@ -276,12 +277,17 @@ def extract_all(ds: RatingsDataset, model: ModelConfig, l: int,
     reference's value bit for bit (see the module docstring; all references
     but beta8's under item cosine are in ``tests/oracles.py``).
 
-    ``l < 1`` and ``model.k < 1`` raise ``ValueError`` before any work.
+    ``l < 1``, ``model.k < 1`` and a similarity or distance kind outside
+    ``SIMILARITIES`` raise ``ValueError`` before any work.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if model.k < 1:
         raise ValueError("k must be >= 1")
+    for kind in (config.similarity, config.user_distance,
+                 config.item_distance, model.similarity):
+        if kind not in SIMILARITIES:
+            raise ValueError(f"unknown similarity {kind!r}")
     sims = user_similarity_matrix(ds, kind=config.similarity)
     beta2 = centralities(sims)
     sims = sims if model.similarity == config.similarity else None

@@ -29,9 +29,7 @@ import numpy as np
 
 from .data import DatasetError, RatingsDataset, drop_user
 from .recommender import (ModelConfig, TrainingError, _blend, _list_chunks,
-                          _neighbor_order, continue_nmf, top_items,
-                          top_lists, train_knn)
-from .similarity import user_similarity_matrix
+                          continue_nmf, top_items, top_lists)
 
 DEFAULT_THETA_GRID = tuple(round(0.1 * t, 1) for t in range(1, 10))
 
@@ -116,22 +114,21 @@ def _jaccard_rows(inter, union) -> np.ndarray:
 class LeaveOneOutEngine:
     """Shared state for a batch of single-user removals.
 
-    The full-data model, its top-l lists (``full_lists``, an (n, m) bool
-    indicator) and each list's l-th score are built once and shared
-    read-only across removals. Removal keeps the item axis, so every list
-    lives in the original item index space, and an item whose only rater
-    is removed leaves the candidates.
+    The full-data model (``config.train``, as ``influence_oracle`` trains
+    it), its top-l lists (``full_lists``, an (n, m) bool indicator) and
+    each list's l-th score are built once and shared read-only across
+    removals. Removal keeps the item axis, so every list lives in the
+    original item index space, and an item whose only rater is removed
+    leaves the candidates.
 
     A factorization removal retrains on the reduced data (from the full
     factors when ``warm_start``) and rebuilds every other user's list. A
     neighborhood removal of u builds no reduced dataset and trains no
-    model. Set-up sorts the similarity matrix once, to each user's neighbor
-    order one deeper than the model's k; the model's neighbor lists are its
-    prefix. The engine keeps that order and its similarities, (n, k + 1)
-    each, and frees the n x n matrix. The reduced neighbors of v are v's
-    order with u dropped, cut to min(k, n - 2), and their similarities the
-    same columns (removal preserves the relative order of user indices, so
-    tie-breaks hold, and similarities do not depend on third users). Only
+    model. The reduced neighbors of v are v's ``KnnModel.order``, which
+    ``train_knn`` sorts one deeper than k, with u dropped and cut to
+    min(k, n - 2), and their similarities the same columns of
+    ``order_sims`` (removal preserves the relative order of user indices,
+    so tie-breaks hold, and similarities do not depend on third users). Only
     the means of u's items move, and they are summed again over their
     remaining raters in user order, as the reduced dataset sums them.
     Scores are blended by ``_blend`` from the full data's ratings. The
@@ -171,24 +168,16 @@ class LeaveOneOutEngine:
         self.lists_rebuilt = 0
         self.nmf_iters = 0
         self.nmf_early_stops = 0
-        n = ds.n_users
-        mask = ds.mask
+        full = config.train(ds)
         if config.algorithm == "knn":
-            sim = user_similarity_matrix(ds, kind=config.similarity)
-            self._deep = _neighbor_order(sim, min(config.k + 1, n - 1))
-            full = train_knn(ds, config.k, config.similarity,
-                             sim_matrix=sim, order=self._deep)
-            self._deep_sims = np.take_along_axis(sim, self._deep, axis=1)
-            del sim
             # unrated by v and not covered by a full-model neighbor with
             # non-zero similarity: v's score there is the item mean
+            mask = ds.mask
             covered = np.zeros_like(mask)
             for j in range(full.neighbors.shape[1]):
                 covered |= (mask[full.neighbors[:, j]]
                             & (full.neighbor_sims[:, j, None] != 0))
             self._open = ~mask & ~covered
-        else:
-            full = config.train(ds)
         self.full_model = full
         # score of each user's l-th full-list item, -inf below l candidates
         self.full_lists, self._thr = top_lists(full, l)
@@ -225,12 +214,13 @@ class LeaveOneOutEngine:
 
     def _reduced_neighbors(self, rows, u: int):
         """Neighbors (full user indices) and similarities of ``rows`` once
-        u is gone: each deep order with u dropped, cut to min(k, n - 2)."""
-        deep = self._deep[rows]
+        u is gone: each ``order`` row with u dropped, cut to min(k, n - 2)."""
+        full = self.full_model
+        order = full.order[rows]
         k = min(self.config.k, self.ds.n_users - 2)
-        cols = np.arange(k) + np.cumsum(deep == u, axis=1)[:, :k]
-        return (np.take_along_axis(deep, cols, axis=1),
-                np.take_along_axis(self._deep_sims[rows], cols, axis=1))
+        cols = np.arange(k) + np.cumsum(order == u, axis=1)[:, :k]
+        return (np.take_along_axis(order, cols, axis=1),
+                np.take_along_axis(full.order_sims[rows], cols, axis=1))
 
     def _retrain(self, u: int):
         """The factorization model of the data without u; counts its
@@ -255,9 +245,11 @@ class LeaveOneOutEngine:
         every entry of a user whose list the removal cannot change.
         ``counts``, a (2, n) unsigned array able to hold 2l, receives each
         entry's intersection and union; entries whose list is not rebuilt
-        hold 0/0.
+        hold 0/0. A u outside [0, n) raises ``DatasetError``.
         """
         ds = self.ds
+        if not 0 <= u < ds.n_users:
+            raise DatasetError(f"user index {u} out of range")
         if ds.n_users < 2:
             raise DatasetError("cannot remove the only user")
         items = ds.user_items(u)

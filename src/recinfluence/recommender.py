@@ -85,27 +85,37 @@ class _RowScorer:
 class KnnModel(_RowScorer):
     """Neighborhood model: per-user top-k neighbor lists plus item means.
 
-    Neighbor lists hold exactly min(k, n - 1) entries, sorted by similarity
-    descending with ties broken by ascending user index. Ratings of a target
-    item are blended as sum(sim * r) / sum(|sim|) over the listed neighbors
-    who rated it, each sum added in rank order by one ordered scatter of
-    the neighbors' ratings (``_blend``); when no listed neighbor rated the
-    item (or their similarities cancel to zero weight) the item's mean
-    rating stands in, and an item with no raters at all falls back to the
-    global mean.
+    ``order`` holds each user's first min(k + 1, n - 1) other users by
+    similarity descending, ties in ascending user index, and ``order_sims``
+    their similarities; the neighbor lists (``neighbors``,
+    ``neighbor_sims``) are views of its first min(k, n - 1) columns. Ratings
+    of a target item are blended as sum(sim * r) / sum(|sim|) over the
+    listed neighbors who rated it, each sum added in rank order by one
+    ordered scatter of the neighbors' ratings (``_blend``); when no listed
+    neighbor rated the item (or their similarities cancel to zero weight)
+    the item's mean rating stands in, and an item with no raters at all
+    falls back to the global mean.
     """
 
     dataset: RatingsDataset
     k: int
     similarity: str
-    neighbors: np.ndarray       # (n, k_eff) int
-    neighbor_sims: np.ndarray   # (n, k_eff) float
+    order: np.ndarray           # (n, min(k + 1, n - 1)) int
+    order_sims: np.ndarray      # (n, min(k + 1, n - 1)) float
     item_means: np.ndarray      # (m,), global mean where an item has no raters
     global_mean: float
 
     @property
     def algorithm(self) -> str:
         return "knn"
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        return self.order[:, :self.k]
+
+    @property
+    def neighbor_sims(self) -> np.ndarray:
+        return self.order_sims[:, :self.k]
 
     def score_rows(self, rows, out) -> None:
         """Scores of users ``rows`` for every item into ``out`` (len(rows),
@@ -204,19 +214,15 @@ def _neighbor_order(sim_matrix: np.ndarray, depth: int) -> np.ndarray:
 
 
 def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
-              sim_matrix: np.ndarray | None = None,
-              order: np.ndarray | None = None) -> KnnModel:
+              sim_matrix: np.ndarray | None = None) -> KnnModel:
     """Fit the neighborhood model.
 
     ``sim_matrix`` lets callers inject precomputed pairwise similarities
-    (the leave-one-out engine passes the matrix it builds, the features
-    stage its beta2 matrix); else they are computed. ``order`` is that
-    matrix's ``_neighbor_order`` to any depth of at least min(k, n - 1),
-    which the leave-one-out engine sorts one deeper than k for itself; the
-    neighbor lists are its first min(k, n - 1) columns, else the matrix is
-    sorted here. A matrix that is not (n, n) or holds a non-finite value,
-    and an order with other than n rows or too few columns, raise
-    ``ValueError``.
+    (the features stage passes its beta2 matrix); else they are computed.
+    The matrix is sorted once, by ``_neighbor_order`` to depth min(k + 1,
+    n - 1): one deeper than the neighbor lists, which are its first
+    min(k, n - 1) columns. A matrix that is not (n, n) or holds a
+    non-finite value raises ``ValueError``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -226,28 +232,22 @@ def train_knn(ds: RatingsDataset, k: int, similarity: str = "pearson",
     if k >= n:
         warnings.warn(f"k={k} >= n_users={n}; reduced to {n - 1}",
                       stacklevel=2)
-    k_eff = min(k, n - 1)
     if sim_matrix is None:
         sim_matrix = user_similarity_matrix(ds, kind=similarity)
-    elif sim_matrix.shape != (n, n) or not np.isfinite(sim_matrix).all():
-        raise ValueError(f"sim_matrix must be a finite ({n}, {n}) array")
-    if order is None:
-        order = _neighbor_order(sim_matrix, k_eff)
-    elif order.ndim != 2 or len(order) != n or order.shape[1] < k_eff:
-        raise ValueError(f"order must have {n} rows and at least {k_eff} "
-                         "columns")
-    neighbors = np.ascontiguousarray(order[:, :k_eff])
-    neighbor_sims = np.take_along_axis(sim_matrix, neighbors, axis=1)
+    elif sim_matrix.shape != (n, n):
+        raise ValueError(f"sim_matrix must be a ({n}, {n}) array")
+    order = _neighbor_order(sim_matrix, min(k + 1, n - 1))
+    order_sims = np.take_along_axis(sim_matrix, order, axis=1)
 
     counts = ds.item_counts
     global_mean = ds.global_mean
     with np.errstate(invalid="ignore", divide="ignore"):
         means = ds.item_sums / counts
     item_means = np.where(counts > 0, means, global_mean)
-    for arr in (neighbors, neighbor_sims, item_means):
+    for arr in (order, order_sims, item_means):
         arr.flags.writeable = False
-    return KnnModel(ds, k, similarity, neighbors, neighbor_sims,
-                    item_means, global_mean)
+    return KnnModel(ds, k, similarity, order, order_sims, item_means,
+                    global_mean)
 
 
 def predict_knn(model: KnnModel, u: int, i: int) -> float:

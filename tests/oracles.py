@@ -576,7 +576,8 @@ def prediction_shift_oracle(ds: RatingsDataset, config: ModelConfig,
 def load_model(base_path, ds: RatingsDataset):
     """Rebuild a model dumped by ``artifacts.save_model`` against its
     training dataset ``ds``, which the caller vouches for: the dump's
-    round-trip check."""
+    round-trip check. A kNN dump holds the neighbor lists alone, so the
+    loaded model's ``order`` is its ``neighbors``, not one deeper."""
     base = Path(base_path)
     header = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
     rows: dict[str, list[list[str]]] = {}

@@ -155,6 +155,23 @@ class TestIngest:
             f"not {kind}\n")
         assert not (tmp_path / "model" / "model.tsv").exists()
 
+    @pytest.mark.parametrize("key", ["user_ids", "item_ids"])
+    def test_repeated_id_in_sidecar_exits_2(self, tmp_path, capsys, key):
+        out = ingest_toy(tmp_path)
+        side_path = out / "dataset.json"
+        side = json.loads(side_path.read_text())
+        ids = side[key]
+        side[key] = [ids[0], ids[0], *ids[2:]]
+        side_path.write_text(json.dumps(side))
+        capsys.readouterr()
+        assert main(["influence", "--dataset", str(out / "dataset.tsv"),
+                     "--k", "1", "--l", "1", "--top-k", "1",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'dataset.tsv'}: sidecar {side_path}: {key} "
+            f"repeats {ids[0]!r}\n")
+        assert not (tmp_path / "run" / "influence.csv").exists()
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("u1,i1,oops\n")
@@ -673,11 +690,10 @@ class TestFeaturesShareOneSimilarityMatrix:
             calls.append(depth)
             return real(sim, depth)
 
-        for module in (recommender, influence):
-            monkeypatch.setattr(module, "_neighbor_order", counting)
+        monkeypatch.setattr(recommender, "_neighbor_order", counting)
         assert main(["features", "--dataset", str(out / "dataset.tsv"),
                      "--algo", algo, "--k", "5", "--out-dir", str(out)]) == 0
-        assert calls == [5]
+        assert calls == [6]
 
     def test_cosine_features_with_pearson_knn(self, tmp_path):
         out = ingest_random(tmp_path)

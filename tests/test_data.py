@@ -312,6 +312,19 @@ class TestRoundTrip:
             load_dataset(path)
         assert str(err.value) == f"{path}: sidecar {side_path} lacks {key}"
 
+    @pytest.mark.parametrize("key", ["user_ids", "item_ids"])
+    def test_sidecar_with_a_repeated_id_names_it(self, tmp_path, toy, key):
+        path = save_dataset(toy, tmp_path / "dump.tsv")
+        side_path = tmp_path / "dump.json"
+        side = json.loads(side_path.read_text())
+        # the first id that repeats an earlier one is named
+        side[key] = ["a", "b", "c", "b", "a", *side[key][5:]]
+        side_path.write_text(json.dumps(side))
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(err.value) == \
+            f"{path}: sidecar {side_path}: {key} repeats 'b'"
+
     @pytest.mark.parametrize("text", ["null", "[\"user_ids\"]", "3"])
     def test_sidecar_that_is_not_an_object(self, tmp_path, toy, text):
         path = save_dataset(toy, tmp_path / "dump.tsv")

@@ -310,10 +310,25 @@ class TestAlternativeDistances:
                         1 - oracles.pearson_pair(flipped, a, b, shrink=None),
                         abs=1e-12)
 
-    def test_unknown_item_distance_refused(self, toy):
-        with pytest.raises(ValueError, match="unknown similarity"):
-            extract_all(toy, ModelConfig(k=2), 3,
-                        FeatureConfig(item_distance="jaccard"))
+    def test_unknown_item_distance_refused(self, toy, monkeypatch):
+        # every kind is refused before the first similarity pass
+        passes = []
+        real = similarity._similarity_rows
+
+        def spy(*args, **kwargs):
+            passes.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(similarity, "_similarity_rows", spy)
+        for model, config in (
+                (ModelConfig(k=2), FeatureConfig(item_distance="jaccard")),
+                (ModelConfig(k=2), FeatureConfig(user_distance="jaccard")),
+                (ModelConfig(k=2), FeatureConfig(similarity="jaccard")),
+                (ModelConfig(k=2, similarity="jaccard"), FeatureConfig())):
+            with pytest.raises(ValueError,
+                               match="unknown similarity 'jaccard'"):
+                extract_all(toy, model, 3, config)
+        assert passes == []
 
     def test_density_with_pearson_distance(self, toy):
         dist = user_distance_matrix(toy, kind="pearson")

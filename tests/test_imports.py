@@ -43,13 +43,25 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} without use"
 
 
+def imported_names(name: str) -> set[str]:
+    """Names the package module file ``name`` binds by ``from`` imports."""
+    source = (MODULES[0].parent / name).read_text("utf-8")
+    return {alias.asname or alias.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_cli_leaves_the_features_inputs_to_features():
     # extract_all builds the similarity matrix, kNN fit and lists itself
-    source = (MODULES[0].parent / "cli.py").read_text("utf-8")
-    imported = {alias.asname or alias.name
-                for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"train_knn", "top_lists", "user_similarity_matrix"}
+    assert not imported_names("cli.py") & {
+        "train_knn", "top_lists", "user_similarity_matrix"}
+
+
+def test_engine_trains_through_model_config():
+    # ModelConfig.train builds the full kNN model, and train_knn alone
+    # builds and sorts its similarity matrix
+    assert not imported_names("influence.py") & {
+        "user_similarity_matrix", "_neighbor_order", "train_knn"}
 
 
 def test_detects_an_unused_import():

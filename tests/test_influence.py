@@ -396,6 +396,20 @@ class TestEngineInternals:
         with pytest.raises(DatasetError):
             engine.distances_without(0)
 
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig("knn", k=3), ModelConfig("nmf", factors=2, n_iters=5)],
+        ids=["knn", "nmf"])
+    @pytest.mark.parametrize("u", [-1, -15, 15])
+    def test_user_outside_range_refused(self, cfg, u):
+        # a negative kNN removal once read another user's ratings: -15
+        # gathered user 1's items while it cleared user 0's flag
+        ds = random_dataset(15, 30, 0.15, seed=3)
+        engine = LeaveOneOutEngine(ds, cfg, 4)
+        with pytest.raises(DatasetError,
+                           match=f"user index {u} out of range"):
+            engine.distances_without(u)
+        assert engine.lists_rebuilt == 0
+
     def test_k_warnings_come_from_the_full_model_only(self):
         ds = random_dataset(10, 20, 0.3, seed=1)
         with warnings.catch_warnings():
@@ -418,8 +432,7 @@ class TestOneNeighborSort:
             calls.append(depth)
             return real(sim, depth)
 
-        for module in (recommender, influence):
-            monkeypatch.setattr(module, "_neighbor_order", counting)
+        monkeypatch.setattr(recommender, "_neighbor_order", counting)
         ds = random_dataset(12, 20, 0.3, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)

@@ -418,61 +418,48 @@ class TestTrainKnn:
         with pytest.raises(ValueError, match="sim_matrix"):
             train_knn(toy, 2, sim_matrix=np.zeros(shape))
 
-    @pytest.mark.parametrize("with_order", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sim_matrix_refused(self, toy, bad, with_order):
+    def test_non_finite_sim_matrix_refused(self, toy, bad):
         sims = user_similarity_matrix(toy)
-        order = recommender._neighbor_order(sims, 3) if with_order else None
         sims[3, 1] = bad
-        with pytest.raises(ValueError, match="sim_matrix"):
-            train_knn(toy, 2, sim_matrix=sims, order=order)
-
-    @pytest.mark.parametrize("k,rows,cols", [
-        (2, 4, 3), (2, 6, 3), (3, 5, 2), (9, 5, 3), (1, 5, 0)])
-    def test_order_of_wrong_shape_refused(self, toy, k, rows, cols):
-        # k = 9 needs all n - 1 = 4 columns
-        sims = user_similarity_matrix(toy)
-        order = recommender._neighbor_order(sims, 4)
-        order = np.resize(order, (rows, cols))
-        with pytest.raises(ValueError, match="order"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            train_knn(toy, k, sim_matrix=sims, order=order)
-
-    def test_one_dimensional_order_refused(self, toy):
-        sims = user_similarity_matrix(toy)
-        with pytest.raises(ValueError, match="order"):
-            train_knn(toy, 1, sim_matrix=sims,
-                      order=recommender._neighbor_order(sims, 1).ravel())
+        with pytest.raises(ValueError, match="non-finite"):
+            train_knn(toy, 2, sim_matrix=sims)
 
     @pytest.mark.parametrize("kind", ["pearson", "cosine"])
     @pytest.mark.parametrize("name", sorted(_TIE_DATASETS))
     def test_given_order_equals_own_sort(self, name, kind, tmp_path):
-        # the leave-one-out engine hands over its order, one deeper than k
+        # the model keeps the order one deeper than k, for the leave-one-out
+        # engine; its neighbor lists are the depth-k sort, and its dump
+        # holds them alone
         ds = _TIE_DATASETS[name]()
         n = ds.n_users
         sims = user_similarity_matrix(ds, kind=kind)
         for k in sorted({k for k in (1, n - 2, n - 1, n, 2 * n) if k >= 1}):
-            order = recommender._neighbor_order(sims, min(k + 1, n - 1))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                given = train_knn(ds, k, kind, sim_matrix=sims, order=order)
-                own = train_knn(ds, k, kind)
-            assert len(caught) == (2 if k >= n else 0)
-            assert given.neighbors.dtype == own.neighbors.dtype
-            assert np.array_equal(given.neighbors, own.neighbors)
-            assert_same_int64(given.neighbor_sims, own.neighbor_sims)
-            assert_same_int64(given.item_means, own.item_means)
-            for arr in (given.neighbors, given.neighbor_sims):
-                assert arr.flags.c_contiguous and not arr.flags.writeable
-            assert (given.k, given.similarity, given.global_mean) == \
-                (own.k, own.similarity, own.global_mean)
-            # both dumps name the same dataset, so any digest serves
-            for model, base in ((given, "given"), (own, "own")):
-                save_model(model, tmp_path / base, "0" * 64)
+                model = train_knn(ds, k, kind)
+            assert len(caught) == (1 if k >= n else 0)
+            deep = recommender._neighbor_order(sims, min(k + 1, n - 1))
+            shallow = recommender._neighbor_order(sims, min(k, n - 1))
+            assert model.order.dtype == deep.dtype
+            assert np.array_equal(model.order, deep)
+            assert_same_int64(model.order_sims,
+                              np.take_along_axis(sims, deep, axis=1))
+            assert np.array_equal(model.neighbors, shallow)
+            shallow_sims = np.take_along_axis(sims, shallow, axis=1)
+            assert_same_int64(model.neighbor_sims, shallow_sims)
+            for arr in (model.order, model.order_sims, model.neighbors,
+                        model.neighbor_sims):
+                assert not arr.flags.writeable
+            # a model holding only the depth-k lists writes the same dump
+            direct = recommender.KnnModel(
+                ds, k, kind, shallow, shallow_sims, model.item_means,
+                model.global_mean)
+            for fit, base in ((model, "deep"), (direct, "shallow")):
+                save_model(fit, tmp_path / base, "0" * 64)
             for ext in (".json", ".tsv"):
-                assert (tmp_path / f"given{ext}").read_bytes() == \
-                    (tmp_path / f"own{ext}").read_bytes()
+                assert (tmp_path / f"deep{ext}").read_bytes() == \
+                    (tmp_path / f"shallow{ext}").read_bytes()
 
 
 class TestModelConfig:
@@ -485,7 +472,7 @@ class TestModelConfig:
             calls.append(args)
             return user_similarity_matrix(*args, **kwargs)
 
-        for module in (similarity, recommender, influence):
+        for module in (similarity, recommender):
             monkeypatch.setattr(module, "user_similarity_matrix", spy)
         with pytest.raises(ValueError, match="k must be >= 1"):
             influence.influence_all(toy, ModelConfig("knn", k=k), 2)
